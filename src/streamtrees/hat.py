@@ -11,32 +11,35 @@ significantly worse. Every contested behavior is a flag on
   (none / the shallowest one on the path / all of them / all except alternates
   that are still single leaves).
 - ``poisson_weighting``: draw each leaf update's weight from Poisson(1).
-- ``eval_timer``: drive split evaluations off instance counts or accumulated
-  weight (overrides the base config's counter mode).
 - ``replace_root_on_alternate_split`` / ``replace_subtree_on_alternate_split``:
   promote an alternate the moment it performs its own first split, skipping
   the error comparison, at the root / below the root respectively.
+
+Leaves learn and split through the base tree's ``learn_at_leaf`` with
+``base`` as given, so every base-tree flag, ``counter_mode`` included, acts
+exactly as it does in the base tree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .detectors import AdwinDetector, NeverFireDetector
 from .schema import Instance, Schema
 from .tree import (
-    NO_SPLIT,
-    WEIGHT_SEEN,
     LearningLeaf,
     SplitNode,
     StrategyConfig,
     argmax_label,
-    evaluate_split,
-    perform_split,
+    check_shape,
+    describe,
+    learn_at_leaf,
 )
+# perfbench/spans.py times splits by patching these names in this module too
+from .tree import evaluate_split, perform_split  # noqa: F401
 
 VOTE_NONE = "none"
 VOTE_SINGLE = "single_alternate"
@@ -51,7 +54,6 @@ class HatConfig:
     base: StrategyConfig = StrategyConfig()
     voting_mode: str = VOTE_NONE
     poisson_weighting: bool = False
-    eval_timer: str = WEIGHT_SEEN
     replace_root_on_alternate_split: bool = False
     replace_subtree_on_alternate_split: bool = False
     replacement_check_interval: int = 300
@@ -70,9 +72,6 @@ class HatConfig:
             raise ValueError("replacement_check_interval must be >= 1")
         if not 0.0 < self.replacement_delta < 1.0:
             raise ValueError("replacement_delta must be in (0, 1)")
-
-    def effective_base(self) -> StrategyConfig:
-        return replace(self.base, counter_mode=self.eval_timer)
 
 
 class _HatNode:
@@ -98,8 +97,6 @@ class HoeffdingAdaptiveTreeClassifier:
     def __init__(self, schema: Schema, config: HatConfig | None = None, seed: int = 0):
         self.schema = schema
         self.config = config if config is not None else HatConfig()
-        self._base = self.config.effective_base()
-        self._use_node_time = self._base.counter_mode != WEIGHT_SEEN
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._poisson_buf: list[float] = []
         self._root = self._new_node(0)
@@ -121,7 +118,7 @@ class HoeffdingAdaptiveTreeClassifier:
         )
 
     def _new_node(self, nesting: int) -> _HatNode:
-        leaf = LearningLeaf(self.schema, eidetic=self._base.eidetic)
+        leaf = LearningLeaf(self.schema, eidetic=self.config.base.eidetic)
         return _HatNode(leaf, self._new_detector(), nesting)
 
     def _poisson_weight(self) -> float:
@@ -132,14 +129,8 @@ class HoeffdingAdaptiveTreeClassifier:
     # -- training --------------------------------------------------------------
 
     def train(self, instance: Instance) -> None:
-        if len(instance.values) != self.schema.n_attributes or not (
-            0 <= instance.class_label < self.schema.class_count
-        ):
-            raise ValueError(
-                f"instance does not match schema: {len(instance.values)} values, "
-                f"label {instance.class_label}"
-            )
-        self._train_subtree(self._root, instance, instance.class_label, True)
+        check_shape(self.schema, instance)
+        self._train_subtree(self._root, instance, True)
 
     def _route(self, hnode: _HatNode, values):
         """Mainline path of _HatNodes from hnode down to its leaf."""
@@ -152,11 +143,10 @@ class HoeffdingAdaptiveTreeClassifier:
             node = m.children[m.branch(values)]
             path.append(node)
 
-    def _train_subtree(self, hnode: _HatNode, instance: Instance, y: int, at_root: bool) -> None:
-        values = instance.values
-        path = self._route(hnode, values)
+    def _train_subtree(self, hnode: _HatNode, instance: Instance, at_root: bool) -> None:
+        path = self._route(hnode, instance.values)
         leaf_node = path[-1]
-        bit = 1.0 if argmax_label(leaf_node.mainline.class_dist) != y else 0.0
+        bit = 1.0 if argmax_label(leaf_node.mainline.class_dist) != instance.class_label else 0.0
         cfg = self.config
         for nd in path:
             fired = nd.detector.add_element(bit)
@@ -178,7 +168,7 @@ class HoeffdingAdaptiveTreeClassifier:
             if alt is None:
                 continue
             alt_was_leaf = alt.mainline.__class__ is not SplitNode
-            self._train_subtree(alt, instance, y, False)
+            self._train_subtree(alt, instance, False)
             nd.alt_instances += 1
             node_is_root = at_root and nd is path[0] and nd is self._root
             promoted = False
@@ -194,38 +184,22 @@ class HoeffdingAdaptiveTreeClassifier:
                 # everything deeper on the old path is discarded, and the
                 # promoted subtree already trained on this instance
                 return
-        self._learn_at_leaf(leaf_node, instance, y)
+        self._learn_at_leaf(leaf_node, instance)
 
     def _may_sprout(self, nd: _HatNode) -> bool:
         if nd.nesting == 0:
             return True
         return self._nest_in_alternates and nd.nesting < self.config.alternate_depth_cap
 
-    def _learn_at_leaf(self, leaf_node: _HatNode, instance: Instance, y: int) -> None:
-        leaf: LearningLeaf = leaf_node.mainline
-        weight = instance.weight
+    def _learn_at_leaf(self, leaf_node: _HatNode, instance: Instance) -> None:
         if self.config.poisson_weighting:
-            weight *= self._poisson_weight()
-        leaf.learn(instance.values, y, weight)
-        if leaf.buffer is not None:
-            leaf.buffer.append(Instance(instance.values, y, weight))
-        counter = leaf.node_time if self._use_node_time else leaf.total_weight
-        if counter - leaf.counter_at_last_eval < self._base.grace_period:
-            return
-        leaf.counter_at_last_eval = counter
-        if leaf.is_pure():
-            return
-        decision = evaluate_split(leaf, self._base, self.schema.class_count)
-        if decision.action == NO_SPLIT:
-            return
-        nesting = leaf_node.nesting
-        new_node = perform_split(
-            leaf,
-            decision,
-            self._base,
-            wrap_child=lambda child: _HatNode(child, self._new_detector(), nesting),
-        )
+            instance = instance._replace(weight=instance.weight * self._poisson_weight())
+        new_node = learn_at_leaf(leaf_node.mainline, instance, self.config.base)
         if new_node is not None:
+            new_node.children = [
+                _HatNode(child, self._new_detector(), leaf_node.nesting)
+                for child in new_node.children
+            ]
             leaf_node.mainline = new_node
 
     # -- replacement -----------------------------------------------------------
@@ -280,48 +254,34 @@ class HoeffdingAdaptiveTreeClassifier:
 
     # -- prediction ------------------------------------------------------------
 
-    def _leaf_dist(self, hnode: _HatNode, values):
-        node = hnode
-        while True:
-            m = node.mainline
-            if m.__class__ is not SplitNode:
-                return m.class_dist
-            node = m.children[m.branch(values)]
-
-    def _collect_alternate_votes(self, hnode: _HatNode, values, out: list) -> None:
-        node = hnode
+    def _collect_alternate_votes(self, path: list, values, out: list) -> None:
+        """Append the leaf distribution of every alternate hanging off ``path``."""
         exclude_single = self.config.voting_mode == VOTE_MULTI_NO_SINGLE_LEAVES
-        while True:
+        for node in path:
             alt = node.alternate
             if alt is not None:
+                alt_path = self._route(alt, values)
                 if not (exclude_single and alt.mainline.__class__ is not SplitNode):
-                    out.append(self._leaf_dist(alt, values))
-                self._collect_alternate_votes(alt, values, out)
-            m = node.mainline
-            if m.__class__ is not SplitNode:
-                return
-            node = m.children[m.branch(values)]
+                    out.append(alt_path[-1].mainline.class_dist)
+                self._collect_alternate_votes(alt_path, values, out)
 
     def vote(self, instance: Instance) -> list:
         """Class distribution, with alternates contributing per voting_mode."""
         values = instance.values
         mode = self.config.voting_mode
+        path = self._route(self._root, values)
+        mainline = path[-1].mainline.class_dist
         if mode == VOTE_NONE:
-            return list(self._leaf_dist(self._root, values))
+            return list(mainline)
         contributions: list = []
         if mode == VOTE_SINGLE:
-            node = self._root
-            while True:
+            for node in path:
                 if node.alternate is not None:
-                    contributions.append(self._leaf_dist(node.alternate, values))
+                    alt_leaf = self._route(node.alternate, values)[-1]
+                    contributions.append(alt_leaf.mainline.class_dist)
                     break
-                m = node.mainline
-                if m.__class__ is not SplitNode:
-                    break
-                node = m.children[m.branch(values)]
         else:
-            self._collect_alternate_votes(self._root, values, contributions)
-        mainline = self._leaf_dist(self._root, values)
+            self._collect_alternate_votes(path, values, contributions)
         if not contributions:
             return list(mainline)
         combined = [0.0] * self.schema.class_count
@@ -357,25 +317,16 @@ class HoeffdingAdaptiveTreeClassifier:
         return "\n".join(lines) + "\n"
 
     def _dump_node(self, hnode: _HatNode, depth: int, lines, counter, include_detectors, marker):
-        node_id = counter[0]
-        counter[0] += 1
-        indent = "  " * depth
         det = ""
         if include_detectors:
             width = hnode.detector.width
             est = f"{hnode.detector.estimate():.4f}" if width > 0 else "-"
             det = f" det_width={width} det_est={est}"
         m = hnode.mainline
+        lines.append(f"{'  ' * depth}[{counter[0]}]{marker} {describe(m)}{det}")
+        counter[0] += 1
         if m.__class__ is SplitNode:
-            test = "nominal" if m.threshold is None else f"<= {m.threshold:.6g}"
-            lines.append(f"{indent}[{node_id}]{marker} split attr={m.attr} test={test}{det}")
             for child in m.children:
                 self._dump_node(child, depth + 1, lines, counter, include_detectors, "")
-        else:
-            dist = "[" + ", ".join(f"{v:g}" for v in m.class_dist) + "]"
-            lines.append(
-                f"{indent}[{node_id}]{marker} leaf dist={dist} node_time={m.node_time} "
-                f"weight_seen={m.total_weight:g}{det}"
-            )
         if hnode.alternate is not None:
             self._dump_node(hnode.alternate, depth + 1, lines, counter, include_detectors, " ALT-root")

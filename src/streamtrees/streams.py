@@ -102,10 +102,24 @@ def apply_drift(table: CellTable, magnitude: float, rng: np.random.Generator) ->
 # generators
 # --------------------------------------------------------------------------
 
-class _BlockStream:
-    """Shared machinery: subclasses fill blocks of instances on demand."""
+class _Stream:
+    """An endless instance source; subclasses define ``next_instance``."""
 
     schema: Schema
+
+    def next_instance(self) -> Instance:
+        raise NotImplementedError
+
+    def take(self, n: int) -> list[Instance]:
+        return [self.next_instance() for _ in range(n)]
+
+    def __iter__(self):
+        while True:
+            yield self.next_instance()
+
+
+class _BlockStream(_Stream):
+    """Shared machinery: subclasses fill blocks of instances on demand."""
 
     def __init__(self) -> None:
         self._buffer: list[Instance] = []
@@ -118,13 +132,6 @@ class _BlockStream:
         inst = self._buffer[self._pos]
         self._pos += 1
         return inst
-
-    def take(self, n: int) -> list[Instance]:
-        return [self.next_instance() for _ in range(n)]
-
-    def __iter__(self):
-        while True:
-            yield self.next_instance()
 
     def _make_block(self) -> list[Instance]:
         raise NotImplementedError
@@ -200,16 +207,6 @@ class AbruptDriftGenerator(_BlockStream):
 SMALL, MEDIUM, LARGE = 0, 1, 2
 RED, GREEN, BLUE = 0, 1, 2
 SQUARE, CIRCULAR, TRIANGULAR = 0, 1, 2
-
-
-def stagger_concept(function: int, size: int, color: int, shape: int) -> int:
-    if function == 1:
-        return int(size == SMALL and color == RED)
-    if function == 2:
-        return int(color == GREEN or shape == CIRCULAR)
-    if function == 3:
-        return int(size == MEDIUM or size == LARGE)
-    raise ValueError(f"STAGGER function must be 1..3, got {function}")
 
 
 class StaggerGenerator(_BlockStream):
@@ -316,7 +313,7 @@ class HyperplaneGenerator(_BlockStream):
         return [Instance(tuple(row), int(y)) for row, y in zip(x.tolist(), labels.tolist())]
 
 
-class RecurrentConceptDriftStream:
+class RecurrentConceptDriftStream(_Stream):
     """Sigmoid mixture of two sub-streams with drift recurring every period.
 
     Concept centers sit at ``position + m * period``; around center m the
@@ -372,10 +369,3 @@ class RecurrentConceptDriftStream:
         else:
             pick_drift = self._uniform() < p
         return self.drift.next_instance() if pick_drift else self.base.next_instance()
-
-    def take(self, n: int) -> list[Instance]:
-        return [self.next_instance() for _ in range(n)]
-
-    def __iter__(self):
-        while True:
-            yield self.next_instance()

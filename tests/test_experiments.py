@@ -182,11 +182,11 @@ def test_every_preset_executes_end_to_end(tmp_path, name):
     assert os.path.exists(os.path.join(cfg.output_dir, "results.csv"))
 
 
-def test_eval_timer_flag_reaches_hat_base():
-    spec = parse_learner_line("h hat eval_timer=node_time")
-    cfg = spec.config()
-    assert cfg.eval_timer == "node_time"
-    assert cfg.effective_base().counter_mode == "node_time"
+def test_hat_counter_mode_reaches_base_and_eval_timer_is_rejected():
+    cfg = parse_learner_line("h hat counter_mode=node_time").config()
+    assert cfg.base.counter_mode == "node_time"
+    with pytest.raises(ConfigError, match="eval_timer"):
+        parse_learner_line("h hat eval_timer=node_time")
 
 
 def test_abrupt_rows_match_published_parametrizations():

@@ -1,0 +1,79 @@
+"""Byte-level goldens of every preset's outputs on three short drifting rows.
+
+Each preset's two learners run through ``run_experiment`` on a reduced grid;
+the digest covers results.csv without its wall_seconds column, both
+comparison files and the series files. A refactor that claims identical
+outputs must leave every digest unchanged. To print the current digests:
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+"""
+
+import dataclasses
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from streamtrees.experiments import PRESET_NAMES, preset, run_experiment
+
+GOLDEN_ROWS = [
+    "RecurrentConceptDriftStream -x 5000 -y 5000 -z 100 "
+    "-s (STAGGERGenerator -i 2 -f 2) -d (STAGGERGenerator -i 3 -f 3)",
+    "HyperplaneGenerator -k 10 -t 0.01 -i 2",
+    "AbruptDriftGenerator -c -o 1.0 -z 3 -n 3 -v 3 -r 2 -b 5000 -d Recurrent",
+]
+
+GOLDEN_SHA256 = {
+    "altvote-hat": "837e99ea750e7f1fc74809251a06dd359590c4ebebf21f0862a2719babc7cfd3",
+    "amnesia-figure": "85d7d2fde8bbad12083b94146ddbf969a2e42607fc164339e2a2b972eb4df3d0",
+    "avg-infogain-hat": "c46b163eb83baadd3aa565470f9d9b1783e5ed1c1c80e9e1c87a276c484e2d63",
+    "both-replace-hat": "cabd3bb23fc6b7b87375b37ac5315fe2c2da5384052646858e2a07e71aaf8f18",
+    "combined-vfdt": "67e39dedadc513c26f0f6e8e126031ff085b4807bf363fb1c5369bdcb3645d73",
+    "counters-vfdt": "682c2a4310b1b8154094baaca4266082c7c702d57065a5b9cbf8e04a267f5405",
+    "eviscerate-vfdt": "2f0467dade72a388e175f7de8d35485ba941048f6c54e4ca95cb3e307e158ded",
+    "infogain-vfdt": "c0d1d15e8814d784cfdd0c46b31aae700ba4f054a0d29b7daebf4562f8545c99",
+    "multialt-hat": "e8bd2102bab056f1875d0e75c46c723bc473a54de92472087edcb90c6c546c93",
+    "poisson-hat": "ea420fd7eb080ea95e0698e50acfe42f18b5036acbd9f929e1e157b1b994df08",
+    "resplit-hat": "47fb0eeb904cce4e9721d00086d5505e2f55bdd815b527ffb6e25fe857808038",
+    "resplit-vfdt": "ce0d0149e940a98ae5491379be18143854d8393757f952479b6caae09378c719",
+    "root-replace-hat": "716dac6e363da55e930aad8f94c72851d26ca2f94986db0f365477f282770344",
+    "singleleaf-hat": "48e90f756494e3d249b133db9a1e245af14f2f09c3670cc0ca9b5dff557320f5",
+    "subtree-replace-hat": "c75fb7c2e1818b49c81f9dc9324995e52bcdcc1d139650f05fbb9f0cb6e3a3ef",
+    "vfdt-flags-in-hat": "09cb6716c0df68ff62caeed53df6e7ce0eff082c54ed6c8af94d9d88be7ce9b7",
+}
+
+
+def preset_digest(name: str, out_dir: Path) -> str:
+    config = dataclasses.replace(
+        preset(name),
+        streams=list(GOLDEN_ROWS),
+        n_instances=15_000,
+        seeds=1,
+        snapshot_every=1000,
+        parallelism=1,
+        output_dir=str(out_dir),
+    )
+    run_experiment(config)
+    h = hashlib.sha256()
+    for line in (out_dir / "results.csv").read_text(encoding="utf-8").splitlines():
+        h.update(line.rsplit(",", 1)[0].encode() + b"\n")
+    for name in ("comparison.csv", "comparison.md"):
+        h.update((out_dir / name).read_bytes())
+    for path in sorted((out_dir / "series").rglob("*.csv")):
+        h.update(path.relative_to(out_dir).as_posix().encode() + b"\n")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_outputs_match_golden(tmp_path, name):
+    assert preset_digest(name, tmp_path) == GOLDEN_SHA256[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for preset_name in PRESET_NAMES:
+            digest = preset_digest(preset_name, Path(tmp) / preset_name)
+            print(f'    "{preset_name}": "{digest}",')

@@ -13,7 +13,13 @@ from streamtrees.hat import (
 )
 from streamtrees.schema import Instance, Schema
 from streamtrees.specparse import build_stream
-from streamtrees.tree import HoeffdingTreeClassifier, LearningLeaf, SplitNode, StrategyConfig
+from streamtrees.tree import (
+    NODE_TIME,
+    HoeffdingTreeClassifier,
+    LearningLeaf,
+    SplitNode,
+    StrategyConfig,
+)
 
 
 class FireOnceDetector:
@@ -73,6 +79,9 @@ def _schema():
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
+    "base", [StrategyConfig(), StrategyConfig(counter_mode=NODE_TIME)], ids=["weight_seen", "node_time"]
+)
+@pytest.mark.parametrize(
     "row",
     [
         "RecurrentConceptDriftStream -x 5000 -y 5000 -z 100 -s (STAGGERGenerator -i 2 -f 2) -d (STAGGERGenerator -i 3 -f 3)",
@@ -80,15 +89,16 @@ def _schema():
         "SEAGenerator -f 2 -i 2",
     ],
 )
-def test_never_fire_hat_equals_vfdt_exactly(row):
+def test_never_fire_hat_equals_vfdt_exactly(row, base):
     s1, s2 = build_stream(row), build_stream(row)
-    vfdt = HoeffdingTreeClassifier(s1.schema, StrategyConfig())
-    hat = HoeffdingAdaptiveTreeClassifier(s2.schema, HatConfig(detector="neverfire"))
+    vfdt = HoeffdingTreeClassifier(s1.schema, base)
+    hat = HoeffdingAdaptiveTreeClassifier(s2.schema, HatConfig(base=base, detector="neverfire"))
     for _ in range(20_000):
         i1, i2 = s1.next_instance(), s2.next_instance()
         assert vfdt.predict_label(i1) == hat.predict_label(i2)
         vfdt.train(i1)
         hat.train(i2)
+    assert vfdt.dump() == hat.dump(include_detectors=False)
 
 
 def test_never_fire_hat_grows_no_alternates():
@@ -200,7 +210,7 @@ def test_promotion_preserves_subtree_structure():
     node.alternate = hat._new_node(1)
     for _ in range(6000):  # let the alternate grow real structure
         inst = stream.next_instance()
-        hat._train_subtree(node.alternate, inst, inst.class_label, False)
+        hat._train_subtree(node.alternate, inst, False)
     assert isinstance(node.alternate.mainline, SplitNode)
     snapshot = HoeffdingAdaptiveTreeClassifier(stream.schema, HatConfig())
     snapshot._root = node.alternate

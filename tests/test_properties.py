@@ -11,14 +11,20 @@ from streamtrees.tree import (
     HoeffdingTreeClassifier,
     LearningLeaf,
     StrategyConfig,
+    _gain_with_split,
     argmax_label,
+    entropy,
     evaluate_split,
     hoeffding_bound,
-    info_gain,
     perform_split,
 )
 
 CASES = settings(max_examples=1000, deadline=None)
+
+
+def info_gain(stats, class_dist, attribute):
+    """Information gain of splitting on one attribute, parent entropy from class_dist."""
+    return _gain_with_split(stats, class_dist, entropy(class_dist), attribute)[0]
 
 
 def _rng(seed):

@@ -3,6 +3,12 @@ import pytest
 
 from streamtrees.schema import NominalAttribute, NumericAttribute, Schema, Instance, check_instance
 from streamtrees.streams import (
+    CIRCULAR,
+    GREEN,
+    LARGE,
+    MEDIUM,
+    RED,
+    SMALL,
     AbruptDriftGenerator,
     CellTable,
     HyperplaneGenerator,
@@ -11,8 +17,16 @@ from streamtrees.streams import (
     StaggerGenerator,
     apply_drift,
     make_rng,
-    stagger_concept,
 )
+
+
+def stagger_concept(function, size, color, shape):
+    """The three STAGGER rules, written out one instance at a time."""
+    if function == 1:
+        return int(size == SMALL and color == RED)
+    if function == 2:
+        return int(color == GREEN or shape == CIRCULAR)
+    return int(size == MEDIUM or size == LARGE)
 
 
 # --------------------------------------------------------------------------

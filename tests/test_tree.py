@@ -17,8 +17,8 @@ from streamtrees.tree import (
     StrategyConfig,
     entropy,
     evaluate_split,
+    _gain_with_split,
     hoeffding_bound,
-    info_gain,
     perform_split,
 )
 
@@ -34,6 +34,11 @@ def weighted_entropy_oracle(rows):
     total = sum(parent)
     children = sum(sum(r) / total * h(r) for r in rows if sum(r) > 0)
     return h(parent) - children
+
+
+def info_gain(stats, class_dist, attribute):
+    """Information gain of splitting on one attribute, parent entropy from class_dist."""
+    return _gain_with_split(stats, class_dist, entropy(class_dist), attribute)[0]
 
 
 def fill_leaf(schema, pairs):
