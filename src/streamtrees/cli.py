@@ -1,7 +1,9 @@
 """Command line runner for experiment grids.
 
-Exit codes: 0 success, 2 invalid configuration (message names the field),
-3 stream names a recognized but unsupported generator.
+Exit codes: 0 success, 2 invalid configuration (message names the field or
+stream row), 3 stream names a recognized but unsupported generator. The
+options that override config-file keys share their names with those keys
+(``experiments.SETTINGS``).
 """
 
 from __future__ import annotations
@@ -9,7 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import ConfigError, PRESET_NAMES, parse_config_file, preset, run_experiment
+from .experiments import (
+    PRESET_NAMES,
+    SETTINGS,
+    ConfigError,
+    parse_config_file,
+    preset,
+    run_experiment,
+)
 from .specparse import OutOfScopeError, ParseError
 
 
@@ -41,29 +50,14 @@ def main(argv=None) -> int:
             config = preset(args.preset)
         else:
             raise ConfigError("config: one of --config or --preset is required")
-        if args.out is not None:
-            config.output_dir = args.out
-        if args.seeds is not None:
-            config.seeds = args.seeds
-        if args.instances is not None:
-            config.n_instances = args.instances
-        if args.snapshot_every is not None:
-            config.snapshot_every = args.snapshot_every
-        if args.jobs is not None:
-            config.parallelism = args.jobs
-        config.validate()
-    except (ConfigError, ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        for key, (field, _) in SETTINGS.items():
+            value = getattr(args, key.replace("-", "_"))
+            if value is not None:
+                setattr(config, field, value)
         run_experiment(config)
-    except OutOfScopeError as exc:
+    except (OutOfScopeError, ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, OutOfScopeError) else 2
     return 0
 
 

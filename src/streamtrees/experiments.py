@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .evaluate import (
@@ -21,7 +20,7 @@ from .evaluate import (
     prequential_run,
 )
 from .hat import HatConfig, HoeffdingAdaptiveTreeClassifier
-from .specparse import parse_stream_spec, build_generator
+from .specparse import OutOfScopeError, build_generator, parse_stream_spec
 from .tree import AVERAGED, NODE_TIME, HoeffdingTreeClassifier, StrategyConfig
 
 
@@ -29,34 +28,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
-_STRATEGY_FIELDS = {f.name for f in dataclasses.fields(StrategyConfig)}
-_HAT_FIELDS = {f.name for f in dataclasses.fields(HatConfig)} - {"base"}
-
-
-def _strategy_config(overrides: dict) -> StrategyConfig:
-    bad = set(overrides) - _STRATEGY_FIELDS
-    if bad:
-        raise ConfigError(f"learner flags: unknown vfdt option(s) {sorted(bad)}")
-    try:
-        return StrategyConfig(**overrides)
-    except ValueError as exc:
-        raise ConfigError(f"learner flags: {exc}") from None
-
-
-def _hat_config(overrides: dict) -> HatConfig:
-    hat_kwargs = {}
-    base_kwargs = {}
-    for key, value in overrides.items():
-        if key in _HAT_FIELDS:
-            hat_kwargs[key] = value
-        elif key in _STRATEGY_FIELDS:
-            base_kwargs[key] = value
-        else:
-            raise ConfigError(f"learner flags: unknown hat option {key!r}")
-    try:
-        return HatConfig(base=StrategyConfig(**base_kwargs), **hat_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"learner flags: {exc}") from None
+# learner flag -> the type of its field's default, which its text converts to
+_BASE_FLAGS = {f.name: type(f.default) for f in dataclasses.fields(StrategyConfig)}
+_HAT_FLAGS = {f.name: type(f.default) for f in dataclasses.fields(HatConfig) if f.name != "base"}
+_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 @dataclass(frozen=True)
@@ -71,10 +46,19 @@ class LearnerSpec:
         self.config()  # validate flags eagerly
 
     def config(self):
-        overrides = dict(self.overrides)
-        if self.algorithm == "vfdt":
-            return _strategy_config(overrides)
-        return _hat_config(overrides)
+        base, hat = {}, {}
+        for key, value in self.overrides:
+            if key in _BASE_FLAGS:
+                base[key] = value
+            elif key in _HAT_FLAGS and self.algorithm == "hat":
+                hat[key] = value
+            else:
+                raise ConfigError(f"learner flags: unknown {self.algorithm} option {key!r}")
+        try:
+            config = StrategyConfig(**base)
+            return config if self.algorithm == "vfdt" else HatConfig(base=config, **hat)
+        except ValueError as exc:
+            raise ConfigError(f"learner flags: {exc}") from None
 
     def build(self, schema, seed: int = 0):
         if self.algorithm == "vfdt":
@@ -108,25 +92,26 @@ class ExperimentConfig:
         names = [lrn.name for lrn in self.learners]
         if len(set(names)) != len(names):
             raise ConfigError("learners: names must be unique")
-        for s in self.streams:
-            parse_stream_spec(s)  # raises ParseError with offset on a bad row
+        for row in self.streams:
+            # ParseError (with its offset) and OutOfScopeError pass through
+            spec = parse_stream_spec(row)
+            try:
+                build_generator(spec)
+            except OutOfScopeError:
+                raise
+            except ValueError as exc:
+                raise ConfigError(f"stream {row!r}: {exc}") from None
 
 
-_BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
-def _coerce(text: str):
-    low = text.lower()
-    if low in _BOOL_STRINGS:
-        return _BOOL_STRINGS[low]
+def _typed_flag(key: str, text: str):
+    kind = _BASE_FLAGS.get(key) or _HAT_FLAGS.get(key)
+    if kind is None:
+        return text  # LearnerSpec.config names the unknown option
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+        return _BOOL_WORDS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        expected = {bool: "true/false/yes/no/1/0", int: "an integer", float: "a number"}[kind]
+        raise ConfigError(f"learner flags: {key}={text!r} is not {expected}") from None
 
 
 def parse_learner_line(text: str) -> LearnerSpec:
@@ -139,8 +124,18 @@ def parse_learner_line(text: str) -> LearnerSpec:
         if "=" not in part:
             raise ConfigError(f"learner {parts[0]}: flag {part!r} is not key=value")
         key, _, value = part.partition("=")
-        overrides.append((key, _coerce(value)))
+        overrides.append((key, _typed_flag(key, value)))
     return LearnerSpec(parts[0], parts[1].lower(), tuple(overrides))
+
+
+# config-file key, which is also the CLI long option -> (ExperimentConfig field, type)
+SETTINGS = {
+    "instances": ("n_instances", int),
+    "seeds": ("seeds", int),
+    "snapshot-every": ("snapshot_every", int),
+    "out": ("output_dir", str),
+    "jobs": ("parallelism", int),
+}
 
 
 def parse_config_file(path: str) -> ExperimentConfig:
@@ -159,16 +154,13 @@ def parse_config_file(path: str) -> ExperimentConfig:
                 cfg.streams.append(value)
             elif key == "learner":
                 cfg.learners.append(parse_learner_line(value))
-            elif key in ("instances", "n_instances"):
-                cfg.n_instances = int(value)
-            elif key in ("snapshot_every", "snapshot-every"):
-                cfg.snapshot_every = int(value)
-            elif key == "seeds":
-                cfg.seeds = int(value)
-            elif key in ("out", "output_dir"):
-                cfg.output_dir = value
-            elif key == "jobs":
-                cfg.parallelism = int(value)
+            elif key in SETTINGS:
+                field, kind = SETTINGS[key]
+                try:
+                    setattr(cfg, field, kind(value))
+                except ValueError:
+                    raise ConfigError(
+                        f"line {lineno}: {key} expects an integer, got {value!r}") from None
             else:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
     return cfg
@@ -232,15 +224,8 @@ def _hat(name, *overrides) -> LearnerSpec:
     return LearnerSpec(name, "hat", tuple(overrides))
 
 
-def _preset_config(learner_a, learner_b, streams, n_instances=400_000, seeds=1,
-                   snapshot_every=0) -> ExperimentConfig:
-    return ExperimentConfig(
-        learners=[learner_a, learner_b],
-        streams=list(streams),
-        n_instances=n_instances,
-        seeds=seeds,
-        snapshot_every=snapshot_every,
-    )
+def _preset_config(learner_a, learner_b, streams, **settings) -> ExperimentConfig:
+    return ExperimentConfig(learners=[learner_a, learner_b], streams=list(streams), **settings)
 
 
 _PRESETS = {
@@ -341,6 +326,10 @@ def run_grid(config: ExperimentConfig):
                               config.n_instances, config.snapshot_every))
                 keys.append((learner_spec.name, stream_text, variant))
     if config.parallelism > 1 and len(tasks) > 1:
+        # imported here so that serial grids, and configs that fail
+        # validation, skip importing multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
             results = list(pool.map(_run_one, tasks))
     else:

@@ -72,6 +72,10 @@ class HatConfig:
             raise ValueError("replacement_check_interval must be >= 1")
         if not 0.0 < self.replacement_delta < 1.0:
             raise ValueError("replacement_delta must be in (0, 1)")
+        if self.detector_check_interval < 1:
+            raise ValueError("detector_check_interval must be >= 1")
+        if not 0.0 < self.detector_delta < 1.0:
+            raise ValueError("detector_delta must be in (0, 1)")
 
 
 class _HatNode:

@@ -3,6 +3,11 @@
 Grammar: ``NAME (-flag value | -flag | -flag ( SUBSPEC ))*`` with whitespace
 between tokens and parentheses delimiting nested sub-stream specs. Every
 parse error carries the character offset it was detected at.
+
+``GENERATORS`` declares each generator once: its flags with their kinds and
+constructor keywords, its seed flags and its class. The parser reads the
+kinds, and ``build_generator`` passes the given flags to the class by
+keyword, so each default lives only in the constructor.
 """
 
 from __future__ import annotations
@@ -28,50 +33,61 @@ class OutOfScopeError(ValueError):
     """Raised when a recognized generator is not supported by this package."""
 
 
-# flag kinds: "int" / "float" / "str" take one argument, "bool" none,
-# "spec" takes a parenthesized sub-spec
+# Each flag maps to (kind, constructor keyword). Kinds: "int" / "float" /
+# "str" take one argument, "bool" none, "spec" a parenthesized sub-spec. A
+# keyword of None means the flag parses but is not passed to the constructor.
 @dataclass(frozen=True)
 class GeneratorInfo:
     flags: dict
     seed_flags: tuple
-    in_scope: bool
+    cls: type | None = None  # None: recognized, but not buildable here
+
+    @property
+    def in_scope(self) -> bool:
+        return self.cls is not None
 
 
 GENERATORS: dict[str, GeneratorInfo] = {
     "AbruptDriftGenerator": GeneratorInfo(
-        flags={"c": "bool", "o": "float", "z": "int", "n": "int", "v": "int",
-               "r": "int", "b": "int", "d": "str"},
+        # -c marks drift in P(Y|X), the only drift this generator produces
+        flags={"c": ("bool", None), "o": ("float", "magnitude"), "z": ("int", "n_values"),
+               "n": ("int", "n_attributes"), "v": ("int", "class_count"),
+               "r": ("int", "seed"), "b": ("int", "drift_point"), "d": ("str", "recurrent")},
         seed_flags=("r",),
-        in_scope=True,
+        cls=AbruptDriftGenerator,
     ),
     "RecurrentConceptDriftStream": GeneratorInfo(
-        flags={"x": "int", "y": "int", "z": "int", "s": "spec", "d": "spec", "r": "int"},
+        flags={"x": ("int", "position"), "y": ("int", "period"), "z": ("int", "width"),
+               "s": ("spec", "base"), "d": ("spec", "drift"), "r": ("int", "seed")},
         seed_flags=("r",),
-        in_scope=True,
+        cls=RecurrentConceptDriftStream,
     ),
     "STAGGERGenerator": GeneratorInfo(
-        flags={"i": "int", "f": "int"},
+        flags={"i": ("int", "seed"), "f": ("int", "function")},
         seed_flags=("i",),
-        in_scope=True,
+        cls=StaggerGenerator,
     ),
     "SEAGenerator": GeneratorInfo(
-        flags={"f": "int", "i": "int", "n": "float"},
+        flags={"f": ("int", "function"), "i": ("int", "seed"), "n": ("float", "noise")},
         seed_flags=("i",),
-        in_scope=True,
+        cls=SeaGenerator,
     ),
     "HyperplaneGenerator": GeneratorInfo(
-        flags={"k": "int", "t": "float", "i": "int", "a": "int", "s": "float",
-               "n": "float", "p": "float"},
+        flags={"k": ("int", "drift_attributes"), "t": ("float", "magnitude"),
+               "i": ("int", "seed"), "a": ("int", "n_attributes"), "s": ("float", "sigma"),
+               "n": ("float", "noise")},
         seed_flags=("i",),
-        in_scope=True,
+        cls=HyperplaneGenerator,
     ),
     # recognized so the published testbench rows parse, but not buildable here
-    "AgrawalGenerator": GeneratorInfo({"f": "int", "i": "int"}, ("i",), False),
-    "RandomTreeGenerator": GeneratorInfo({"r": "int", "i": "int"}, ("r", "i"), False),
-    "LEDGeneratorDrift": GeneratorInfo({"d": "int", "i": "int"}, ("i",), False),
-    "WaveformGeneratorDrift": GeneratorInfo({"d": "int", "i": "int", "n": "bool"}, ("i",), False),
+    "AgrawalGenerator": GeneratorInfo({"f": ("int", None), "i": ("int", None)}, ("i",)),
+    "RandomTreeGenerator": GeneratorInfo({"r": ("int", None), "i": ("int", None)}, ("r", "i")),
+    "LEDGeneratorDrift": GeneratorInfo({"d": ("int", None), "i": ("int", None)}, ("i",)),
+    "WaveformGeneratorDrift": GeneratorInfo(
+        {"d": ("int", None), "i": ("int", None), "n": ("bool", None)}, ("i",)),
     "RandomRBFGeneratorDrift": GeneratorInfo(
-        {"s": "float", "k": "int", "i": "int", "r": "int"}, ("i", "r"), False
+        {"s": ("float", None), "k": ("int", None), "i": ("int", None), "r": ("int", None)},
+        ("i", "r"),
     ),
 }
 
@@ -203,9 +219,11 @@ def _parse_spec(tokens, pos: int, text_len: int, depth: int):
         if kind == "word":
             raise ParseError(f"expected a flag, got {value!r}", off)
         flag = value
-        fkind = info.flags.get(flag)
-        if fkind is None:
+        if flag not in info.flags:
             raise ParseError(f"unknown flag -{flag} for {name}", off)
+        if any(f == flag for f, _ in items):
+            raise ParseError(f"flag -{flag} given twice", off)
+        fkind = info.flags[flag][0]
         pos += 1
         if fkind == "bool":
             items.append((flag, True))
@@ -247,66 +265,28 @@ def _parse_spec(tokens, pos: int, text_len: int, depth: int):
 # generator factory
 # --------------------------------------------------------------------------
 
-# AbruptDriftGenerator flag meanings; swap entries to adopt the other reading
-# of the -z/-n flags (see README).
-ABRUPT_FLAG_MAP = {
-    "n": "n_attributes",
-    "z": "n_values",
-    "v": "class_count",
-    "o": "magnitude",
-    "b": "drift_point",
-    "r": "seed",
-}
+def build_generator(spec: StreamSpec):
+    """Instantiate the stateful generator a StreamSpec describes.
 
-
-def build_generator(spec: StreamSpec, abrupt_flag_map: dict | None = None):
-    """Instantiate the stateful generator a StreamSpec describes."""
+    Only the flags the spec gives reach the constructor, so every default
+    lives in the generator class.
+    """
     info = GENERATORS[spec.generator_name]
     if not info.in_scope:
         raise OutOfScopeError(f"{spec.generator_name} is out of scope for this package")
-    name = spec.generator_name
-    if name == "AbruptDriftGenerator":
-        fmap = abrupt_flag_map or ABRUPT_FLAG_MAP
-        kwargs = {"n_attributes": 5, "n_values": 5, "class_count": 5,
-                  "magnitude": 1.0, "drift_point": 150_000, "seed": 1}
-        for flag, value in spec.items:
-            if flag in fmap:
-                kwargs[fmap[flag]] = value
-            elif flag == "d":
-                if value != "Recurrent":
-                    raise ValueError(f"unsupported drift pattern {value!r} (only Recurrent)")
-                kwargs["recurrent"] = True
-            # -c marks drift in P(Y|X), the only drift this generator produces
-        return AbruptDriftGenerator(**kwargs)
-    if name == "RecurrentConceptDriftStream":
-        base = spec.get("s")
-        drift = spec.get("d")
-        if base is None or drift is None:
-            raise ValueError("RecurrentConceptDriftStream needs both -s and -d sub-streams")
-        return RecurrentConceptDriftStream(
-            build_generator(base, abrupt_flag_map),
-            build_generator(drift, abrupt_flag_map),
-            position=spec.get("x", 200_000),
-            period=spec.get("y", 200_000),
-            width=spec.get("z", 100),
-            seed=spec.get("r", 1),
-        )
-    if name == "STAGGERGenerator":
-        return StaggerGenerator(function=spec.get("f", 1), seed=spec.get("i", 1))
-    if name == "SEAGenerator":
-        return SeaGenerator(function=spec.get("f", 1), noise=spec.get("n", 0.0),
-                            seed=spec.get("i", 1))
-    if name == "HyperplaneGenerator":
-        noise = spec.get("n", spec.get("p", 0.0))
-        return HyperplaneGenerator(
-            n_attributes=spec.get("a", 10),
-            drift_attributes=spec.get("k", 2),
-            magnitude=spec.get("t", 0.0),
-            sigma=spec.get("s", 0.1),
-            noise=noise,
-            seed=spec.get("i", 1),
-        )
-    raise OutOfScopeError(f"{name} has no builder")  # pragma: no cover
+    kwargs = {}
+    for flag, value in spec.items:
+        kind, keyword = info.flags[flag]
+        if keyword is None:
+            continue
+        if kind == "spec":
+            value = build_generator(value)
+        elif keyword == "recurrent":
+            if value != "Recurrent":
+                raise ValueError(f"unsupported drift pattern {value!r} (only Recurrent)")
+            value = True
+        kwargs[keyword] = value
+    return info.cls(**kwargs)
 
 
 def build_stream(text: str, variant: int = 0):

@@ -322,7 +322,10 @@ class RecurrentConceptDriftStream(_Stream):
     first stream, so the concept alternates indefinitely.
     """
 
-    def __init__(self, base, drift, position: int, period: int, width: int, seed: int = 1):
+    def __init__(self, base=None, drift=None, position: int = 200_000, period: int = 200_000,
+                 width: int = 100, seed: int = 1):
+        if base is None or drift is None:
+            raise ValueError("RecurrentConceptDriftStream needs both -s and -d sub-streams")
         if base.schema != drift.schema:
             raise ValueError("sub-streams must share a schema")
         if position < 1 or period < 1 or width < 1:

@@ -63,7 +63,7 @@ class StrategyConfig:
             raise ValueError("grace_period must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        if self.tau < 0.0:
+        if not self.tau >= 0.0:  # also rejects NaN, which would disable tie-breaking
             raise ValueError("tau must be >= 0")
 
 

@@ -1,13 +1,17 @@
+import dataclasses
 import os
+import re
+from pathlib import Path
 
 import pytest
 
-from streamtrees.cli import main
+from streamtrees.cli import build_arg_parser, main
 from streamtrees.experiments import (
     ABRUPT_ROWS,
     ALTVOTE_ROWS,
     AMNESIA_STREAM,
     PRESET_NAMES,
+    SETTINGS,
     TESTBENCH_ROWS,
     ConfigError,
     ExperimentConfig,
@@ -45,11 +49,22 @@ def small_config(tmp_path, **kwargs):
 # learner and config parsing
 # --------------------------------------------------------------------------
 
-def test_parse_learner_line():
-    spec = parse_learner_line("combined vfdt allow_resplit=true grace_period=100")
+@pytest.mark.parametrize(
+    "flags,expected",
+    [
+        ("allow_resplit=true grace_period=100", {"allow_resplit": True, "grace_period": 100}),
+        ("eidetic=YES allow_resplit=0", {"eidetic": True, "allow_resplit": False}),
+        # each value takes the type of its field, not a type guessed from the text
+        ("grace_period=1", {"grace_period": 1}),
+        ("tau=1", {"tau": 1.0}),
+    ],
+)
+def test_parse_learner_line(flags, expected):
+    spec = parse_learner_line(f"combined vfdt {flags}")
     assert spec.name == "combined" and spec.algorithm == "vfdt"
     cfg = spec.config()
-    assert cfg.allow_resplit and cfg.grace_period == 100
+    for key, value in expected.items():
+        assert getattr(cfg, key) == value and type(getattr(cfg, key)) is type(value)
 
 
 def test_parse_hat_learner_with_base_flags():
@@ -62,15 +77,29 @@ def test_parse_hat_learner_with_base_flags():
     assert cfg.base.allow_resplit
 
 
-def test_learner_line_errors_name_the_problem():
-    with pytest.raises(ConfigError, match="algorithm"):
-        parse_learner_line("x forest")
-    with pytest.raises(ConfigError, match="key=value"):
-        parse_learner_line("x vfdt resplit")
-    with pytest.raises(ConfigError, match="unknown vfdt option"):
-        parse_learner_line("x vfdt sprockets=4")
-    with pytest.raises(ConfigError, match="unknown hat option"):
-        parse_learner_line("x hat sprockets=4")
+@pytest.mark.parametrize(
+    "line,fragment",
+    [
+        ("x forest", "algorithm"),
+        ("x vfdt resplit", "key=value"),
+        ("x vfdt sprockets=4", "unknown vfdt option"),
+        ("x hat sprockets=4", "unknown hat option"),
+        ("x vfdt voting_mode=single_alternate", "unknown vfdt option"),
+        # a misspelled or mistyped value names its flag instead of turning it on
+        ("x vfdt allow_resplit=ture", "allow_resplit"),
+        ("x vfdt eidetic=flase", "eidetic"),
+        ("x hat poisson_weighting=no_thanks", "poisson_weighting"),
+        ("x vfdt grace_period=abc", "grace_period"),
+        ("x vfdt grace_period=1.5", "grace_period"),
+        ("x hat detector_check_interval=abc", "detector_check_interval"),
+        ("x hat detector_check_interval=0", "detector_check_interval"),
+        ("x hat detector_delta=1.5", "detector_delta"),
+        ("x vfdt tau=nan", "tau"),
+    ],
+)
+def test_learner_line_errors_name_the_problem(line, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        parse_learner_line(line)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -93,6 +122,41 @@ def test_config_file_round_trip(tmp_path):
     assert (cfg.n_instances, cfg.seeds, cfg.snapshot_every) == (500, 2, 100)
     assert cfg.output_dir == "somewhere" and cfg.parallelism == 2
     cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "line,fragment",
+    [
+        ("instances = 4e5", "instances"),
+        ("seeds = two", "seeds"),
+        # spellings other than the CLI long options are not config keys
+        ("n_instances = 500", "unknown key"),
+        ("snapshot_every = 100", "unknown key"),
+        ("output_dir = somewhere", "unknown key"),
+    ],
+)
+def test_config_file_rejects_bad_settings(tmp_path, line, fragment):
+    path = tmp_path / "bad.conf"
+    path.write_text(f"learner = a vfdt\n{line}\n")
+    with pytest.raises(ConfigError, match=fragment):
+        parse_config_file(str(path))
+
+
+def test_settings_keys_are_cli_options_and_config_fields():
+    actions = {opt: a for a in build_arg_parser()._actions for opt in a.option_strings}
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for key, (field, kind) in SETTINGS.items():
+        assert f"--{key}" in actions
+        assert (actions[f"--{key}"].type or str) is kind
+        assert field in fields
+
+
+def test_readme_config_example_validates(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "readme.conf"
+    path.write_text(example)
+    parse_config_file(str(path)).validate()
 
 
 def test_config_validation_names_fields(tmp_path):
@@ -267,18 +331,41 @@ def test_cli_runs_config_file(tmp_path, capsys):
     assert (out / "comparison.md").exists()
 
 
-def test_cli_invalid_config_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "body,fragment",
+    [
+        ("learner = only vfdt\n", "streams"),
+        ("learner = a vfdt\nstream = STAGGERGenerator -i 1 -f 1\ninstances = 4e5\n", "instances"),
+    ],
+)
+def test_cli_invalid_config_exits_2(tmp_path, capsys, body, fragment):
     conf = tmp_path / "bad.conf"
-    conf.write_text("learner = only vfdt\n")  # no streams
-    assert main(["--config", str(conf)]) == 2
-    assert "streams" in capsys.readouterr().err
+    conf.write_text(body)
+    out = tmp_path / "out"
+    assert main(["--config", str(conf), "--out", str(out)]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_cli_bad_stream_spec_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "row,fragment",
+    [
+        ("SEAGenerator -q 1", "unknown flag"),
+        # rows that parse but cannot be built
+        ("STAGGERGenerator -i 1 -f 7", "function must be 1..3"),
+        ("AbruptDriftGenerator -d Gradual", "drift pattern"),
+        ("RecurrentConceptDriftStream -x 100 -s (STAGGERGenerator -i 1)", "needs both"),
+    ],
+)
+def test_cli_bad_stream_spec_exits_2(tmp_path, capsys, row, fragment):
     conf = tmp_path / "bad.conf"
-    conf.write_text("learner = a vfdt\nstream = SEAGenerator -q 1\n")
-    assert main(["--config", str(conf)]) == 2
-    assert "unknown flag" in capsys.readouterr().err
+    conf.write_text(f"learner = a vfdt\nstream = {row}\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert "unknown flag" in err or row in err
+    assert not out.exists()
 
 
 def test_cli_out_of_scope_generator_exits_3(tmp_path, capsys):
@@ -289,6 +376,7 @@ def test_cli_out_of_scope_generator_exits_3(tmp_path, capsys):
     )
     assert main(["--config", str(conf), "--out", str(tmp_path / "o")]) == 3
     assert "out of scope" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_missing_arguments_exits_2(capsys):

@@ -421,6 +421,11 @@ def test_config_validation():
         HatConfig(detector="ddm")
     with pytest.raises(ValueError):
         HatConfig(replacement_check_interval=0)
+    with pytest.raises(ValueError, match="detector_check_interval"):
+        HatConfig(detector_check_interval=0)
+    for delta in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="detector_delta"):
+            HatConfig(detector_delta=delta)
 
 
 def test_hat_with_resplitting_flag_keeps_adapting():

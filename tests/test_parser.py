@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from streamtrees.specparse import (
@@ -100,6 +102,8 @@ def test_empty_input_is_an_error():
         ("RecurrentConceptDriftStream -s (SEAGenerator -f 1", "unbalanced", 31),
         ("SEAGenerator -f 1)", "unbalanced", 17),
         ("RecurrentConceptDriftStream -s SEAGenerator", "parenthesized", 28),
+        ("SEAGenerator -f 1 -f 2", "given twice", 18),
+        ("HyperplaneGenerator -p 0.1", "unknown flag", 20),  # -p is not a MOA flag
     ],
 )
 def test_parse_errors_carry_offsets(text, fragment, offset):
@@ -150,6 +154,24 @@ def test_builders_cover_all_in_scope_generators():
     assert hyp.n_attributes == 8 and hyp.drift_attributes == 5 and hyp.magnitude == 0.001
     abrupt = build_generator(parse_stream_spec("AbruptDriftGenerator -o 0.5 -z 2 -n 2 -v 2 -b 1000"))
     assert isinstance(abrupt, AbruptDriftGenerator) and not abrupt.recurrent
+
+
+@pytest.mark.parametrize("name", [n for n, info in GENERATORS.items() if info.in_scope])
+def test_generator_flags_name_constructor_parameters(name):
+    info = GENERATORS[name]
+    params = inspect.signature(info.cls).parameters
+    for _, keyword in info.flags.values():
+        assert keyword is None or keyword in params, (name, keyword)
+
+
+def test_recurrent_wrapper_defaults_come_from_the_constructor():
+    gen = RecurrentConceptDriftStream(StaggerGenerator(seed=2), StaggerGenerator(2, seed=3))
+    assert (gen.position, gen.period, gen.width) == (200_000, 200_000, 100)
+    built = build_generator(parse_stream_spec(
+        "RecurrentConceptDriftStream -s (STAGGERGenerator -i 2) -d (STAGGERGenerator -i 3 -f 2)"))
+    assert built.take(2000) == gen.take(2000)
+    with pytest.raises(ValueError, match="needs both -s and -d"):
+        build_generator(parse_stream_spec("RecurrentConceptDriftStream -s (STAGGERGenerator)"))
 
 
 def test_unsupported_drift_pattern_rejected():

@@ -390,6 +390,8 @@ def test_config_validation():
         StrategyConfig(grace_period=0)
     with pytest.raises(ValueError):
         StrategyConfig(tau=-0.1)
+    with pytest.raises(ValueError, match="tau"):
+        StrategyConfig(tau=float("nan"))
 
 
 # --------------------------------------------------------------------------
