@@ -10,15 +10,16 @@ testing.
 from __future__ import annotations
 
 import math
+import operator
 
 
 class AdwinDetector:
     """Adaptive window backed by an exponential histogram.
 
     Elements are kept in buckets whose capacities are powers of two, with at
-    most ``max_buckets`` buckets per capacity class. On each insertion the
-    window is repeatedly cut at the oldest bucket boundary where the two
-    sub-window means differ by at least
+    most ``max_buckets`` buckets per capacity class. At each check the window
+    is repeatedly cut at the oldest bucket boundary where the two sub-window
+    means differ by at least
 
         eps_cut = sqrt((1 / (2 m)) * ln(4 / delta'))
 
@@ -26,8 +27,11 @@ class AdwinDetector:
     sizes) and delta' = delta / (number of cut points tested). Cuts only ever
     drop a prefix of the window.
 
-    ``check_interval`` > 1 runs the cut scan only every that many insertions;
-    the histogram itself is maintained on every insertion.
+    ``check_interval`` > 1 runs the cut scan only every that many insertions.
+    Insertions in between are only queued; the check first folds them into
+    the histogram. A row always merges its two oldest buckets, so folding a
+    batch builds exactly the buckets that compressing after every insertion
+    would, and every cut, sum and width is the same.
     """
 
     __slots__ = (
@@ -35,6 +39,7 @@ class AdwinDetector:
         "max_buckets",
         "check_interval",
         "_rows",
+        "_pending",
         "total_count",
         "total_sum",
         "_n_buckets",
@@ -52,8 +57,10 @@ class AdwinDetector:
         self.reset()
 
     def reset(self) -> None:
-        # _rows[i] holds (sum, count) buckets of capacity 2**i, oldest first
-        self._rows: list[list[list[float]]] = [[]]
+        # _rows[i] holds the sums of buckets of exactly 2**i elements, oldest
+        # first; _pending holds the elements not yet folded into _rows[0]
+        self._rows: list[list[float]] = [[]]
+        self._pending: list[float] = []
         self.total_count = 0
         self.total_sum = 0.0
         self._n_buckets = 0
@@ -65,6 +72,7 @@ class AdwinDetector:
 
     @property
     def n_buckets(self) -> int:
+        self._fold()
         return self._n_buckets
 
     def estimate(self) -> float:
@@ -77,83 +85,93 @@ class AdwinDetector:
         """Append x; return True when at least one cut dropped old data."""
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"element {x} outside [0, 1]")
-        self._rows[0].append([x, 1.0])
-        self._n_buckets += 1
+        self._pending.append(x)
         self.total_count += 1
         self.total_sum += x
-        self._compress()
         self._ticks += 1
         if self._ticks % self.check_interval != 0:
             return False
+        self._fold()
         return self._cut()
 
-    def _compress(self) -> None:
+    def _fold(self) -> None:
+        """Move pending elements into row 0, then merge each over-full row's
+        oldest pairs into the row above until no row exceeds max_buckets."""
         rows = self._rows
-        level = 0
-        while level < len(rows):
-            row = rows[level]
-            if len(row) <= self.max_buckets:
+        rows[0] += self._pending
+        self._n_buckets += len(self._pending)
+        self._pending = []
+        max_buckets = self.max_buckets
+        merged = 0
+        # a merge may append a new top row, which this loop then also visits
+        for level, row in enumerate(rows):
+            if len(row) <= max_buckets:
                 break
-            a = row.pop(0)
-            b = row.pop(0)
+            # the fewest oldest pairs whose merging leaves <= max_buckets
+            n2 = (len(row) - max_buckets + 1) // 2 * 2
             if level + 1 == len(rows):
                 rows.append([])
-            rows[level + 1].append([a[0] + b[0], a[1] + b[1]])
-            self._n_buckets -= 1
-            level += 1
+            pairs = iter(row[:n2])
+            rows[level + 1] += map(operator.add, pairs, pairs)
+            del row[:n2]
+            merged += n2 // 2
+        self._n_buckets -= merged
 
     def _cut(self) -> bool:
         cut_any = False
         while self.total_count >= 2 and self._n_buckets >= 2:
-            # delta' spreads the confidence over the boundaries tested in this scan
-            dprime = self.delta / max(self._n_buckets - 1, 1)
-            log_term = math.log(4.0 / dprime)
-            total = self.total_count
-            total_sum = self.total_sum
-            # scan boundaries oldest-first: head = prefix (older), tail = rest
-            head_count = 0.0
-            head_sum = 0.0
-            cut_at = None  # (level, index within row) of last bucket in the prefix
-            for level in range(len(self._rows) - 1, -1, -1):
-                row = self._rows[level]
-                for idx in range(len(row)):
-                    bsum, bcount = row[idx]
-                    head_count += bcount
-                    head_sum += bsum
-                    tail_count = total - head_count
-                    if tail_count <= 0:
-                        break
-                    m = 1.0 / (1.0 / head_count + 1.0 / tail_count)
-                    eps = math.sqrt(log_term / (2.0 * m))
-                    diff = abs(head_sum / head_count - (total_sum - head_sum) / tail_count)
-                    if diff >= eps:
-                        cut_at = (level, idx)
-                        break
-                if cut_at is not None:
-                    break
+            cut_at = self._find_cut()
             if cut_at is None:
                 return cut_any
-            self._drop_through(cut_at)
+            self._drop_through(*cut_at)
             cut_any = True
         return cut_any
 
-    def _drop_through(self, cut_at: tuple[int, int]) -> None:
-        """Drop every bucket at least as old as cut_at (oldest qualifying prefix)."""
-        level, idx = cut_at
-        for lv in range(len(self._rows) - 1, level, -1):
-            for bsum, bcount in self._rows[lv]:
+    def _find_cut(self) -> tuple[int, int] | None:
+        """(level, index within row) of the last bucket of the oldest prefix
+        whose mean differs from the rest's by at least eps_cut."""
+        sqrt = math.sqrt
+        # delta' spreads the confidence over the boundaries tested in this scan
+        dprime = self.delta / max(self._n_buckets - 1, 1)
+        log_term = math.log(4.0 / dprime)
+        total = self.total_count
+        total_sum = self.total_sum
+        # scan boundaries oldest-first: head = prefix (older), tail = rest
+        head_count = 0.0
+        head_sum = 0.0
+        rows = self._rows
+        for level in range(len(rows) - 1, -1, -1):
+            bcount = float(1 << level)
+            for idx, bsum in enumerate(rows[level]):
+                head_count += bcount
+                head_sum += bsum
+                tail_count = total - head_count
+                if tail_count <= 0:
+                    return None
+                m = 1.0 / (1.0 / head_count + 1.0 / tail_count)
+                eps = sqrt(log_term / (2.0 * m))
+                diff = abs(head_sum / head_count - (total_sum - head_sum) / tail_count)
+                if diff >= eps:
+                    return level, idx
+        return None
+
+    def _drop_through(self, level: int, idx: int) -> None:
+        """Drop every bucket at least as old as (level, idx)."""
+        rows = self._rows
+        for lv in range(len(rows) - 1, level, -1):
+            for bsum in rows[lv]:
                 self.total_sum -= bsum
-                self.total_count -= int(bcount)
-                self._n_buckets -= 1
-            self._rows[lv] = []
-        row = self._rows[level]
-        for bsum, bcount in row[: idx + 1]:
+            self.total_count -= len(rows[lv]) << lv
+            self._n_buckets -= len(rows[lv])
+            rows[lv] = []
+        row = rows[level]
+        for bsum in row[: idx + 1]:
             self.total_sum -= bsum
-            self.total_count -= int(bcount)
-            self._n_buckets -= 1
-        self._rows[level] = row[idx + 1 :]
-        while len(self._rows) > 1 and not self._rows[-1]:
-            self._rows.pop()
+        self.total_count -= (idx + 1) << level
+        self._n_buckets -= idx + 1
+        del row[: idx + 1]
+        while len(rows) > 1 and not rows[-1]:
+            rows.pop()
         if self.total_count == 0:
             self.total_sum = 0.0
 

@@ -41,6 +41,11 @@ class LearnerSpec:
     overrides: tuple = ()
 
     def __post_init__(self) -> None:
+        # the name becomes a results.csv field and a file name under series/
+        if not re.fullmatch(r"[A-Za-z0-9_-]+", self.name):
+            raise ConfigError(
+                f"learner {self.name!r}: name may use only letters, digits, '_' and '-'"
+            )
         if self.algorithm not in ("vfdt", "hat"):
             raise ConfigError(f"learner {self.name}: algorithm must be vfdt or hat")
         self.config()  # validate flags eagerly

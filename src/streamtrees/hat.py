@@ -139,13 +139,16 @@ class HoeffdingAdaptiveTreeClassifier:
     def _route(self, hnode: _HatNode, values):
         """Mainline path of _HatNodes from hnode down to its leaf."""
         path = [hnode]
-        node = hnode
-        while True:
-            m = node.mainline
-            if m.__class__ is not SplitNode:
-                return path
-            node = m.children[m.branch(values)]
-            path.append(node)
+        m = hnode.mainline
+        while m.__class__ is SplitNode:
+            # SplitNode.branch inlined, as in tree._sort_to_leaf
+            if m.threshold is None:
+                hnode = m.children[values[m.attr]]
+            else:
+                hnode = m.children[0 if values[m.attr] <= m.threshold else 1]
+            path.append(hnode)
+            m = hnode.mainline
+        return path
 
     def _train_subtree(self, hnode: _HatNode, instance: Instance, at_root: bool) -> None:
         path = self._route(hnode, instance.values)
@@ -278,14 +281,15 @@ class HoeffdingAdaptiveTreeClassifier:
         if mode == VOTE_NONE:
             return list(mainline)
         contributions: list = []
-        if mode == VOTE_SINGLE:
-            for node in path:
-                if node.alternate is not None:
+        # nothing to collect until the first alternate on the mainline path
+        for node in path:
+            if node.alternate is not None:
+                if mode == VOTE_SINGLE:
                     alt_leaf = self._route(node.alternate, values)[-1]
                     contributions.append(alt_leaf.mainline.class_dist)
-                    break
-        else:
-            self._collect_alternate_votes(path, values, contributions)
+                else:
+                    self._collect_alternate_votes(path, values, contributions)
+                break
         if not contributions:
             return list(mainline)
         combined = [0.0] * self.schema.class_count

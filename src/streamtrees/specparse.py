@@ -12,6 +12,7 @@ keyword, so each default lives only in the constructor.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 from .streams import (
@@ -45,6 +46,13 @@ class GeneratorInfo:
     @property
     def in_scope(self) -> bool:
         return self.cls is not None
+
+    @property
+    def default_seed(self) -> int | None:
+        """The constructor's default seed; None for a generator not built here."""
+        if self.cls is None:
+            return None
+        return inspect.signature(self.cls).parameters["seed"].default
 
 
 GENERATORS: dict[str, GeneratorInfo] = {
@@ -115,13 +123,13 @@ class StreamSpec:
         return default
 
     @property
-    def seed(self) -> int:
+    def seed(self) -> int | None:
         info = GENERATORS[self.generator_name]
         for f in info.seed_flags:
             v = self.get(f)
             if v is not None:
                 return v
-        return 1
+        return info.default_seed
 
     def canonical(self) -> str:
         parts = [self.generator_name]
@@ -139,8 +147,10 @@ class StreamSpec:
     def reseeded(self, variant: int) -> "StreamSpec":
         """Shift every seed flag (recursively) by 1000 * variant.
 
-        variant 0 returns an equivalent spec with seed flags made explicit,
-        so multi-seed experiment grids are fully determined by the spec text.
+        variant 0 returns an equivalent spec with seed flags made explicit
+        (absent ones take the constructor's default), so multi-seed experiment
+        grids are fully determined by the spec text. A generator not built
+        here has no default, and its absent seed flags stay absent.
         """
         info = GENERATORS[self.generator_name]
         items = []
@@ -153,9 +163,10 @@ class StreamSpec:
                 seen.add(flag)
             else:
                 items.append((flag, value))
+        default = info.default_seed
         for f in info.seed_flags:
-            if f not in seen:
-                items.append((f, 1 + 1000 * variant))
+            if f not in seen and default is not None:
+                items.append((f, default + 1000 * variant))
         return StreamSpec(self.generator_name, tuple(items))
 
 

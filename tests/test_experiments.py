@@ -336,6 +336,9 @@ def test_cli_runs_config_file(tmp_path, capsys):
     [
         ("learner = only vfdt\n", "streams"),
         ("learner = a vfdt\nstream = STAGGERGenerator -i 1 -f 1\ninstances = 4e5\n", "instances"),
+        # learner names become a CSV field and a file name under series/
+        ("learner = a,b vfdt\nstream = STAGGERGenerator -i 1 -f 1\n", "'a,b'"),
+        ("learner = ../../escaped vfdt\nstream = STAGGERGenerator -i 1 -f 1\n", "../../escaped"),
     ],
 )
 def test_cli_invalid_config_exits_2(tmp_path, capsys, body, fragment):

@@ -2,7 +2,9 @@
 
 Each preset's two learners run through ``run_experiment`` on a reduced grid;
 the digest covers results.csv without its wall_seconds column, both
-comparison files and the series files. A refactor that claims identical
+comparison files and the series files. One more digest covers an adaptive
+tree at the default alternate depth cap, where alternates sprout alternates
+of their own, voting over all of them. A refactor that claims identical
 outputs must leave every digest unchanged. To print the current digests:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
@@ -15,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from streamtrees.experiments import PRESET_NAMES, preset, run_experiment
+from streamtrees.hat import VOTE_MULTI, HatConfig, HoeffdingAdaptiveTreeClassifier
+from streamtrees.specparse import build_stream
 
 GOLDEN_ROWS = [
     "RecurrentConceptDriftStream -x 5000 -y 5000 -z 100 "
@@ -41,6 +45,27 @@ GOLDEN_SHA256 = {
     "subtree-replace-hat": "c75fb7c2e1818b49c81f9dc9324995e52bcdcc1d139650f05fbb9f0cb6e3a3ef",
     "vfdt-flags-in-hat": "09cb6716c0df68ff62caeed53df6e7ce0eff082c54ed6c8af94d9d88be7ce9b7",
 }
+
+NESTED_ROW = (
+    "RecurrentConceptDriftStream -x 25000 -y 25000 -z 100 "
+    "-s (STAGGERGenerator -i 2 -f 2) -d (STAGGERGenerator -i 3 -f 3)"
+)
+NESTED_INSTANCES = 60_000
+NESTED_SHA256 = "90269480100af01ac9b7aee65873a131342875f681b1bdc9a11e1e055befe91b"
+
+
+def nested_alternates_digest() -> str:
+    """Predicted labels and final dump of a voting adaptive tree, nesting on."""
+    stream = build_stream(NESTED_ROW)
+    hat = HoeffdingAdaptiveTreeClassifier(stream.schema, HatConfig(voting_mode=VOTE_MULTI))
+    labels = bytearray()
+    for _ in range(NESTED_INSTANCES):
+        inst = stream.next_instance()
+        labels.append(hat.predict_label(inst))
+        hat.train(inst)
+    h = hashlib.sha256(bytes(labels))
+    h.update(hat.dump().encode())
+    return h.hexdigest()
 
 
 def preset_digest(name: str, out_dir: Path) -> str:
@@ -70,6 +95,10 @@ def test_preset_outputs_match_golden(tmp_path, name):
     assert preset_digest(name, tmp_path) == GOLDEN_SHA256[name]
 
 
+def test_nested_alternates_match_golden():
+    assert nested_alternates_digest() == NESTED_SHA256
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -77,3 +106,4 @@ if __name__ == "__main__":
         for preset_name in PRESET_NAMES:
             digest = preset_digest(preset_name, Path(tmp) / preset_name)
             print(f'    "{preset_name}": "{digest}",')
+    print(f'NESTED_SHA256 = "{nested_alternates_digest()}"')

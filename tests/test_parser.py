@@ -192,6 +192,23 @@ def test_reseeded_variants_shift_every_seed_flag():
     assert spec.reseeded(1) != shifted
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        "STAGGERGenerator -f 2",
+        "SEAGenerator -f 3",
+        "HyperplaneGenerator -k 5",
+        "AbruptDriftGenerator -z 2 -n 2 -v 2 -b 1000",
+        "RecurrentConceptDriftStream -x 300 -y 300 -s (STAGGERGenerator) -d (STAGGERGenerator -f 2)",
+    ],
+)
+def test_variant_zero_of_an_unseeded_spec_is_the_unseeded_build(row):
+    spec = parse_stream_spec(row)
+    info = GENERATORS[spec.generator_name]
+    assert spec.seed == inspect.signature(info.cls).parameters["seed"].default
+    assert build_generator(spec.reseeded(0)).take(1000) == build_generator(spec).take(1000)
+
+
 def test_reseeded_streams_differ_but_are_deterministic():
     spec = parse_stream_spec("STAGGERGenerator -i 2 -f 2")
     a0 = build_generator(spec.reseeded(0)).take(500)

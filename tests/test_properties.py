@@ -18,6 +18,7 @@ from streamtrees.tree import (
     hoeffding_bound,
     perform_split,
 )
+from test_detectors import assert_matches_reference
 
 CASES = settings(max_examples=1000, deadline=None)
 
@@ -187,3 +188,25 @@ def test_drift_free_resplit_agreement(seed, n_attrs, n_values, classes):
             tree.train(inst)
         return preds, tree.dump()
     assert run(False) == run(True)
+
+
+@CASES
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    phases=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5),
+    phase_length=st.integers(min_value=1, max_value=400),
+    uniform=st.booleans(),
+    delta=st.floats(min_value=1e-4, max_value=0.5),
+    max_buckets=st.integers(min_value=1, max_value=6),
+    check_interval=st.integers(min_value=1, max_value=70),
+)
+def test_adwin_matches_per_insert_reference(
+    seed, phases, phase_length, uniform, delta, max_buckets, check_interval
+):
+    """The batch-folding detector equals per-insert compression bit for bit."""
+    rng = _rng(seed)
+    xs = []
+    for p in phases:
+        draws = rng.random(phase_length)
+        xs.extend(float(x) for x in (draws * p if uniform else draws < p))
+    assert_matches_reference(xs, delta, max_buckets, check_interval)
