@@ -3,6 +3,8 @@
 The two statistics attached to every comparison are an exact one-tailed
 binomial test on the win counts and a one-sided Clopper-Pearson lower
 confidence bound on the win proportion, both computed over non-tied rows.
+The bound is found by bisection on the binomial tail: it is the p at which
+P(Binomial(wins + losses, p) >= wins) reaches alpha.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass, field
 def binomial_test(wins: int, losses: int) -> float:
     """One-tailed P(X >= wins) for X ~ Binomial(wins + losses, 1/2).
 
-    Ties must already be excluded. wins + losses == 0 gives p = 1.
+    Ties must already be excluded. wins + losses == 0 gives p = 1. This is
+    ``_binomial_tail`` at p = 1/2, summed in exact integers.
     """
     if wins < 0 or losses < 0:
         raise ValueError("wins and losses must be non-negative")
@@ -34,67 +37,22 @@ def binomial_test(wins: int, losses: int) -> float:
 # one-sided Clopper-Pearson lower bound
 # --------------------------------------------------------------------------
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the regularized incomplete beta (Lentz's method)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-14:
-            break
-    return h
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b), the CDF of a Beta(a, b) variable at x."""
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
+def _binomial_tail(n: int, k: int, p: float) -> float:
+    """P(X >= k) for X ~ Binomial(n, p), 0 < p < 1; terms come from log space to stay finite."""
+    log_p, log_q = math.log(p), math.log1p(-p)
+    lg_n = math.lgamma(n + 1)
+    return sum(
+        math.exp(lg_n - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * log_p + (n - j) * log_q)
+        for j in range(k, n + 1)
     )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
 def ci_lower(wins: int, losses: int, alpha: float = 0.05) -> float:
     """One-sided (1 - alpha) Clopper-Pearson lower bound on the win proportion.
 
     This is the alpha-quantile of Beta(wins, losses + 1); zero when wins == 0.
+    Its CDF at p is P(Binomial(wins + losses, p) >= wins), the tail that
+    ``binomial_test`` sums at p = 1/2, so the bound bisects on that tail.
     """
     if wins < 0 or losses < 0:
         raise ValueError("wins and losses must be non-negative")
@@ -108,7 +66,7 @@ def ci_lower(wins: int, losses: int, alpha: float = 0.05) -> float:
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if regularized_incomplete_beta(wins, losses + 1, mid) < alpha:
+        if _binomial_tail(n, wins, mid) < alpha:
             lo = mid
         else:
             hi = mid

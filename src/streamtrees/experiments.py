@@ -97,7 +97,8 @@ class ExperimentConfig:
         names = [lrn.name for lrn in self.learners]
         if len(set(names)) != len(names):
             raise ConfigError("learners: names must be unique")
-        for row in self.streams:
+        first_with_slug: dict[str, int] = {}
+        for i, row in enumerate(self.streams):
             # ParseError (with its offset) and OutOfScopeError pass through
             spec = parse_stream_spec(row)
             try:
@@ -106,6 +107,12 @@ class ExperimentConfig:
                 raise
             except ValueError as exc:
                 raise ConfigError(f"stream {row!r}: {exc}") from None
+            # a repeated row would count twice in the comparison, and rows
+            # with one slug would write to one series directory
+            first = first_with_slug.setdefault(_slug(row), i)
+            if first != i:
+                raise ConfigError(f"streams: rows {self.streams[first]!r} and {row!r} "
+                                  f"share the series directory name {_slug(row)!r}")
 
 
 def _typed_flag(key: str, text: str):

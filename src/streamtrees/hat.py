@@ -85,13 +85,12 @@ class _HatNode:
     subtree's root detector plays the same role for the replacement test.
     """
 
-    __slots__ = ("mainline", "alternate", "detector", "nesting", "alt_instances")
+    __slots__ = ("mainline", "alternate", "detector", "alt_instances")
 
-    def __init__(self, mainline, detector, nesting: int):
+    def __init__(self, mainline, detector):
         self.mainline = mainline
         self.alternate: _HatNode | None = None
         self.detector = detector
-        self.nesting = nesting
         self.alt_instances = 0
 
 
@@ -103,7 +102,7 @@ class HoeffdingAdaptiveTreeClassifier:
         self.config = config if config is not None else HatConfig()
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._poisson_buf: list[float] = []
-        self._root = self._new_node(0)
+        self._root = self._new_node()
         self._nest_in_alternates = self.config.voting_mode in (
             VOTE_MULTI,
             VOTE_MULTI_NO_SINGLE_LEAVES,
@@ -121,9 +120,9 @@ class HoeffdingAdaptiveTreeClassifier:
             check_interval=self.config.detector_check_interval,
         )
 
-    def _new_node(self, nesting: int) -> _HatNode:
+    def _new_node(self) -> _HatNode:
         leaf = LearningLeaf(self.schema, eidetic=self.config.base.eidetic)
-        return _HatNode(leaf, self._new_detector(), nesting)
+        return _HatNode(leaf, self._new_detector())
 
     def _poisson_weight(self) -> float:
         if not self._poisson_buf:
@@ -134,7 +133,7 @@ class HoeffdingAdaptiveTreeClassifier:
 
     def train(self, instance: Instance) -> None:
         check_shape(self.schema, instance)
-        self._train_subtree(self._root, instance, True)
+        self._train_subtree(self._root, instance, 0)
 
     def _route(self, hnode: _HatNode, values):
         """Mainline path of _HatNodes from hnode down to its leaf."""
@@ -150,16 +149,18 @@ class HoeffdingAdaptiveTreeClassifier:
             m = hnode.mainline
         return path
 
-    def _train_subtree(self, hnode: _HatNode, instance: Instance, at_root: bool) -> None:
+    def _train_subtree(self, hnode: _HatNode, instance: Instance, depth: int) -> None:
+        """Train the subtree under hnode, which hangs ``depth`` alternate edges below the root."""
         path = self._route(hnode, instance.values)
         leaf_node = path[-1]
         bit = 1.0 if argmax_label(leaf_node.mainline.class_dist) != instance.class_label else 0.0
         cfg = self.config
         for nd in path:
-            fired = nd.detector.add_element(bit)
-            if fired and self._may_sprout(nd):
+            if nd.detector.add_element(bit) and (
+                depth == 0 or self._nest_in_alternates and depth < cfg.alternate_depth_cap
+            ):
                 if nd.alternate is None:
-                    nd.alternate = self._new_node(nd.nesting + 1)
+                    nd.alternate = self._new_node()
                     nd.alt_instances = 0
                     self._n_sprouts += 1
                 else:
@@ -168,16 +169,16 @@ class HoeffdingAdaptiveTreeClassifier:
                     alt = nd.alternate
                     wa, wm = alt.detector.width, nd.detector.width
                     if wa > 0 and wm > 0 and alt.detector.estimate() >= nd.detector.estimate():
-                        nd.alternate = self._new_node(nd.nesting + 1)
+                        nd.alternate = self._new_node()
                         nd.alt_instances = 0
                         self._n_sprouts += 1
             alt = nd.alternate
             if alt is None:
                 continue
             alt_was_leaf = alt.mainline.__class__ is not SplitNode
-            self._train_subtree(alt, instance, False)
+            self._train_subtree(alt, instance, depth + 1)
             nd.alt_instances += 1
-            node_is_root = at_root and nd is path[0] and nd is self._root
+            node_is_root = nd is self._root
             promoted = False
             if alt_was_leaf and alt.mainline.__class__ is SplitNode:
                 if (node_is_root and cfg.replace_root_on_alternate_split) or (
@@ -193,20 +194,12 @@ class HoeffdingAdaptiveTreeClassifier:
                 return
         self._learn_at_leaf(leaf_node, instance)
 
-    def _may_sprout(self, nd: _HatNode) -> bool:
-        if nd.nesting == 0:
-            return True
-        return self._nest_in_alternates and nd.nesting < self.config.alternate_depth_cap
-
     def _learn_at_leaf(self, leaf_node: _HatNode, instance: Instance) -> None:
         if self.config.poisson_weighting:
             instance = instance._replace(weight=instance.weight * self._poisson_weight())
         new_node = learn_at_leaf(leaf_node.mainline, instance, self.config.base)
         if new_node is not None:
-            new_node.children = [
-                _HatNode(child, self._new_detector(), leaf_node.nesting)
-                for child in new_node.children
-            ]
+            new_node.children = [_HatNode(child, self._new_detector()) for child in new_node.children]
             leaf_node.mainline = new_node
 
     # -- replacement -----------------------------------------------------------
@@ -242,22 +235,7 @@ class HoeffdingAdaptiveTreeClassifier:
         nd.alternate = alt.alternate
         nd.detector = self._new_detector()
         nd.alt_instances = alt.alt_instances
-        self._renumber(nd.mainline, nd.alternate, -1)
         self._n_promotions += 1
-
-    def _renumber(self, mainline, alternate, delta: int) -> None:
-        stack = []
-        if mainline.__class__ is SplitNode:
-            stack.extend(mainline.children)
-        if alternate is not None:
-            stack.append(alternate)
-        while stack:
-            node = stack.pop()
-            node.nesting += delta
-            if node.mainline.__class__ is SplitNode:
-                stack.extend(node.mainline.children)
-            if node.alternate is not None:
-                stack.append(node.alternate)
 
     # -- prediction ------------------------------------------------------------
 

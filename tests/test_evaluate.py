@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -10,7 +11,6 @@ from streamtrees.evaluate import (
     comparison_csv,
     comparison_markdown,
     prequential_run,
-    regularized_incomplete_beta,
 )
 from streamtrees.schema import Instance
 from streamtrees.streams import StaggerGenerator
@@ -109,12 +109,21 @@ def test_ci_matches_bisection_oracle_to_1e6():
             assert abs(got - want) < 1e-6, (wins, n - wins)
 
 
-def test_incomplete_beta_basics():
-    assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-    assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-    # I_x(1,1) is the uniform CDF
-    for x in (0.1, 0.5, 0.9):
-        assert regularized_incomplete_beta(1.0, 1.0, x) == pytest.approx(x, abs=1e-12)
+# sha256 of the printed footer of every (wins, losses) pair with 1 <= n <= 100,
+# recorded from the continued-fraction incomplete beta the bound once used
+FOOTER_DIGEST = "208c93aa341bf965bd6ff71d4accfb750dff2eec341dbe9c85cf0a6c97fbec92"
+
+
+def test_printed_footers_match_recorded_digest():
+    h = hashlib.sha256()
+    for n in range(1, 101):
+        for w in range(n + 1):
+            line = f"{w},{n - w},{binomial_test(w, n - w):.6g},{ci_lower(w, n - w):.5f}\n"
+            h.update(line.encode())
+    assert h.hexdigest() == FOOTER_DIGEST
+    # large n: the tail neither overflows nor underflows
+    assert abs(ci_lower(5000, 5000) - 0.49172650440377197) < 1e-12
+    assert abs(ci_lower(10, 9990) - 0.0005426375753074808) < 1e-12
 
 
 # --------------------------------------------------------------------------

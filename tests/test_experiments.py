@@ -339,6 +339,16 @@ def test_cli_runs_config_file(tmp_path, capsys):
         # learner names become a CSV field and a file name under series/
         ("learner = a,b vfdt\nstream = STAGGERGenerator -i 1 -f 1\n", "'a,b'"),
         ("learner = ../../escaped vfdt\nstream = STAGGERGenerator -i 1 -f 1\n", "../../escaped"),
+        # a repeated row would count twice in the comparison footer
+        ("learner = a vfdt\nstream = STAGGERGenerator -i 2 -f 2\nstream = STAGGERGenerator -i 2 -f 2\n",
+         "'STAGGERGenerator -i 2 -f 2' and 'STAGGERGenerator -i 2 -f 2'"),
+        # rows that differ only past the 80-character series directory name
+        ("learner = a vfdt\n"
+         "stream = RecurrentConceptDriftStream -x 2000 -y 2000 -z 100 "
+         "-s (SEAGenerator -f 1 -i 2) -d (SEAGenerator -f 3 -i 3)\n"
+         "stream = RecurrentConceptDriftStream -x 2000 -y 2000 -z 100 "
+         "-s (SEAGenerator -f 1 -i 2) -d (SEAGenerator -f 4 -i 3)\n",
+         "(SEAGenerator -f 3 -i 3)' and 'RecurrentConceptDriftStream"),
     ],
 )
 def test_cli_invalid_config_exits_2(tmp_path, capsys, body, fragment):

@@ -130,7 +130,7 @@ def test_forced_fire_sprouts_exactly_one_alternate():
 def test_detector_fire_restarts_stale_alternate():
     hat = HoeffdingAdaptiveTreeClassifier(_schema(), HatConfig())
     node = hat._root
-    node.alternate = hat._new_node(1)
+    node.alternate = hat._new_node()
     # stale alternate: error estimate no better than the mainline's
     node.alternate.detector = FixedEstimator(0.9, 500)
     node.detector = FireOnceDetector(fire_at=1)
@@ -142,7 +142,7 @@ def test_detector_fire_restarts_stale_alternate():
 def test_detector_fire_keeps_superior_alternate():
     hat = HoeffdingAdaptiveTreeClassifier(_schema(), HatConfig())
     node = hat._root
-    node.alternate = hat._new_node(1)
+    node.alternate = hat._new_node()
     node.alternate.detector = FixedEstimator(0.05, 500)
     node.detector = FireOnceDetector(fire_at=1)
     keeper = node.alternate
@@ -161,7 +161,7 @@ def _width_for_bound(bound, delta=0.05):
 def test_maybe_replace_clear_separation_promotes():
     hat = HoeffdingAdaptiveTreeClassifier(_schema(), HatConfig())
     node = hat._root
-    node.alternate = hat._new_node(1)
+    node.alternate = hat._new_node()
     w = _width_for_bound(0.02)
     node.detector = FixedEstimator(0.40, w)
     node.alternate.detector = FixedEstimator(0.05, w)
@@ -173,7 +173,7 @@ def test_maybe_replace_clear_separation_promotes():
 def test_maybe_replace_overlapping_bounds_holds():
     hat = HoeffdingAdaptiveTreeClassifier(_schema(), HatConfig())
     node = hat._root
-    node.alternate = hat._new_node(1)
+    node.alternate = hat._new_node()
     w = _width_for_bound(0.05)
     node.detector = FixedEstimator(0.31, w)
     node.alternate.detector = FixedEstimator(0.30, w)
@@ -185,7 +185,7 @@ def test_maybe_replace_overlapping_bounds_holds():
 def test_maybe_replace_discards_significantly_worse_alternate():
     hat = HoeffdingAdaptiveTreeClassifier(_schema(), HatConfig())
     node = hat._root
-    node.alternate = hat._new_node(1)
+    node.alternate = hat._new_node()
     w = _width_for_bound(0.02)
     node.detector = FixedEstimator(0.05, w)
     node.alternate.detector = FixedEstimator(0.40, w)
@@ -196,7 +196,7 @@ def test_maybe_replace_discards_significantly_worse_alternate():
 def test_maybe_replace_needs_both_windows():
     hat = HoeffdingAdaptiveTreeClassifier(_schema(), HatConfig())
     node = hat._root
-    node.alternate = hat._new_node(1)
+    node.alternate = hat._new_node()
     node.detector = FixedEstimator(0.4, 0)
     node.alternate.detector = FixedEstimator(0.1, 100)
     assert hat.maybe_replace(node) is False
@@ -207,10 +207,10 @@ def test_promotion_preserves_subtree_structure():
     stream = build_stream("STAGGERGenerator -i 4 -f 3")
     hat = HoeffdingAdaptiveTreeClassifier(stream.schema, HatConfig())
     node = hat._root
-    node.alternate = hat._new_node(1)
+    node.alternate = hat._new_node()
     for _ in range(6000):  # let the alternate grow real structure
         inst = stream.next_instance()
-        hat._train_subtree(node.alternate, inst, False)
+        hat._train_subtree(node.alternate, inst, 1)
     assert isinstance(node.alternate.mainline, SplitNode)
     snapshot = HoeffdingAdaptiveTreeClassifier(stream.schema, HatConfig())
     snapshot._root = node.alternate
@@ -226,7 +226,7 @@ def test_premature_root_replacement_on_first_alternate_split():
                        base=StrategyConfig(tau=0.2))
     stream = build_stream("STAGGERGenerator -i 4 -f 2")
     hat = HoeffdingAdaptiveTreeClassifier(stream.schema, config)
-    hat._root.alternate = hat._new_node(1)
+    hat._root.alternate = hat._new_node()
     promos_before = hat._n_promotions
     alt = hat._root.alternate
     for _ in range(20_000):
@@ -247,7 +247,7 @@ def test_premature_subtree_replacement_on_first_alternate_split():
         hat.train(stream.next_instance())
     assert isinstance(hat._root.mainline, SplitNode)
     child = hat._root.mainline.children[0]
-    child.alternate = hat._new_node(child.nesting + 1)
+    child.alternate = hat._new_node()
     # force the alternate's own error to look terrible so only the premature
     # path can promote it
     promos_before = hat._n_promotions
@@ -268,15 +268,15 @@ def _hat_with_alternate(mode, mainline_dist, alt_dist, alt_split=False):
     hat = HoeffdingAdaptiveTreeClassifier(schema, HatConfig(voting_mode=mode))
     hat._root.mainline.class_dist = list(mainline_dist)
     hat._root.mainline.total_weight = sum(mainline_dist)
-    alt = hat._new_node(1)
+    alt = hat._new_node()
     alt.mainline.class_dist = list(alt_dist)
     alt.mainline.total_weight = sum(alt_dist)
     if alt_split:
         left = LearningLeaf(schema, list(alt_dist))
         right = LearningLeaf(schema, list(alt_dist))
         alt.mainline = SplitNode(0, None, [
-            _HatNode(left, hat._new_detector(), 1),
-            _HatNode(right, hat._new_detector(), 1),
+            _HatNode(left, hat._new_detector()),
+            _HatNode(right, hat._new_detector()),
         ])
     hat._root.alternate = alt
     return hat
@@ -333,7 +333,6 @@ def test_single_alternate_mode_never_nests():
     while stack:
         node = stack.pop()
         if node.alternate is not None:
-            assert node.alternate.nesting == 1
             # nothing below an alternate may own an alternate in single mode
             inner = [node.alternate]
             while inner:
@@ -345,6 +344,37 @@ def test_single_alternate_mode_never_nests():
             stack.append(node.alternate)
         if isinstance(node.mainline, SplitNode):
             stack.extend(node.mainline.children)
+
+
+def _deepest_alternate(hat) -> int:
+    """Most alternate edges on any path from the root, by a tree walk."""
+    deepest = 0
+    stack = [(hat._root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if node.alternate is not None:
+            stack.append((node.alternate, depth + 1))
+        if isinstance(node.mainline, SplitNode):
+            stack.extend((child, depth) for child in node.mainline.children)
+    return deepest
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_alternate_depth_cap_is_reached_and_never_exceeded(cap):
+    stream = build_stream(
+        "RecurrentConceptDriftStream -x 25000 -y 25000 -z 100 "
+        "-s (STAGGERGenerator -i 2 -f 2) -d (STAGGERGenerator -i 3 -f 3)"
+    )
+    hat = HoeffdingAdaptiveTreeClassifier(
+        stream.schema, HatConfig(voting_mode=VOTE_MULTI, alternate_depth_cap=cap)
+    )
+    deepest = 0
+    for i in range(1, 60_001):
+        hat.train(stream.next_instance())
+        if i % 500 == 0:
+            deepest = max(deepest, _deepest_alternate(hat))
+    assert deepest == cap
 
 
 def test_forest_has_no_shared_nodes():
