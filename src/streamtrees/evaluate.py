@@ -96,6 +96,8 @@ def prequential_run(learner, stream, n_instances: int, snapshot_every: int = 0) 
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
+    if snapshot_every < 0:
+        raise ValueError("snapshot_every must be >= 0")
     predict = learner.predict_label
     train = learner.train
     next_instance = stream.next_instance

@@ -226,6 +226,8 @@ AMNESIA_STREAM = "AbruptDriftGenerator -c -o 1.0 -z 5 -n 5 -v 5 -r 1 -b 150000"
 # evaluations, instance-count split timer
 _STRIPPED = (("infogain_mode", AVERAGED), ("counter_mode", NODE_TIME))
 _MOA_SIDE = (("allow_resplit", True),)  # instantaneous + weight_seen are the defaults
+# the multiple-alternate voting arms let alternates nest, up to 10 alternate edges
+_NESTED = ("alternate_depth_cap", 10)
 
 
 def _vfdt(name, *overrides) -> LearnerSpec:
@@ -268,15 +270,17 @@ _PRESETS = {
              ("replacement_check_interval", 10_000)),
         ALTVOTE_ROWS),
     "multialt-hat": lambda: _preset_config(
-        _hat("hat-multi-vote", ("voting_mode", "multiple_alternates")),
+        _hat("hat-multi-vote", ("voting_mode", "multiple_alternates"), _NESTED),
         _hat("hat-single-vote", ("voting_mode", "single_alternate")), TESTBENCH_ROWS),
     "singleleaf-hat": lambda: _preset_config(
-        _hat("hat-vote-no-single-leaves", ("voting_mode", "multiple_excluding_single_leaves")),
-        _hat("hat-multi-vote", ("voting_mode", "multiple_alternates")), TESTBENCH_ROWS),
+        _hat("hat-vote-no-single-leaves", ("voting_mode", "multiple_excluding_single_leaves"),
+             _NESTED),
+        _hat("hat-multi-vote", ("voting_mode", "multiple_alternates"), _NESTED), TESTBENCH_ROWS),
     "poisson-hat": lambda: _preset_config(
-        _hat("hat-vote-no-single-leaves", ("voting_mode", "multiple_excluding_single_leaves")),
+        _hat("hat-vote-no-single-leaves", ("voting_mode", "multiple_excluding_single_leaves"),
+             _NESTED),
         _hat("hat-poisson", ("voting_mode", "multiple_excluding_single_leaves"),
-             ("poisson_weighting", True)), TESTBENCH_ROWS),
+             ("poisson_weighting", True), _NESTED), TESTBENCH_ROWS),
     "avg-infogain-hat": lambda: _preset_config(
         _hat("hat"), _hat("hat-averaged", ("infogain_mode", AVERAGED)), TESTBENCH_ROWS),
     "root-replace-hat": lambda: _preset_config(

@@ -7,6 +7,10 @@ windowed error is lower with non-overlapping confidence bounds (checked every
 significantly worse. Every contested behavior is a flag on
 :class:`HatConfig`:
 
+- ``alternate_depth_cap``: how many alternate edges a path may hold, i.e.
+  whether alternates nest. A node sprouts an alternate only while it hangs
+  fewer than ``alternate_depth_cap`` alternate edges below the root; the
+  default of 1 means alternates never sprout alternates of their own.
 - ``voting_mode``: whether unpromoted alternates contribute to predictions
   (none / the shallowest one on the path / all of them / all except alternates
   that are still single leaves).
@@ -58,7 +62,7 @@ class HatConfig:
     replace_subtree_on_alternate_split: bool = False
     replacement_check_interval: int = 300
     replacement_delta: float = 0.05
-    alternate_depth_cap: int = 10
+    alternate_depth_cap: int = 1
     detector: str = "adwin"
     detector_delta: float = 0.002
     detector_check_interval: int = 32
@@ -72,6 +76,8 @@ class HatConfig:
             raise ValueError("replacement_check_interval must be >= 1")
         if not 0.0 < self.replacement_delta < 1.0:
             raise ValueError("replacement_delta must be in (0, 1)")
+        if self.alternate_depth_cap < 1:
+            raise ValueError("alternate_depth_cap must be >= 1")
         if self.detector_check_interval < 1:
             raise ValueError("detector_check_interval must be >= 1")
         if not 0.0 < self.detector_delta < 1.0:
@@ -103,10 +109,6 @@ class HoeffdingAdaptiveTreeClassifier:
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._poisson_buf: list[float] = []
         self._root = self._new_node()
-        self._nest_in_alternates = self.config.voting_mode in (
-            VOTE_MULTI,
-            VOTE_MULTI_NO_SINGLE_LEAVES,
-        )
         self._n_promotions = 0
         self._n_sprouts = 0
 
@@ -156,22 +158,17 @@ class HoeffdingAdaptiveTreeClassifier:
         bit = 1.0 if argmax_label(leaf_node.mainline.class_dist) != instance.class_label else 0.0
         cfg = self.config
         for nd in path:
-            if nd.detector.add_element(bit) and (
-                depth == 0 or self._nest_in_alternates and depth < cfg.alternate_depth_cap
-            ):
-                if nd.alternate is None:
+            if nd.detector.add_element(bit) and depth < cfg.alternate_depth_cap:
+                # sprout an alternate, or restart one the change invalidates
+                # because it is not already tracking better than the mainline
+                alt = nd.alternate
+                if alt is None or (
+                    alt.detector.width > 0 and nd.detector.width > 0
+                    and alt.detector.estimate() >= nd.detector.estimate()
+                ):
                     nd.alternate = self._new_node()
                     nd.alt_instances = 0
                     self._n_sprouts += 1
-                else:
-                    # the change invalidates an alternate that is not already
-                    # tracking better than the mainline; restart it
-                    alt = nd.alternate
-                    wa, wm = alt.detector.width, nd.detector.width
-                    if wa > 0 and wm > 0 and alt.detector.estimate() >= nd.detector.estimate():
-                        nd.alternate = self._new_node()
-                        nd.alt_instances = 0
-                        self._n_sprouts += 1
             alt = nd.alternate
             if alt is None:
                 continue
@@ -239,35 +236,28 @@ class HoeffdingAdaptiveTreeClassifier:
 
     # -- prediction ------------------------------------------------------------
 
-    def _collect_alternate_votes(self, path: list, values, out: list) -> None:
-        """Append the leaf distribution of every alternate hanging off ``path``."""
-        exclude_single = self.config.voting_mode == VOTE_MULTI_NO_SINGLE_LEAVES
+    def _alternate_votes(self, path: list, values, out: list) -> None:
+        """Append the leaf distribution of each alternate off ``path`` that votes."""
+        mode = self.config.voting_mode
+        if mode == VOTE_NONE:
+            return
         for node in path:
             alt = node.alternate
             if alt is not None:
                 alt_path = self._route(alt, values)
-                if not (exclude_single and alt.mainline.__class__ is not SplitNode):
+                if mode != VOTE_MULTI_NO_SINGLE_LEAVES or alt.mainline.__class__ is SplitNode:
                     out.append(alt_path[-1].mainline.class_dist)
-                self._collect_alternate_votes(alt_path, values, out)
+                if mode == VOTE_SINGLE:
+                    return  # the shallowest alternate on the mainline path votes alone
+                self._alternate_votes(alt_path, values, out)
 
     def vote(self, instance: Instance) -> list:
         """Class distribution, with alternates contributing per voting_mode."""
         values = instance.values
-        mode = self.config.voting_mode
         path = self._route(self._root, values)
         mainline = path[-1].mainline.class_dist
-        if mode == VOTE_NONE:
-            return list(mainline)
         contributions: list = []
-        # nothing to collect until the first alternate on the mainline path
-        for node in path:
-            if node.alternate is not None:
-                if mode == VOTE_SINGLE:
-                    alt_leaf = self._route(node.alternate, values)[-1]
-                    contributions.append(alt_leaf.mainline.class_dist)
-                else:
-                    self._collect_alternate_votes(path, values, contributions)
-                break
+        self._alternate_votes(path, values, contributions)
         if not contributions:
             return list(mainline)
         combined = [0.0] * self.schema.class_count

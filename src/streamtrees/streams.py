@@ -113,10 +113,6 @@ class _Stream:
     def take(self, n: int) -> list[Instance]:
         return [self.next_instance() for _ in range(n)]
 
-    def __iter__(self):
-        while True:
-            yield self.next_instance()
-
 
 class _BlockStream(_Stream):
     """Shared machinery: subclasses fill blocks of instances on demand."""
@@ -282,6 +278,10 @@ class HyperplaneGenerator(_BlockStream):
         super().__init__()
         if drift_attributes > n_attributes:
             raise ValueError("drift_attributes cannot exceed n_attributes")
+        if not 0.0 <= noise < 1.0:
+            raise ValueError(f"noise fraction {noise} outside [0, 1)")
+        if not 0.0 <= sigma <= 1.0:
+            raise ValueError(f"sigma {sigma} outside [0, 1]")
         self.schema = Schema.unit_numeric(n_attributes)
         self.n_attributes = n_attributes
         self.drift_attributes = drift_attributes

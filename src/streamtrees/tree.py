@@ -307,6 +307,11 @@ class SplitDecision:
     child_dists: tuple | None = None  # numeric splits: (left, right) class masses
 
 
+def _leaf_counter(leaf: LearningLeaf, config: StrategyConfig) -> float:
+    """The leaf's count under ``counter_mode``: instances seen, or class weight."""
+    return leaf.node_time if config.counter_mode == NODE_TIME else leaf.total_weight
+
+
 def evaluate_split(leaf: LearningLeaf, config: StrategyConfig, class_count: int) -> SplitDecision:
     """Score all candidate attributes against the null split.
 
@@ -333,7 +338,7 @@ def evaluate_split(leaf: LearningLeaf, config: StrategyConfig, class_count: int)
         n = leaf.eval_count
     else:
         merits = raw
-        n = leaf.node_time if config.counter_mode == NODE_TIME else leaf.total_weight
+        n = _leaf_counter(leaf, config)
 
     best = second = None
     for cand in merits:
@@ -382,7 +387,7 @@ def perform_split(leaf: LearningLeaf, decision: SplitDecision, config: StrategyC
 
     schema = leaf.stats.schema
     attr = decision.best_attribute
-    eidetic = config.eidetic
+    eidetic = leaf.buffer is not None
     children: list[LearningLeaf] = []
     if leaf.stats.nominal[attr] is not None:
         used = leaf.used_attributes | {attr}
@@ -402,7 +407,7 @@ def perform_split(leaf: LearningLeaf, decision: SplitDecision, config: StrategyC
         for inst in leaf.buffer:
             children[node.branch(inst.values)].replay(inst)
     for child in children:
-        child.counter_at_last_eval = 0.0 if config.counter_mode == NODE_TIME else child.total_weight
+        child.counter_at_last_eval = _leaf_counter(child, config)
     return node
 
 
@@ -415,7 +420,7 @@ def learn_at_leaf(leaf: LearningLeaf, instance: Instance, config: StrategyConfig
     leaf.learn(instance.values, instance.class_label, instance.weight)
     if leaf.buffer is not None:
         leaf.buffer.append(instance)
-    counter = leaf.node_time if config.counter_mode == NODE_TIME else leaf.total_weight
+    counter = _leaf_counter(leaf, config)
     if counter - leaf.counter_at_last_eval < config.grace_period:
         return None
     leaf.counter_at_last_eval = counter
@@ -459,7 +464,6 @@ class HoeffdingTreeClassifier:
         self.schema = schema
         self.config = config if config is not None else StrategyConfig()
         self.root = LearningLeaf(schema, eidetic=self.config.eidetic)
-        self._n_splits = 0
 
     def _sort_to_leaf(self, values):
         node = self.root
@@ -480,7 +484,6 @@ class HoeffdingTreeClassifier:
         leaf, parent, slot = self._sort_to_leaf(instance.values)
         new_node = learn_at_leaf(leaf, instance, self.config)
         if new_node is not None:
-            self._n_splits += 1
             if parent is None:
                 self.root = new_node
             else:

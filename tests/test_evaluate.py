@@ -183,6 +183,14 @@ def test_prequential_series_shape():
     assert all(0.0 <= e <= 1.0 for _, e in res.error_series)
 
 
+@pytest.mark.parametrize(
+    "n_instances,snapshot_every,name", [(0, 0, "n_instances"), (1000, -100, "snapshot_every")]
+)
+def test_prequential_rejects_bad_counts(n_instances, snapshot_every, name):
+    with pytest.raises(ValueError, match=name):
+        prequential_run(_ConstantLearner(), StaggerGenerator(2, seed=9), n_instances, snapshot_every)
+
+
 def test_prequential_exhaustion_reported():
     insts = [Instance((0,), 0)] * 10
     with pytest.raises(RuntimeError, match="exhausted"):

@@ -3,7 +3,7 @@
 Each preset's two learners run through ``run_experiment`` on a reduced grid;
 the digest covers results.csv without its wall_seconds column, both
 comparison files and the series files. One more digest covers an adaptive
-tree at the default alternate depth cap, where alternates sprout alternates
+tree at an alternate depth cap of 10, where alternates sprout alternates
 of their own, voting over all of them. A refactor that claims identical
 outputs must leave every digest unchanged. To print the current digests:
 
@@ -57,7 +57,8 @@ NESTED_SHA256 = "90269480100af01ac9b7aee65873a131342875f681b1bdc9a11e1e055befe91
 def nested_alternates_digest() -> str:
     """Predicted labels and final dump of a voting adaptive tree, nesting on."""
     stream = build_stream(NESTED_ROW)
-    hat = HoeffdingAdaptiveTreeClassifier(stream.schema, HatConfig(voting_mode=VOTE_MULTI))
+    config = HatConfig(voting_mode=VOTE_MULTI, alternate_depth_cap=10)
+    hat = HoeffdingAdaptiveTreeClassifier(stream.schema, config)
     labels = bytearray()
     for _ in range(NESTED_INSTANCES):
         inst = stream.next_instance()

@@ -70,6 +70,9 @@ class FixedEstimator:
         pass
 
 
+ALL_MODES = (VOTE_NONE, VOTE_SINGLE, VOTE_MULTI, VOTE_MULTI_NO_SINGLE_LEAVES)
+
+
 def _schema():
     return Schema.uniform_nominal(2, 2, 2)
 
@@ -286,7 +289,7 @@ def test_vote_without_alternates_matches_base_predict_in_all_modes():
     stream = build_stream("STAGGERGenerator -i 7 -f 1")
     insts = stream.take(3000)
     reference = None
-    for mode in (VOTE_NONE, VOTE_SINGLE, VOTE_MULTI, VOTE_MULTI_NO_SINGLE_LEAVES):
+    for mode in ALL_MODES:
         s = build_stream("STAGGERGenerator -i 7 -f 1")
         hat = HoeffdingAdaptiveTreeClassifier(s.schema, HatConfig(voting_mode=mode, detector="neverfire"))
         for inst in insts:
@@ -322,30 +325,6 @@ def test_single_mode_uses_shallowest_alternate_only():
     assert hat.predict_label(inst) == 1
 
 
-def test_single_alternate_mode_never_nests():
-    stream = build_stream(
-        "AbruptDriftGenerator -c -o 1.0 -z 2 -n 2 -v 2 -r 2 -b 20000 -d Recurrent"
-    )
-    hat = HoeffdingAdaptiveTreeClassifier(stream.schema, HatConfig(voting_mode=VOTE_SINGLE))
-    for _ in range(100_000):
-        hat.train(stream.next_instance())
-    stack = [hat._root]
-    while stack:
-        node = stack.pop()
-        if node.alternate is not None:
-            # nothing below an alternate may own an alternate in single mode
-            inner = [node.alternate]
-            while inner:
-                nd = inner.pop()
-                if nd is not node.alternate:
-                    assert nd.alternate is None
-                if isinstance(nd.mainline, SplitNode):
-                    inner.extend(nd.mainline.children)
-            stack.append(node.alternate)
-        if isinstance(node.mainline, SplitNode):
-            stack.extend(node.mainline.children)
-
-
 def _deepest_alternate(hat) -> int:
     """Most alternate edges on any path from the root, by a tree walk."""
     deepest = 0
@@ -360,21 +339,30 @@ def _deepest_alternate(hat) -> int:
     return deepest
 
 
-@pytest.mark.parametrize("cap", [1, 2, 3])
-def test_alternate_depth_cap_is_reached_and_never_exceeded(cap):
+def _deepest_over_run(mode, **flags) -> int:
+    """Deepest alternate seen every 500 instances of a recurrent STAGGER run."""
     stream = build_stream(
         "RecurrentConceptDriftStream -x 25000 -y 25000 -z 100 "
         "-s (STAGGERGenerator -i 2 -f 2) -d (STAGGERGenerator -i 3 -f 3)"
     )
-    hat = HoeffdingAdaptiveTreeClassifier(
-        stream.schema, HatConfig(voting_mode=VOTE_MULTI, alternate_depth_cap=cap)
-    )
+    hat = HoeffdingAdaptiveTreeClassifier(stream.schema, HatConfig(voting_mode=mode, **flags))
     deepest = 0
     for i in range(1, 60_001):
         hat.train(stream.next_instance())
         if i % 500 == 0:
             deepest = max(deepest, _deepest_alternate(hat))
-    assert deepest == cap
+    return deepest
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_default_cap_never_nests(mode):
+    assert _deepest_over_run(mode) == 1
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_alternate_depth_cap_is_reached_and_never_exceeded(mode, cap):
+    assert _deepest_over_run(mode, alternate_depth_cap=cap) == cap
 
 
 def test_forest_has_no_shared_nodes():
@@ -382,7 +370,7 @@ def test_forest_has_no_shared_nodes():
         "AbruptDriftGenerator -c -o 1.0 -z 3 -n 3 -v 3 -r 2 -b 20000 -d Recurrent"
     )
     hat = HoeffdingAdaptiveTreeClassifier(
-        stream.schema, HatConfig(voting_mode=VOTE_MULTI)
+        stream.schema, HatConfig(voting_mode=VOTE_MULTI, alternate_depth_cap=10)
     )
     for _ in range(100_000):
         hat.train(stream.next_instance())
@@ -453,6 +441,9 @@ def test_config_validation():
         HatConfig(replacement_check_interval=0)
     with pytest.raises(ValueError, match="detector_check_interval"):
         HatConfig(detector_check_interval=0)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="alternate_depth_cap"):
+            HatConfig(alternate_depth_cap=cap)
     for delta in (0.0, 1.0, float("nan")):
         with pytest.raises(ValueError, match="detector_delta"):
             HatConfig(detector_delta=delta)
