@@ -118,6 +118,8 @@ class AdwinDetector:
         self._n_buckets -= merged
 
     def _cut(self) -> bool:
+        if self.total_sum == 0.0 and not any(map(any, self._rows)):
+            return False  # every sub-window mean is exactly 0, so no boundary can cut
         cut_any = False
         while self.total_count >= 2 and self._n_buckets >= 2:
             cut_at = self._find_cut()

@@ -52,6 +52,8 @@ VOTE_MULTI_NO_SINGLE_LEAVES = "multiple_excluding_single_leaves"
 
 _VOTE_MODES = (VOTE_NONE, VOTE_SINGLE, VOTE_MULTI, VOTE_MULTI_NO_SINGLE_LEAVES)
 
+_NO_ROUTES: dict = {}  # read only: vote fills a fresh routes dict each time
+
 
 @dataclass(frozen=True)
 class HatConfig:
@@ -109,6 +111,11 @@ class HoeffdingAdaptiveTreeClassifier:
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._poisson_buf: list[float] = []
         self._root = self._new_node()
+        # the instance vote routed last, and the mainline path it walked from
+        # each subtree root, alternates included; the next train of that same
+        # object reuses them
+        self._routed: Instance | None = None
+        self._routes: dict = {}
         self._n_promotions = 0
         self._n_sprouts = 0
 
@@ -134,8 +141,9 @@ class HoeffdingAdaptiveTreeClassifier:
     # -- training --------------------------------------------------------------
 
     def train(self, instance: Instance) -> None:
+        routed, self._routed = self._routed, None
         check_shape(self.schema, instance)
-        self._train_subtree(self._root, instance, 0)
+        self._train_subtree(self._root, instance, 0, self._routes if routed is instance else _NO_ROUTES)
 
     def _route(self, hnode: _HatNode, values):
         """Mainline path of _HatNodes from hnode down to its leaf."""
@@ -151,9 +159,14 @@ class HoeffdingAdaptiveTreeClassifier:
             m = hnode.mainline
         return path
 
-    def _train_subtree(self, hnode: _HatNode, instance: Instance, depth: int) -> None:
-        """Train the subtree under hnode, which hangs ``depth`` alternate edges below the root."""
-        path = self._route(hnode, instance.values)
+    def _train_subtree(self, hnode: _HatNode, instance: Instance, depth: int,
+                       routes: dict = _NO_ROUTES) -> None:
+        """Train the subtree under hnode, which hangs ``depth`` alternate edges below the root.
+
+        ``routes`` maps subtree roots to their paths as routed before this
+        train; no subtree's mainline changes before its own training starts.
+        """
+        path = routes.get(hnode) or self._route(hnode, instance.values)
         leaf_node = path[-1]
         bit = 1.0 if argmax_label(leaf_node.mainline.class_dist) != instance.class_label else 0.0
         cfg = self.config
@@ -173,7 +186,7 @@ class HoeffdingAdaptiveTreeClassifier:
             if alt is None:
                 continue
             alt_was_leaf = alt.mainline.__class__ is not SplitNode
-            self._train_subtree(alt, instance, depth + 1)
+            self._train_subtree(alt, instance, depth + 1, routes)
             nd.alt_instances += 1
             node_is_root = nd is self._root
             promoted = False
@@ -207,6 +220,7 @@ class HoeffdingAdaptiveTreeClassifier:
         A significantly worse alternate is discarded instead, freeing the
         slot for a future detection.
         """
+        self._routed = None  # a promotion changes the paths vote walked
         alt = nd.alternate
         if alt is None:
             return False
@@ -236,28 +250,33 @@ class HoeffdingAdaptiveTreeClassifier:
 
     # -- prediction ------------------------------------------------------------
 
-    def _alternate_votes(self, path: list, values, out: list) -> None:
-        """Append the leaf distribution of each alternate off ``path`` that votes."""
+    def _alternate_votes(self, path: list, values, out: list, routes: dict) -> None:
+        """Append the leaf distribution of each alternate off ``path`` that votes.
+
+        Each alternate's path goes into ``routes``.
+        """
         mode = self.config.voting_mode
         if mode == VOTE_NONE:
             return
         for node in path:
             alt = node.alternate
             if alt is not None:
-                alt_path = self._route(alt, values)
+                alt_path = routes[alt] = self._route(alt, values)
                 if mode != VOTE_MULTI_NO_SINGLE_LEAVES or alt.mainline.__class__ is SplitNode:
                     out.append(alt_path[-1].mainline.class_dist)
                 if mode == VOTE_SINGLE:
                     return  # the shallowest alternate on the mainline path votes alone
-                self._alternate_votes(alt_path, values, out)
+                self._alternate_votes(alt_path, values, out, routes)
 
     def vote(self, instance: Instance) -> list:
         """Class distribution, with alternates contributing per voting_mode."""
         values = instance.values
         path = self._route(self._root, values)
+        routes = {self._root: path}
         mainline = path[-1].mainline.class_dist
         contributions: list = []
-        self._alternate_votes(path, values, contributions)
+        self._alternate_votes(path, values, contributions, routes)
+        self._routed, self._routes = instance, routes
         if not contributions:
             return list(mainline)
         combined = [0.0] * self.schema.class_count

@@ -282,6 +282,8 @@ class HyperplaneGenerator(_BlockStream):
             raise ValueError(f"noise fraction {noise} outside [0, 1)")
         if not 0.0 <= sigma <= 1.0:
             raise ValueError(f"sigma {sigma} outside [0, 1]")
+        if not math.isfinite(magnitude):
+            raise ValueError(f"drift magnitude {magnitude} is not finite")
         self.schema = Schema.unit_numeric(n_attributes)
         self.n_attributes = n_attributes
         self.drift_attributes = drift_attributes

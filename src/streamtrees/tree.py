@@ -23,6 +23,7 @@ open is a flag on :class:`StrategyConfig`:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .schema import Instance, Schema
@@ -102,7 +103,7 @@ def hoeffding_bound(value_range: float, delta: float, n: float) -> float:
 class NodeStatistics:
     """Per-leaf attribute observers: nominal counts and per-class Gaussians."""
 
-    __slots__ = ("schema", "nominal", "numeric", "minmax")
+    __slots__ = ("schema", "nominal", "numeric", "minmax", "nominal_attrs", "numeric_attrs")
 
     def __init__(self, schema: Schema):
         self.schema = schema
@@ -119,30 +120,32 @@ class NodeStatistics:
                 self.nominal.append(None)
                 self.numeric.append([[0.0, 0.0, 0.0] for _ in range(c)])
                 self.minmax.append([math.inf, -math.inf])
+        # the attribute indices of each kind, so observe never branches on it
+        self.nominal_attrs = [i for i, counts in enumerate(self.nominal) if counts is not None]
+        self.numeric_attrs = [i for i, obs in enumerate(self.numeric) if obs is not None]
 
     def observe(self, values, label: int, weight: float) -> None:
         if weight <= 0.0:
             return
         nominal = self.nominal
+        for i in self.nominal_attrs:
+            nominal[i][values[i]][label] += weight
         numeric = self.numeric
         minmax = self.minmax
-        for i, v in enumerate(values):
-            counts = nominal[i]
-            if counts is not None:
-                counts[v][label] += weight
-            else:
-                obs = numeric[i][label]
-                count = obs[0] + weight
-                delta = v - obs[1]
-                mean = obs[1] + weight * delta / count
-                obs[0] = count
-                obs[1] = mean
-                obs[2] += weight * delta * (v - mean)
-                mm = minmax[i]
-                if v < mm[0]:
-                    mm[0] = v
-                if v > mm[1]:
-                    mm[1] = v
+        for i in self.numeric_attrs:
+            v = values[i]
+            obs = numeric[i][label]
+            count = obs[0] + weight
+            delta = v - obs[1]
+            mean = obs[1] + weight * delta / count
+            obs[0] = count
+            obs[1] = mean
+            obs[2] += weight * delta * (v - mean)
+            mm = minmax[i]
+            if v < mm[0]:
+                mm[0] = v
+            if v > mm[1]:
+                mm[1] = v
 
     def total_observed(self, attr: int) -> float:
         counts = self.nominal[attr]
@@ -151,15 +154,19 @@ class NodeStatistics:
         return sum(obs[0] for obs in self.numeric[attr])
 
 
-def _gaussian_left_mass(obs, t: float) -> float:
-    count, mean, m2 = obs
-    if count <= 0.0:
-        return 0.0
-    var = m2 / count
-    if var <= 1e-12:
-        return count if mean <= t else 0.0
-    z = (t - mean) / math.sqrt(var)
-    return count * 0.5 * (1.0 + math.erf(z / _SQRT2))
+def _class_gaussians(observers) -> list:
+    """(count, mean, sd) of each class's Gaussian; sd is 0.0 when it has no spread.
+
+    A class with no mass gets mean +inf, so its left mass is 0.0 at every cut.
+    """
+    out = []
+    for count, mean, m2 in observers:
+        if count <= 0.0:
+            out.append((count, math.inf, 0.0))
+            continue
+        var = m2 / count
+        out.append((count, mean, 0.0 if var <= 1e-12 else math.sqrt(var)))
+    return out
 
 
 def _gain_with_split(stats, class_dist, parent_entropy, attribute):
@@ -189,14 +196,20 @@ def _gain_with_split(stats, class_dist, parent_entropy, attribute):
     total = sum(obs[0] for obs in observers)
     if total <= 0.0 or hi <= lo:
         return 0.0, None
-    c = len(observers)
+    gaussians = _class_gaussians(observers)
+    counts = [g[0] for g in gaussians]
+    erf = math.erf
     best_gain = -math.inf
     best = None
     step = (hi - lo) / (_NUMERIC_SPLIT_POINTS + 1)
     for k in range(1, _NUMERIC_SPLIT_POINTS + 1):
         t = lo + k * step
-        left = [_gaussian_left_mass(observers[i], t) for i in range(c)]
-        right = [observers[i][0] - left[i] for i in range(c)]
+        left = [
+            count * 0.5 * (1.0 + erf((t - mean) / sd / _SQRT2)) if sd
+            else count if mean <= t else 0.0
+            for count, mean, sd in gaussians
+        ]
+        right = list(map(operator.sub, counts, left))
         wl = sum(left)
         wr = total - wl
         if wl <= 1e-12 or wr <= 1e-12:
@@ -265,12 +278,13 @@ class LearningLeaf:
         self.class_dist[label] += weight
         self.total_weight += weight
 
-    def replay(self, inst: Instance) -> None:
-        """Feed a buffered instance back in without counting it as new."""
-        self.stats.observe(inst.values, inst.class_label, inst.weight)
-        self.class_dist[inst.class_label] += inst.weight
-        self.total_weight += inst.weight
-        self.buffer.append(inst)
+    def replay(self, entry: tuple) -> None:
+        """Feed a buffered ``(values, label, weight)`` back in without counting it as new."""
+        values, label, weight = entry
+        self.stats.observe(values, label, weight)
+        self.class_dist[label] += weight
+        self.total_weight += weight
+        self.buffer.append(entry)
 
     def is_pure(self) -> bool:
         seen = 0
@@ -404,8 +418,8 @@ def perform_split(leaf: LearningLeaf, decision: SplitDecision, config: StrategyC
 
     node = SplitNode(attr, threshold, children)
     if eidetic:
-        for inst in leaf.buffer:
-            children[node.branch(inst.values)].replay(inst)
+        for entry in leaf.buffer:
+            children[node.branch(entry[0])].replay(entry)
     for child in children:
         child.counter_at_last_eval = _leaf_counter(child, config)
     return node
@@ -419,7 +433,9 @@ def learn_at_leaf(leaf: LearningLeaf, instance: Instance, config: StrategyConfig
     """
     leaf.learn(instance.values, instance.class_label, instance.weight)
     if leaf.buffer is not None:
-        leaf.buffer.append(instance)
+        # a plain tuple of untracked items leaves the cyclic collector's lists
+        # at its first collection; an Instance, a tuple subclass, never does
+        leaf.buffer.append(tuple(instance))
     counter = _leaf_counter(leaf, config)
     if counter - leaf.counter_at_last_eval < config.grace_period:
         return None
@@ -464,6 +480,10 @@ class HoeffdingTreeClassifier:
         self.schema = schema
         self.config = config if config is not None else StrategyConfig()
         self.root = LearningLeaf(schema, eidetic=self.config.eidetic)
+        # the instance predict_label routed last, and its (leaf, parent, slot);
+        # the next train of that same object reuses the route
+        self._routed: Instance | None = None
+        self._route = None
 
     def _sort_to_leaf(self, values):
         node = self.root
@@ -480,8 +500,12 @@ class HoeffdingTreeClassifier:
         return node, parent, slot
 
     def train(self, instance: Instance) -> None:
+        routed, self._routed = self._routed, None
         check_shape(self.schema, instance)
-        leaf, parent, slot = self._sort_to_leaf(instance.values)
+        if routed is instance:
+            leaf, parent, slot = self._route
+        else:
+            leaf, parent, slot = self._sort_to_leaf(instance.values)
         new_node = learn_at_leaf(leaf, instance, self.config)
         if new_node is not None:
             if parent is None:
@@ -494,8 +518,9 @@ class HoeffdingTreeClassifier:
         return list(leaf.class_dist)
 
     def predict_label(self, instance: Instance) -> int:
-        leaf, _, _ = self._sort_to_leaf(instance.values)
-        return argmax_label(leaf.class_dist)
+        self._route = route = self._sort_to_leaf(instance.values)
+        self._routed = instance
+        return argmax_label(route[0].class_dist)
 
     def dump(self) -> str:
         lines: list[str] = []

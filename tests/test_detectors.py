@@ -200,6 +200,29 @@ def test_matches_per_insert_reference(max_buckets, check_interval):
     assert_matches_reference(xs, 0.002, max_buckets, check_interval)
 
 
+def sparse_error_stream(seed):
+    """Error bits of a mostly right learner: zero runs, rare errors, one burst of errors."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    parts = [np.zeros(700), rng.random(1500) < 0.01, np.ones(300),
+             np.zeros(2500), rng.random(1000) < 0.002]
+    return [float(x) for x in np.concatenate(parts)]
+
+
+@pytest.mark.parametrize("max_buckets, check_interval", [(5, 1), (5, 7), (2, 7), (1, 64)])
+def test_matches_reference_on_sparse_error_streams(max_buckets, check_interval):
+    xs = sparse_error_stream(max_buckets * 100 + check_interval)
+    assert_matches_reference(xs, 0.002, max_buckets, check_interval)
+    # the all-zero windows that skip the cut scan occur both before and after a cut
+    det = AdwinDetector(0.002, max_buckets, check_interval)
+    cut = zero_before_cut = zero_after_cut = False
+    for i, x in enumerate(xs, 1):
+        cut |= det.add_element(x)
+        if i % check_interval == 0 and det.total_sum == 0.0:
+            zero_before_cut |= not cut
+            zero_after_cut |= cut
+    assert zero_before_cut and zero_after_cut
+
+
 @pytest.mark.parametrize("max_buckets, check_interval", [(1, 5), (3, 64), (5, 32), (2, 7)])
 def test_reading_between_checks_changes_nothing(max_buckets, check_interval):
     xs = phased_stream(11, phase_length=1000)

@@ -368,6 +368,8 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys, body, fragment):
         ("STAGGERGenerator -i 1 -f 7", "function must be 1..3"),
         ("HyperplaneGenerator -n 1.5", "outside [0, 1)"),
         ("HyperplaneGenerator -s 2", "outside [0, 1]"),
+        ("HyperplaneGenerator -t nan", "not finite"),
+        ("HyperplaneGenerator -t inf", "not finite"),
         ("AbruptDriftGenerator -d Gradual", "drift pattern"),
         ("RecurrentConceptDriftStream -x 100 -s (STAGGERGenerator -i 1)", "needs both"),
     ],
