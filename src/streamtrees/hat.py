@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import AdwinDetector, NeverFireDetector
-from .schema import Instance, Schema
+from .schema import Instance, Schema, new_instance
 from .tree import (
     LearningLeaf,
     SplitNode,
@@ -206,7 +206,8 @@ class HoeffdingAdaptiveTreeClassifier:
 
     def _learn_at_leaf(self, leaf_node: _HatNode, instance: Instance) -> None:
         if self.config.poisson_weighting:
-            instance = instance._replace(weight=instance.weight * self._poisson_weight())
+            values, label, weight = instance
+            instance = new_instance((values, label, weight * self._poisson_weight()))
         new_node = learn_at_leaf(leaf_node.mainline, instance, self.config.base)
         if new_node is not None:
             new_node.children = [_HatNode(child, self._new_detector()) for child in new_node.children]

@@ -2,19 +2,27 @@
 
 Every generator is a stateful, seeded instance source: ``next_instance()``
 yields one labeled Instance, and identical construction parameters (seed
-included) give bitwise-identical sequences. Sampling is PCG64-backed and
-drawn in fixed-size blocks, so the sequence does not depend on how callers
-interleave their pulls.
+included) give bitwise-identical sequences. Instances come from blocks of
+1024: each block is sampled with PCG64 and built into Instances in C, and
+``next_instance`` hands them out from a C-level iterator. The sequence does
+not depend on how callers interleave their pulls from different streams.
+
+A ``RecurrentConceptDriftStream`` reads its two sub-streams up to one block
+ahead of its own caller, so a sub-stream object must not be read anywhere
+else. It evaluates its sigmoid only inside a drift window, within 15 widths
+of a concept centre; between windows it copies whole runs of instances from
+one sub-stream and draws no uniforms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .schema import Instance, Schema
+from .schema import Instance, Schema, new_instance
 
 _BLOCK = 1024
 
@@ -103,37 +111,32 @@ def apply_drift(table: CellTable, magnitude: float, rng: np.random.Generator) ->
 # --------------------------------------------------------------------------
 
 class _Stream:
-    """An endless instance source; subclasses define ``next_instance``."""
+    """An endless instance source built from blocks of ``_BLOCK`` instances.
+
+    ``next_instance`` is the ``__next__`` of a C-level iterator that chains
+    the blocks ``_make_block`` returns, so handing out an instance runs no
+    Python code; a block is made when the previous one runs out.
+    """
 
     schema: Schema
 
-    def next_instance(self) -> Instance:
-        raise NotImplementedError
-
-    def take(self, n: int) -> list[Instance]:
-        return [self.next_instance() for _ in range(n)]
-
-
-class _BlockStream(_Stream):
-    """Shared machinery: subclasses fill blocks of instances on demand."""
-
     def __init__(self) -> None:
-        self._buffer: list[Instance] = []
-        self._pos = 0
-
-    def next_instance(self) -> Instance:
-        if self._pos >= len(self._buffer):
-            self._buffer = self._make_block()
-            self._pos = 0
-        inst = self._buffer[self._pos]
-        self._pos += 1
-        return inst
+        self._instances = chain.from_iterable(iter(self._make_block, None))
+        self.next_instance = self._instances.__next__
 
     def _make_block(self) -> list[Instance]:
         raise NotImplementedError
 
+    def take(self, n: int) -> list[Instance]:
+        return list(islice(iter(self.next_instance, None), n))
 
-class AbruptDriftGenerator(_BlockStream):
+
+def _block(values: np.ndarray, labels: np.ndarray) -> list[Instance]:
+    """One Instance of weight 1.0 per row of ``values``, built in C."""
+    return list(map(new_instance, zip(zip(*values.T.tolist()), labels.tolist(), repeat(1.0))))
+
+
+class AbruptDriftGenerator(_Stream):
     """Nominal stream with an instantaneous switch of P(Y|X) at the drift point.
 
     A starting cell table is drawn (Gamma(1,1) value probabilities, uniform
@@ -157,6 +160,8 @@ class AbruptDriftGenerator(_BlockStream):
         super().__init__()
         if drift_point < 1:
             raise ValueError("drift_point must be >= 1")
+        if period is not None and period < 1:
+            raise ValueError(f"period must be >= 1, got {period}")
         self.schema = Schema.uniform_nominal(n_attributes, n_values, class_count)
         self.magnitude = magnitude
         self.drift_point = drift_point
@@ -194,7 +199,7 @@ class AbruptDriftGenerator(_BlockStream):
             self.table_before.class_assignment[cells],
         )
         self._t += _BLOCK
-        return [Instance(tuple(row), int(y)) for row, y in zip(values.tolist(), labels.tolist())]
+        return _block(values, labels)
 
 
 # STAGGER concept definitions, attributes (size, color, shape) each with
@@ -205,7 +210,7 @@ RED, GREEN, BLUE = 0, 1, 2
 SQUARE, CIRCULAR, TRIANGULAR = 0, 1, 2
 
 
-class StaggerGenerator(_BlockStream):
+class StaggerGenerator(_Stream):
     """Three ternary attributes, binary class from one of three boolean rules."""
 
     def __init__(self, function: int = 1, seed: int = 1):
@@ -225,16 +230,13 @@ class StaggerGenerator(_BlockStream):
             labels = (color == GREEN) | (shape == CIRCULAR)
         else:
             labels = (size == MEDIUM) | (size == LARGE)
-        return [
-            Instance(tuple(row), int(y))
-            for row, y in zip(vals.tolist(), labels.astype(int).tolist())
-        ]
+        return _block(vals, labels.astype(int))
 
 
 SEA_THRESHOLDS = {1: 0.8, 2: 0.9, 3: 0.7, 4: 0.95}
 
 
-class SeaGenerator(_BlockStream):
+class SeaGenerator(_Stream):
     """Three numeric attributes on [0,1]; class 1 when x0 + x1 <= threshold."""
 
     def __init__(self, function: int = 1, noise: float = 0.0, seed: int = 1):
@@ -255,10 +257,10 @@ class SeaGenerator(_BlockStream):
         if self.noise > 0.0:
             flips = self._rng.random(_BLOCK) < self.noise
             labels = labels ^ flips
-        return [Instance(tuple(row), int(y)) for row, y in zip(x.tolist(), labels.tolist())]
+        return _block(x, labels)
 
 
-class HyperplaneGenerator(_BlockStream):
+class HyperplaneGenerator(_Stream):
     """Rotating hyperplane in [0,1]^d; k weights drift by t per instance.
 
     Label is 1 when sum(w_i x_i) >= sum(w_i) / 2. Each drifting weight moves
@@ -312,7 +314,7 @@ class HyperplaneGenerator(_BlockStream):
         if self.noise > 0.0:
             flips = self._rng.random(_BLOCK) < self.noise
             labels = labels ^ flips
-        return [Instance(tuple(row), int(y)) for row, y in zip(x.tolist(), labels.tolist())]
+        return _block(x, labels)
 
 
 class RecurrentConceptDriftStream(_Stream):
@@ -332,6 +334,7 @@ class RecurrentConceptDriftStream(_Stream):
             raise ValueError("sub-streams must share a schema")
         if position < 1 or period < 1 or width < 1:
             raise ValueError("position, period and width must be >= 1")
+        super().__init__()
         self.schema = base.schema
         self.base = base
         self.drift = drift
@@ -342,6 +345,7 @@ class RecurrentConceptDriftStream(_Stream):
         self._t = 0
         self._u = np.empty(0)
         self._upos = 0
+        self._sources = (base._instances, drift._instances)
 
     def _uniform(self) -> float:
         if self._upos >= len(self._u):
@@ -364,13 +368,23 @@ class RecurrentConceptDriftStream(_Stream):
             sig = 1.0 / (1.0 + math.exp(-z))
         return sig if m % 2 == 0 else 1.0 - sig
 
-    def next_instance(self) -> Instance:
-        p = self.prob_drift_stream(self._t)
-        self._t += 1
-        if p >= 1.0:
-            pick_drift = True
-        elif p <= 0.0:
-            pick_drift = False
-        else:
-            pick_drift = self._uniform() < p
-        return self.drift.next_instance() if pick_drift else self.base.next_instance()
+    def _make_block(self) -> list[Instance]:
+        t0 = self._t
+        self._t += _BLOCK
+        # prob_drift_stream over the block: outside a drift window (|z| > 60)
+        # it is exactly 0 or 1, so those instances need no sigmoid and no draw;
+        # rint rounds half to even as round() does, and with integer operands
+        # below 2**53 m and z come out as prob_drift_stream computes them
+        ts = np.arange(t0, t0 + _BLOCK)
+        m = np.maximum(np.rint((ts - self.position) / self.period), 0.0)
+        z = 4.0 * (ts - (self.position + m * self.period)) / self.width
+        from_drift = (z > 60) == (m % 2 == 0)
+        for i in np.flatnonzero(np.abs(z) <= 60).tolist():
+            p = self.prob_drift_stream(t0 + i)
+            from_drift[i] = p >= 1.0 or (p > 0.0 and self._uniform() < p)
+        # each run of instances from one sub-stream is copied whole
+        bounds = [0, *(np.flatnonzero(from_drift[1:] != from_drift[:-1]) + 1).tolist(), _BLOCK]
+        block: list[Instance] = []
+        for start, end in zip(bounds, bounds[1:]):
+            block += islice(self._sources[int(from_drift[start])], end - start)
+        return block

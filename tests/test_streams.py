@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamtrees.schema import NominalAttribute, NumericAttribute, Schema, Instance, check_instance
+from streamtrees.specparse import build_stream
 from streamtrees.streams import (
     CIRCULAR,
     GREEN,
@@ -12,6 +16,7 @@ from streamtrees.streams import (
     AbruptDriftGenerator,
     CellTable,
     HyperplaneGenerator,
+    SEA_THRESHOLDS,
     RecurrentConceptDriftStream,
     SeaGenerator,
     StaggerGenerator,
@@ -248,3 +253,222 @@ def test_wrapper_requires_matching_schemas():
         RecurrentConceptDriftStream(
             StaggerGenerator(1, seed=1), SeaGenerator(1, seed=1), 100, 100, 10
         )
+
+
+def test_abrupt_generator_rejects_period_below_one():
+    for recurrent in (True, False):
+        for period in (0, -5):
+            with pytest.raises(ValueError, match="period"):
+                AbruptDriftGenerator(2, 2, 3, 1.0, 100, recurrent=recurrent, period=period)
+
+
+# --------------------------------------------------------------------------
+# reference oracle: the per-instance generators the block streams replaced
+# --------------------------------------------------------------------------
+
+class ReferenceStream:
+    """Hands out one instance at a time from a list that ``_arrays`` refills.
+
+    Each subclass keeps a generator's sampling as it was written before the
+    streams built and handed out whole blocks in C; instances are built one
+    row at a time with ``Instance(tuple(row), int(y))``.
+    """
+
+    def __init__(self):
+        self._buffer, self._pos = [], 0
+
+    def next_instance(self):
+        if self._pos >= len(self._buffer):
+            rows, labels = self._arrays()
+            self._buffer = [Instance(tuple(row), int(y)) for row, y in zip(rows.tolist(), labels.tolist())]
+            self._pos = 0
+        inst = self._buffer[self._pos]
+        self._pos += 1
+        return inst
+
+    def take(self, n):
+        return [self.next_instance() for _ in range(n)]
+
+
+class ReferenceAbrupt(ReferenceStream):
+    def __init__(self, n_attributes, n_values, class_count, magnitude, drift_point,
+                 recurrent=False, seed=1):
+        super().__init__()
+        self.drift_point, self.recurrent, self._t = drift_point, recurrent, 0
+        self._rng = make_rng(seed)
+        self.table_before = CellTable.random(self._rng, n_attributes, n_values, class_count)
+        self.table_after = apply_drift(self.table_before, magnitude, self._rng)
+        self._cum = [np.cumsum(p) for p in self.table_before.attribute_value_probs]
+
+    def _arrays(self):
+        n_attr = len(self._cum)
+        u = self._rng.random((1024, n_attr))
+        values = np.empty((1024, n_attr), dtype=np.int64)
+        for i, cum in enumerate(self._cum):
+            values[:, i] = np.searchsorted(cum, u[:, i], side="right")
+            np.clip(values[:, i], 0, len(cum) - 1, out=values[:, i])
+        cells = np.zeros(1024, dtype=np.int64)
+        for i, cum in enumerate(self._cum):
+            cells = cells * len(cum) + values[:, i]
+        ts = np.arange(self._t, self._t + 1024)
+        after = (ts // self.drift_point) % 2 == 1 if self.recurrent else ts >= self.drift_point
+        labels = np.where(
+            after, self.table_after.class_assignment[cells], self.table_before.class_assignment[cells]
+        )
+        self._t += 1024
+        return values, labels
+
+
+class ReferenceStagger(ReferenceStream):
+    def __init__(self, function, seed):
+        super().__init__()
+        self.function, self._rng = function, make_rng(seed)
+
+    def _arrays(self):
+        vals = self._rng.integers(0, 3, size=(1024, 3))
+        labels = [stagger_concept(self.function, *row) for row in vals.tolist()]
+        return vals, np.array(labels)
+
+
+class ReferenceSea(ReferenceStream):
+    def __init__(self, function, noise, seed):
+        super().__init__()
+        self.threshold, self.noise, self._rng = SEA_THRESHOLDS[function], noise, make_rng(seed)
+
+    def _arrays(self):
+        x = self._rng.random((1024, 3))
+        labels = (x[:, 0] + x[:, 1] <= self.threshold).astype(int)
+        if self.noise > 0.0:
+            labels = labels ^ (self._rng.random(1024) < self.noise)
+        return x, labels
+
+
+class ReferenceHyperplane(ReferenceStream):
+    def __init__(self, n_attributes, drift_attributes, magnitude, sigma, noise, seed):
+        super().__init__()
+        self.d, self.k, self.magnitude, self.sigma, self.noise = (
+            n_attributes, drift_attributes, magnitude, sigma, noise
+        )
+        self._rng = make_rng(seed)
+        self._weights = self._rng.random(n_attributes)
+        self._directions = np.ones(drift_attributes)
+
+    def _arrays(self):
+        x = self._rng.random((1024, self.d))
+        w = np.tile(self._weights, (1024, 1))
+        if self.k and self.magnitude:
+            signs = np.where(self._rng.random((1024, self.k)) < self.sigma, -1.0, 1.0)
+            signs[0] *= self._directions
+            dirs = np.cumprod(signs, axis=0)
+            w[:, : self.k] += np.cumsum(dirs * self.magnitude, axis=0)
+            self._weights, self._directions = w[-1].copy(), dirs[-1]
+        labels = ((w * x).sum(axis=1) >= w.sum(axis=1) / 2.0).astype(int)
+        if self.noise > 0.0:
+            labels = labels ^ (self._rng.random(1024) < self.noise)
+        return x, labels
+
+
+class ReferenceRecurrent:
+    """The sigmoid evaluated, and a sub-stream read, once per instance."""
+
+    def __init__(self, base, drift, position, period, width, seed):
+        self.base, self.drift = base, drift
+        self.position, self.period, self.width = position, period, width
+        self._rng = make_rng(seed)
+        self._t, self._u, self._upos = 0, np.empty(0), 0
+
+    def prob_drift_stream(self, t):
+        m = max(0, round((t - self.position) / self.period))
+        z = 4.0 * (t - (self.position + m * self.period)) / self.width
+        sig = 1.0 if z > 60 else 0.0 if z < -60 else 1.0 / (1.0 + math.exp(-z))
+        return sig if m % 2 == 0 else 1.0 - sig
+
+    def next_instance(self):
+        p = self.prob_drift_stream(self._t)
+        self._t += 1
+        if 0.0 < p < 1.0:
+            if self._upos >= len(self._u):
+                self._u, self._upos = self._rng.random(1024), 0
+            pick_drift = float(self._u[self._upos]) < p
+            self._upos += 1
+        else:
+            pick_drift = p >= 1.0
+        return self.drift.next_instance() if pick_drift else self.base.next_instance()
+
+    take = ReferenceStream.take
+
+
+def assert_same_stream(stream, reference, n=3 * 1024 + 517):
+    got, want = stream.take(n), reference.take(n)
+    assert got == want
+    for g, w in zip(got, want):
+        assert type(g) is Instance and type(g.class_label) is int and type(g.weight) is float
+        assert type(g.values) is tuple
+        assert [type(v) for v in g.values] == [type(v) for v in w.values]
+
+
+@pytest.mark.parametrize(
+    "stream,reference,args",
+    [
+        (AbruptDriftGenerator, ReferenceAbrupt, (3, 4, 5, 0.5, 1500)),
+        (AbruptDriftGenerator, ReferenceAbrupt, (3, 4, 5, 0.5, 700, True)),
+        (StaggerGenerator, ReferenceStagger, (1,)),
+        (StaggerGenerator, ReferenceStagger, (3,)),
+        (SeaGenerator, ReferenceSea, (2, 0.0)),
+        (SeaGenerator, ReferenceSea, (4, 0.15)),
+        (HyperplaneGenerator, ReferenceHyperplane, (5, 0, 0.0, 0.1, 0.0)),
+        (HyperplaneGenerator, ReferenceHyperplane, (10, 4, 0.01, 0.1, 0.1)),
+    ],
+)
+def test_block_streams_match_per_instance_reference(stream, reference, args):
+    assert_same_stream(stream(*args, seed=3), reference(*args, seed=3))
+
+
+def test_build_stream_abrupt_recurrent_matches_reference():
+    built = build_stream("AbruptDriftGenerator -d Recurrent -n 3 -z 3 -v 4 -o 1.0 -b 900 -r 7")
+    assert_same_stream(built, ReferenceAbrupt(3, 3, 4, 1.0, 900, recurrent=True, seed=7))
+
+
+def _recurrent(classes, position, period, width, nested=False):
+    Recurrent, Stagger = classes
+    drift = Stagger(3, seed=3)
+    if nested:
+        drift = Recurrent(drift, Stagger(1, seed=8), 600, 450, 25, seed=9)
+    return Recurrent(Stagger(2, seed=2), drift, position, period, width, seed=1)
+
+
+@pytest.mark.parametrize(
+    "position,period,width,nested",
+    [
+        (2000, 2000, 100, False),  # the testbench row, scaled down
+        (1500, 1000, 20, False),  # position inside a block, windows apart
+        (700, 300, 40, False),  # windows overlap: period < 30 * width
+        (5, 1, 1, False),  # a concept change on every instance
+        (1300, 800, 30, True),  # a recurrent stream as a sub-stream
+    ],
+)
+def test_recurrent_stream_matches_per_instance_reference(position, period, width, nested):
+    stream = _recurrent((RecurrentConceptDriftStream, StaggerGenerator), position, period, width, nested)
+    reference = _recurrent((ReferenceRecurrent, ReferenceStagger), position, period, width, nested)
+    assert_same_stream(stream, reference)
+    # at the next block boundary both have drawn the same uniforms
+    assert stream.take(1024 - 517) == reference.take(1024 - 517)
+    assert stream._upos == reference._upos
+    assert stream._rng.bit_generator.state == reference._rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(pulls=st.lists(st.booleans(), max_size=5000))
+def test_interleaved_pulls_leave_each_sequence_unchanged(pulls):
+    def pair():
+        return _recurrent((RecurrentConceptDriftStream, StaggerGenerator), 900, 700, 40), SeaGenerator(
+            3, noise=0.1, seed=4
+        )
+
+    a, b = pair()
+    got = ([], [])
+    for first in pulls:
+        got[0 if first else 1].append((a if first else b).next_instance())
+    fresh_a, fresh_b = pair()
+    assert got[0] == fresh_a.take(len(got[0]))
+    assert got[1] == fresh_b.take(len(got[1]))
