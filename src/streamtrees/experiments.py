@@ -20,7 +20,7 @@ from .evaluate import (
     prequential_run,
 )
 from .hat import HatConfig, HoeffdingAdaptiveTreeClassifier
-from .specparse import OutOfScopeError, build_generator, parse_stream_spec
+from .specparse import OutOfScopeError, build_generator, build_stream, parse_stream_spec
 from .tree import AVERAGED, NODE_TIME, HoeffdingTreeClassifier, StrategyConfig
 
 
@@ -28,9 +28,9 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
-# learner flag -> the type of its field's default, which its text converts to
-_BASE_FLAGS = {f.name: type(f.default) for f in dataclasses.fields(StrategyConfig)}
-_HAT_FLAGS = {f.name: type(f.default) for f in dataclasses.fields(HatConfig) if f.name != "base"}
+# learner flag -> the type of its field's default, which its text converts to;
+# HatConfig's fields are StrategyConfig's plus the adaptive tree's
+_FLAGS = {f.name: type(f.default) for f in dataclasses.fields(HatConfig)}
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -51,17 +51,13 @@ class LearnerSpec:
         self.config()  # validate flags eagerly
 
     def config(self):
-        base, hat = {}, {}
-        for key, value in self.overrides:
-            if key in _BASE_FLAGS:
-                base[key] = value
-            elif key in _HAT_FLAGS and self.algorithm == "hat":
-                hat[key] = value
-            else:
+        cls = StrategyConfig if self.algorithm == "vfdt" else HatConfig
+        names = {f.name for f in dataclasses.fields(cls)}
+        for key, _ in self.overrides:
+            if key not in names:
                 raise ConfigError(f"learner flags: unknown {self.algorithm} option {key!r}")
         try:
-            config = StrategyConfig(**base)
-            return config if self.algorithm == "vfdt" else HatConfig(base=config, **hat)
+            return cls(**dict(self.overrides))
         except ValueError as exc:
             raise ConfigError(f"learner flags: {exc}") from None
 
@@ -116,7 +112,7 @@ class ExperimentConfig:
 
 
 def _typed_flag(key: str, text: str):
-    kind = _BASE_FLAGS.get(key) or _HAT_FLAGS.get(key)
+    kind = _FLAGS.get(key)
     if kind is None:
         return text  # LearnerSpec.config names the unknown option
     try:
@@ -324,11 +320,9 @@ def preset(name: str) -> ExperimentConfig:
 def _run_one(task):
     """One (learner, stream, seed) cell; module-level so it pickles."""
     learner_spec, stream_text, variant, n_instances, snapshot_every = task
-    spec = parse_stream_spec(stream_text).reseeded(variant)
-    stream = build_generator(spec)
+    stream = build_stream(stream_text, variant)
     learner = learner_spec.build(stream.schema, seed=variant)
-    result = prequential_run(learner, stream, n_instances, snapshot_every)
-    return result
+    return prequential_run(learner, stream, n_instances, snapshot_every)
 
 
 def run_grid(config: ExperimentConfig):

@@ -19,9 +19,10 @@ significantly worse. Every contested behavior is a flag on
   promote an alternate the moment it performs its own first split, skipping
   the error comparison, at the root / below the root respectively.
 
-Leaves learn and split through the base tree's ``learn_at_leaf`` with
-``base`` as given, so every base-tree flag, ``counter_mode`` included, acts
-exactly as it does in the base tree.
+``HatConfig`` is a ``StrategyConfig`` plus these flags, and leaves learn and
+split through the base tree's ``learn_at_leaf`` with that config, so every
+base-tree flag, ``counter_mode`` included, acts exactly as it does in the
+base tree.
 """
 
 from __future__ import annotations
@@ -52,12 +53,11 @@ VOTE_MULTI_NO_SINGLE_LEAVES = "multiple_excluding_single_leaves"
 
 _VOTE_MODES = (VOTE_NONE, VOTE_SINGLE, VOTE_MULTI, VOTE_MULTI_NO_SINGLE_LEAVES)
 
-_NO_ROUTES: dict = {}  # read only: vote fills a fresh routes dict each time
+_NO_ROUTES: dict = {}  # read only: predict fills a fresh routes dict each time
 
 
 @dataclass(frozen=True)
-class HatConfig:
-    base: StrategyConfig = StrategyConfig()
+class HatConfig(StrategyConfig):
     voting_mode: str = VOTE_NONE
     poisson_weighting: bool = False
     replace_root_on_alternate_split: bool = False
@@ -70,6 +70,7 @@ class HatConfig:
     detector_check_interval: int = 32
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.voting_mode not in _VOTE_MODES:
             raise ValueError(f"bad voting_mode {self.voting_mode!r}")
         if self.detector not in ("adwin", "neverfire"):
@@ -111,7 +112,7 @@ class HoeffdingAdaptiveTreeClassifier:
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._poisson_buf: list[float] = []
         self._root = self._new_node()
-        # the instance vote routed last, and the mainline path it walked from
+        # the instance predict routed last, and the mainline path it walked from
         # each subtree root, alternates included; the next train of that same
         # object reuses them
         self._routed: Instance | None = None
@@ -130,7 +131,7 @@ class HoeffdingAdaptiveTreeClassifier:
         )
 
     def _new_node(self) -> _HatNode:
-        leaf = LearningLeaf(self.schema, eidetic=self.config.base.eidetic)
+        leaf = LearningLeaf(self.schema, eidetic=self.config.eidetic)
         return _HatNode(leaf, self._new_detector())
 
     def _poisson_weight(self) -> float:
@@ -208,7 +209,7 @@ class HoeffdingAdaptiveTreeClassifier:
         if self.config.poisson_weighting:
             values, label, weight = instance
             instance = new_instance((values, label, weight * self._poisson_weight()))
-        new_node = learn_at_leaf(leaf_node.mainline, instance, self.config.base)
+        new_node = learn_at_leaf(leaf_node.mainline, instance, self.config)
         if new_node is not None:
             new_node.children = [_HatNode(child, self._new_detector()) for child in new_node.children]
             leaf_node.mainline = new_node
@@ -221,7 +222,7 @@ class HoeffdingAdaptiveTreeClassifier:
         A significantly worse alternate is discarded instead, freeing the
         slot for a future detection.
         """
-        self._routed = None  # a promotion changes the paths vote walked
+        self._routed = None  # a promotion changes the paths predict walked
         alt = nd.alternate
         if alt is None:
             return False
@@ -269,7 +270,7 @@ class HoeffdingAdaptiveTreeClassifier:
                     return  # the shallowest alternate on the mainline path votes alone
                 self._alternate_votes(alt_path, values, out, routes)
 
-    def vote(self, instance: Instance) -> list:
+    def predict(self, instance: Instance) -> list:
         """Class distribution, with alternates contributing per voting_mode."""
         values = instance.values
         path = self._route(self._root, values)
@@ -288,24 +289,10 @@ class HoeffdingAdaptiveTreeClassifier:
                     combined[i] += m / total
         return combined
 
-    predict = vote
-
     def predict_label(self, instance: Instance) -> int:
-        return argmax_label(self.vote(instance))
+        return argmax_label(self.predict(instance))
 
     # -- introspection -----------------------------------------------------------
-
-    def n_alternates(self) -> int:
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.alternate is not None:
-                count += 1
-                stack.append(node.alternate)
-            if node.mainline.__class__ is SplitNode:
-                stack.extend(node.mainline.children)
-        return count
 
     def dump(self, include_detectors: bool = True) -> str:
         lines: list[str] = []

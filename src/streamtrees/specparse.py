@@ -108,29 +108,6 @@ class StreamSpec:
     generator_name: str
     items: tuple
 
-    @property
-    def parameters(self) -> dict:
-        return {f: v for f, v in self.items if not isinstance(v, StreamSpec)}
-
-    @property
-    def sub_specs(self) -> list:
-        return [v for _, v in self.items if isinstance(v, StreamSpec)]
-
-    def get(self, flag: str, default=None):
-        for f, v in self.items:
-            if f == flag:
-                return v
-        return default
-
-    @property
-    def seed(self) -> int | None:
-        info = GENERATORS[self.generator_name]
-        for f in info.seed_flags:
-            v = self.get(f)
-            if v is not None:
-                return v
-        return info.default_seed
-
     def canonical(self) -> str:
         parts = [self.generator_name]
         for flag, value in self.items:
@@ -203,7 +180,7 @@ def parse_stream_spec(text: str) -> StreamSpec:
     if not text or not text.strip():
         raise ParseError("empty stream specification", 0)
     tokens = _tokenize(text)
-    spec, pos = _parse_spec(tokens, 0, len(text), depth=0)
+    spec, pos = _parse_spec(tokens, 0)
     if pos != len(tokens):
         kind, val, off = tokens[pos]
         if kind == "paren" and val == ")":
@@ -212,7 +189,7 @@ def parse_stream_spec(text: str) -> StreamSpec:
     return spec
 
 
-def _parse_spec(tokens, pos: int, text_len: int, depth: int):
+def _parse_spec(tokens, pos: int):
     kind, name, off = tokens[pos]
     if kind != "word":
         raise ParseError(f"expected generator name, got {name!r}", off)
@@ -246,7 +223,7 @@ def _parse_spec(tokens, pos: int, text_len: int, depth: int):
             pos += 1
             if pos >= len(tokens):
                 raise ParseError("unbalanced parentheses: missing sub-spec", open_off)
-            sub, pos = _parse_spec(tokens, pos, text_len, depth + 1)
+            sub, pos = _parse_spec(tokens, pos)
             if pos >= len(tokens) or tokens[pos][:2] != ("paren", ")"):
                 raise ParseError("unbalanced parentheses: missing ')'", open_off)
             pos += 1

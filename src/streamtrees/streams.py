@@ -25,6 +25,9 @@ import numpy as np
 from .schema import Instance, Schema, new_instance
 
 _BLOCK = 1024
+# the most value cells an AbruptDriftGenerator table may have; the testbench's
+# largest is 5**5 = 3125, and one class per cell costs 8 bytes
+_MAX_CELLS = 2**20
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -141,9 +144,11 @@ class AbruptDriftGenerator(_Stream):
 
     A starting cell table is drawn (Gamma(1,1) value probabilities, uniform
     class per cell) and a post-drift table derived from it via ``apply_drift``.
-    In recurrent mode the two tables alternate every ``drift_point`` instances
-    (or every ``period`` when given); otherwise the post table takes over for
-    good at t >= drift_point.
+    In recurrent mode the two tables alternate every ``drift_point``
+    instances; otherwise the post table takes over for good at t >=
+    drift_point. A table holds a class for each of its ``n_values **
+    n_attributes`` value cells; more than 2**20 cells are rejected before any
+    is allocated.
     """
 
     def __init__(
@@ -154,29 +159,24 @@ class AbruptDriftGenerator(_Stream):
         magnitude: float = 1.0,
         drift_point: int = 150_000,
         recurrent: bool = False,
-        period: int | None = None,
         seed: int = 1,
     ):
         super().__init__()
         if drift_point < 1:
             raise ValueError("drift_point must be >= 1")
-        if period is not None and period < 1:
-            raise ValueError(f"period must be >= 1, got {period}")
+        cells = n_values**n_attributes
+        if cells > _MAX_CELLS:
+            raise ValueError(f"{n_values}**{n_attributes} = {cells} cells exceed "
+                             f"the limit of {_MAX_CELLS} cells")
         self.schema = Schema.uniform_nominal(n_attributes, n_values, class_count)
         self.magnitude = magnitude
         self.drift_point = drift_point
         self.recurrent = recurrent
-        self.period = period if period is not None else drift_point
         self._rng = make_rng(seed)
         self.table_before = CellTable.random(self._rng, n_attributes, n_values, class_count)
         self.table_after = apply_drift(self.table_before, magnitude, self._rng)
         self._cum = [np.cumsum(p) for p in self.table_before.attribute_value_probs]
         self._t = 0
-
-    def table_at(self, t: int) -> CellTable:
-        if self.recurrent:
-            return self.table_after if (t // self.period) % 2 == 1 else self.table_before
-        return self.table_after if t >= self.drift_point else self.table_before
 
     def _make_block(self) -> list[Instance]:
         n_attr = self.schema.n_attributes
@@ -190,7 +190,7 @@ class AbruptDriftGenerator(_Stream):
             cells = cells * len(cum) + values[:, i]
         ts = np.arange(self._t, self._t + _BLOCK)
         if self.recurrent:
-            after = (ts // self.period) % 2 == 1
+            after = (ts // self.drift_point) % 2 == 1
         else:
             after = ts >= self.drift_point
         labels = np.where(
@@ -343,17 +343,7 @@ class RecurrentConceptDriftStream(_Stream):
         self.width = width
         self._rng = make_rng(seed)
         self._t = 0
-        self._u = np.empty(0)
-        self._upos = 0
         self._sources = (base._instances, drift._instances)
-
-    def _uniform(self) -> float:
-        if self._upos >= len(self._u):
-            self._u = self._rng.random(_BLOCK)
-            self._upos = 0
-        u = self._u[self._upos]
-        self._upos += 1
-        return float(u)
 
     def prob_drift_stream(self, t: int) -> float:
         """Probability that instance t comes from the second (drift) stream."""
@@ -379,9 +369,14 @@ class RecurrentConceptDriftStream(_Stream):
         m = np.maximum(np.rint((ts - self.position) / self.period), 0.0)
         z = 4.0 * (ts - (self.position + m * self.period)) / self.width
         from_drift = (z > 60) == (m % 2 == 0)
-        for i in np.flatnonzero(np.abs(z) <= 60).tolist():
-            p = self.prob_drift_stream(t0 + i)
-            from_drift[i] = p >= 1.0 or (p > 0.0 and self._uniform() < p)
+        window = np.flatnonzero(np.abs(z) <= 60).tolist()
+        probs = [self.prob_drift_stream(t0 + i) for i in window]
+        # one uniform per instance with 0 < p < 1, drawn in instance order;
+        # PCG64 doubles concatenate across calls, so the sequence drawn does
+        # not depend on how the blocks cut it
+        draws = iter(self._rng.random(sum(0.0 < p < 1.0 for p in probs)).tolist())
+        for i, p in zip(window, probs):
+            from_drift[i] = p >= 1.0 or (p > 0.0 and next(draws) < p)
         # each run of instances from one sub-stream is copied whole
         bounds = [0, *(np.flatnonzero(from_drift[1:] != from_drift[:-1]) + 1).tolist(), _BLOCK]
         block: list[Instance] = []

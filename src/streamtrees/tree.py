@@ -296,23 +296,17 @@ class LearningLeaf:
         return True
 
     def eviscerate(self) -> None:
-        """Clear statistics and class distribution in place."""
-        schema = self.stats.schema
-        self.stats = NodeStatistics(schema)
-        self.class_dist = [0.0] * schema.class_count
-        self.total_weight = 0.0
-        self.node_time = 0
-        self.counter_at_last_eval = 0.0
-        self.eval_count = 0
-        self.gain_sums = [0.0] * schema.n_attributes
-        if self.buffer is not None:
-            self.buffer = []
+        """Clear statistics and class distribution in place.
+
+        The leaf becomes a fresh leaf on the same path: it keeps only its used
+        attributes and whether it buffers instances.
+        """
+        self.__init__(self.stats.schema, None, self.used_attributes, self.buffer is not None)
 
 
 @dataclass
 class SplitDecision:
     best_attribute: int | None  # None stands for the null split
-    second_best_attribute: int | None
     best_merit: float
     second_merit: float
     epsilon: float
@@ -365,14 +359,13 @@ def evaluate_split(leaf: LearningLeaf, config: StrategyConfig, class_count: int)
     if best is None or best[1] < 0.0:
         # the null split outranks every attribute
         second_merit = best[1] if best is not None else 0.0
-        return SplitDecision(None, best[0] if best else None, 0.0, second_merit, eps, NO_SPLIT)
+        return SplitDecision(None, 0.0, second_merit, eps, NO_SPLIT)
 
-    second_attr, second_merit = (second[0], second[1]) if second is not None else (None, -math.inf)
-    if second_merit < 0.0:
-        second_attr, second_merit = None, 0.0  # null split becomes the runner-up
+    # the null split, at merit 0, is the runner-up unless an attribute beats it
+    second_merit = max(second[1], 0.0) if second is not None else 0.0
 
     attr, merit, split_info = best
-    decision = SplitDecision(attr, second_attr, merit, second_merit, eps, NO_SPLIT)
+    decision = SplitDecision(attr, merit, second_merit, eps, NO_SPLIT)
     if split_info is not None:
         decision.threshold = split_info[0]
         decision.child_dists = (split_info[1], split_info[2])

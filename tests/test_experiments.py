@@ -20,7 +20,10 @@ from streamtrees.experiments import (
     preset,
     run_experiment,
 )
+from streamtrees.hat import HatConfig
 from streamtrees.specparse import parse_stream_spec
+from streamtrees.streams import CellTable
+from streamtrees.tree import StrategyConfig
 
 
 SMALL_STREAMS = [
@@ -74,7 +77,34 @@ def test_parse_hat_learner_with_base_flags():
     cfg = spec.config()
     assert cfg.voting_mode == "single_alternate"
     assert cfg.poisson_weighting
-    assert cfg.base.allow_resplit
+    assert cfg.allow_resplit
+
+
+# a valid value other than the default for every learner flag
+FLAG_TEXT = {
+    "eidetic": "true", "allow_resplit": "yes", "eviscerate_on_used_best": "1",
+    "infogain_mode": "averaged_over_evaluations", "counter_mode": "node_time",
+    "grace_period": "50", "delta": "0.001", "tau": "1",
+    "voting_mode": "single_alternate", "poisson_weighting": "true",
+    "replace_root_on_alternate_split": "true", "replace_subtree_on_alternate_split": "true",
+    "replacement_check_interval": "10", "replacement_delta": "0.1",
+    "alternate_depth_cap": "3", "detector": "neverfire", "detector_delta": "0.01",
+    "detector_check_interval": "16",
+}
+BASE_FIELDS = {f.name for f in dataclasses.fields(StrategyConfig)}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(HatConfig), ids=lambda f: f.name)
+def test_flag_table_types_every_field_alike_on_vfdt_and_hat_lines(field):
+    flag = f"{field.name}={FLAG_TEXT[field.name]}"
+    value = getattr(parse_learner_line(f"h hat {flag}").config(), field.name)
+    assert value != field.default and type(value) is type(field.default)
+    if field.name in BASE_FIELDS:
+        vfdt_value = getattr(parse_learner_line(f"v vfdt {flag}").config(), field.name)
+        assert vfdt_value == value and type(vfdt_value) is type(value)
+    else:
+        with pytest.raises(ConfigError, match="unknown vfdt option"):
+            parse_learner_line(f"v vfdt {flag}")
 
 
 @pytest.mark.parametrize(
@@ -213,9 +243,9 @@ def test_amnesia_preset_matches_figure_protocol():
     a, b = cfg.learners
     assert not a.config().eidetic and b.config().eidetic
     assert cfg.streams == [AMNESIA_STREAM]
-    spec = parse_stream_spec(AMNESIA_STREAM)
-    assert spec.get("b") == 150_000 and spec.get("o") == 1.0
-    assert spec.get("n") == 5 and spec.get("z") == 5 and spec.get("v") == 5
+    flags = dict(parse_stream_spec(AMNESIA_STREAM).items)
+    assert flags["b"] == 150_000 and flags["o"] == 1.0
+    assert flags["n"] == 5 and flags["z"] == 5 and flags["v"] == 5
     assert cfg.seeds == 10 and cfg.n_instances == 300_000 and cfg.snapshot_every == 1000
 
 
@@ -248,14 +278,14 @@ def test_every_preset_executes_end_to_end(tmp_path, name):
 
 def test_hat_counter_mode_reaches_base_and_eval_timer_is_rejected():
     cfg = parse_learner_line("h hat counter_mode=node_time").config()
-    assert cfg.base.counter_mode == "node_time"
+    assert cfg.counter_mode == "node_time"
     with pytest.raises(ConfigError, match="eval_timer"):
         parse_learner_line("h hat eval_timer=node_time")
 
 
 def test_abrupt_rows_match_published_parametrizations():
-    dims = [(parse_stream_spec(r).get("z"), parse_stream_spec(r).get("n"),
-             parse_stream_spec(r).get("v")) for r in ABRUPT_ROWS]
+    dims = [(flags["z"], flags["n"], flags["v"])
+            for flags in (dict(parse_stream_spec(r).items) for r in ABRUPT_ROWS)]
     assert dims == [(2, 2, 2), (3, 2, 2), (3, 3, 2), (3, 3, 3), (3, 3, 4),
                     (3, 3, 5), (4, 2, 2), (4, 4, 4), (5, 2, 2), (5, 5, 5)]
 
@@ -372,9 +402,16 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys, body, fragment):
         ("HyperplaneGenerator -t inf", "not finite"),
         ("AbruptDriftGenerator -d Gradual", "drift pattern"),
         ("RecurrentConceptDriftStream -x 100 -s (STAGGERGenerator -i 1)", "needs both"),
+        # cell tables too large to allocate are rejected by their cell count
+        ("AbruptDriftGenerator -n 20 -z 5 -v 2", "5**20 = 95367431640625 cells"),
+        ("AbruptDriftGenerator -n 12 -z 5 -v 2", "5**12 = 244140625 cells"),
     ],
 )
-def test_cli_bad_stream_spec_exits_2(tmp_path, capsys, row, fragment):
+def test_cli_bad_stream_spec_exits_2(tmp_path, capsys, monkeypatch, row, fragment):
+    def no_table(*args):
+        raise AssertionError("a cell table was allocated")
+
+    monkeypatch.setattr(CellTable, "random", no_table)
     conf = tmp_path / "bad.conf"
     conf.write_text(f"learner = a vfdt\nstream = {row}\n")
     out = tmp_path / "out"

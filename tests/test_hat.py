@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -77,6 +78,20 @@ def _schema():
     return Schema.uniform_nominal(2, 2, 2)
 
 
+def _count_alternates(hat) -> int:
+    """Alternates hanging anywhere in the tree, nested ones included, by a tree walk."""
+    count = 0
+    stack = [hat._root]
+    while stack:
+        node = stack.pop()
+        if node.alternate is not None:
+            count += 1
+            stack.append(node.alternate)
+        if isinstance(node.mainline, SplitNode):
+            stack.extend(node.mainline.children)
+    return count
+
+
 # --------------------------------------------------------------------------
 # reduction to the base tree
 # --------------------------------------------------------------------------
@@ -95,7 +110,8 @@ def _schema():
 def test_never_fire_hat_equals_vfdt_exactly(row, base):
     s1, s2 = build_stream(row), build_stream(row)
     vfdt = HoeffdingTreeClassifier(s1.schema, base)
-    hat = HoeffdingAdaptiveTreeClassifier(s2.schema, HatConfig(base=base, detector="neverfire"))
+    config = HatConfig(**dataclasses.asdict(base), detector="neverfire")
+    hat = HoeffdingAdaptiveTreeClassifier(s2.schema, config)
     for _ in range(20_000):
         i1, i2 = s1.next_instance(), s2.next_instance()
         assert vfdt.predict_label(i1) == hat.predict_label(i2)
@@ -109,7 +125,7 @@ def test_never_fire_hat_grows_no_alternates():
     hat = HoeffdingAdaptiveTreeClassifier(stream.schema, HatConfig(detector="neverfire"))
     for _ in range(20_000):
         hat.train(stream.next_instance())
-    assert hat.n_alternates() == 0
+    assert _count_alternates(hat) == 0
 
 
 # --------------------------------------------------------------------------
@@ -122,12 +138,12 @@ def test_forced_fire_sprouts_exactly_one_alternate():
     for i in range(10):
         hat.train(Instance((i % 2, 0), i % 2))
     assert hat._root.alternate is not None
-    assert hat.n_alternates() == 1
+    assert _count_alternates(hat) == 1
     first_alt = hat._root.alternate
     # later fires must not stack a second alternate
     hat._root.detector = FireOnceDetector(fire_at=1)
     hat.train(Instance((0, 0), 0))
-    assert hat.n_alternates() == 1
+    assert _count_alternates(hat) == 1
 
 
 def test_detector_fire_restarts_stale_alternate():
@@ -225,8 +241,7 @@ def test_promotion_preserves_subtree_structure():
 
 
 def test_premature_root_replacement_on_first_alternate_split():
-    config = HatConfig(replace_root_on_alternate_split=True,
-                       base=StrategyConfig(tau=0.2))
+    config = HatConfig(replace_root_on_alternate_split=True, tau=0.2)
     stream = build_stream("STAGGERGenerator -i 4 -f 2")
     hat = HoeffdingAdaptiveTreeClassifier(stream.schema, config)
     hat._root.alternate = hat._new_node()
@@ -303,7 +318,7 @@ def test_vote_without_alternates_matches_base_predict_in_all_modes():
 def test_vote_symmetric_opposites_tie_to_class_zero():
     hat = _hat_with_alternate(VOTE_MULTI, [10.0, 0.0], [0.0, 10.0])
     inst = Instance((0,), 0)
-    dist = hat.vote(inst)
+    dist = hat.predict(inst)
     assert dist == pytest.approx([1.0, 1.0])
     assert hat.predict_label(inst) == 0
 
@@ -311,17 +326,17 @@ def test_vote_symmetric_opposites_tie_to_class_zero():
 def test_vote_excluding_single_leaves_skips_leaf_alternates():
     hat = _hat_with_alternate(VOTE_MULTI_NO_SINGLE_LEAVES, [10.0, 0.0], [0.0, 10.0])
     inst = Instance((0,), 0)
-    assert hat.vote(inst) == [10.0, 0.0]  # mainline alone
+    assert hat.predict(inst) == [10.0, 0.0]  # mainline alone
     assert hat.predict_label(inst) == 0
     # once the alternate has structure it votes again
     hat2 = _hat_with_alternate(VOTE_MULTI_NO_SINGLE_LEAVES, [10.0, 0.0], [0.0, 10.0], alt_split=True)
-    assert hat2.vote(inst) == pytest.approx([1.0, 1.0])
+    assert hat2.predict(inst) == pytest.approx([1.0, 1.0])
 
 
 def test_single_mode_uses_shallowest_alternate_only():
     hat = _hat_with_alternate(VOTE_SINGLE, [8.0, 2.0], [0.0, 10.0])
     inst = Instance((0,), 0)
-    assert hat.vote(inst) == pytest.approx([0.8, 1.2])
+    assert hat.predict(inst) == pytest.approx([0.8, 1.2])
     assert hat.predict_label(inst) == 1
 
 
@@ -403,7 +418,7 @@ def test_poisson_weighting_keeps_node_time_on_instances():
     config = HatConfig(
         poisson_weighting=True,
         detector="neverfire",
-        base=StrategyConfig(grace_period=10_000),  # keep the root a leaf
+        grace_period=10_000,  # keep the root a leaf
     )
     hat = HoeffdingAdaptiveTreeClassifier(_schema(), config, seed=1)
     for i in range(1000):
@@ -454,7 +469,7 @@ def test_hat_with_resplitting_flag_keeps_adapting():
     stream = build_stream(
         "AbruptDriftGenerator -c -o 1.0 -z 2 -n 2 -v 2 -r 3 -b 30000 -d Recurrent"
     )
-    config = HatConfig(base=StrategyConfig(allow_resplit=True))
+    config = HatConfig(allow_resplit=True)
     hat = HoeffdingAdaptiveTreeClassifier(stream.schema, config)
     errs = 0
     for _ in range(120_000):
@@ -468,7 +483,7 @@ def test_hat_with_evisceration_flag_keeps_adapting():
     stream = build_stream(
         "AbruptDriftGenerator -c -o 1.0 -z 2 -n 2 -v 2 -r 3 -b 30000 -d Recurrent"
     )
-    config = HatConfig(base=StrategyConfig(eviscerate_on_used_best=True))
+    config = HatConfig(eviscerate_on_used_best=True)
     hat = HoeffdingAdaptiveTreeClassifier(stream.schema, config)
     errs = 0
     for _ in range(120_000):

@@ -56,10 +56,10 @@ def test_abrupt_row_parses_to_expected_fields():
         "AbruptDriftGenerator -c -o 1.0 -z 3 -n 3 -v 5 -r 2 -b 200000 -d Recurrent"
     )
     assert spec.generator_name == "AbruptDriftGenerator"
-    assert spec.parameters == {
-        "c": True, "o": 1.0, "z": 3, "n": 3, "v": 5, "r": 2, "b": 200000, "d": "Recurrent",
-    }
-    assert spec.seed == 2
+    assert spec.items == (
+        ("c", True), ("o", 1.0), ("z", 3), ("n", 3), ("v", 5), ("r", 2), ("b", 200000),
+        ("d", "Recurrent"),
+    )
     gen = build_generator(spec)
     assert gen.schema.n_attributes == 3
     assert gen.schema.n_values(0) == 3
@@ -75,9 +75,10 @@ def test_nested_wrapper_row_parses_recursively():
         "-s (STAGGERGenerator -i 2 -f 2) -d (STAGGERGenerator -i 3 -f 3)"
     )
     assert spec.generator_name == "RecurrentConceptDriftStream"
-    subs = spec.sub_specs
+    flags = dict(spec.items)
+    subs = [flags["s"], flags["d"]]
     assert [s.generator_name for s in subs] == ["STAGGERGenerator", "STAGGERGenerator"]
-    assert [s.get("f") for s in subs] == [2, 3]
+    assert [dict(s.items)["f"] for s in subs] == [2, 3]
     gen = build_generator(spec)
     assert isinstance(gen, RecurrentConceptDriftStream)
     assert isinstance(gen.base, StaggerGenerator) and gen.base.function == 2
@@ -185,8 +186,10 @@ def test_reseeded_variants_shift_every_seed_flag():
         "-s (STAGGERGenerator -i 2 -f 2) -d (STAGGERGenerator -i 3 -f 3)"
     )
     shifted = spec.reseeded(2)
-    assert shifted.get("r") == 2001
-    assert [s.get("i") for s in shifted.sub_specs] == [2002, 2003]
+    assert shifted.canonical() == (
+        "RecurrentConceptDriftStream -x 100 -y 100 -z 10 "
+        "-s (STAGGERGenerator -i 2002 -f 2) -d (STAGGERGenerator -i 2003 -f 3) -r 2001"
+    )
     # identical variants give identical specs; different variants differ
     assert spec.reseeded(1) == spec.reseeded(1)
     assert spec.reseeded(1) != shifted
@@ -205,7 +208,8 @@ def test_reseeded_variants_shift_every_seed_flag():
 def test_variant_zero_of_an_unseeded_spec_is_the_unseeded_build(row):
     spec = parse_stream_spec(row)
     info = GENERATORS[spec.generator_name]
-    assert spec.seed == inspect.signature(info.cls).parameters["seed"].default
+    default = inspect.signature(info.cls).parameters["seed"].default
+    assert dict(spec.reseeded(0).items)[info.seed_flags[0]] == default
     assert build_generator(spec.reseeded(0)).take(1000) == build_generator(spec).take(1000)
 
 
