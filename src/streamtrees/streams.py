@@ -25,8 +25,8 @@ import numpy as np
 from .schema import Instance, Schema, new_instance
 
 _BLOCK = 1024
-# the most value cells an AbruptDriftGenerator table may have; the testbench's
-# largest is 5**5 = 3125, and one class per cell costs 8 bytes
+# the most cells an AbruptDriftGenerator table or a HyperplaneGenerator block may
+# have; the testbench's largest are 5**5 = 3125 and 1024 * 10, 8 bytes a cell
 _MAX_CELLS = 2**20
 
 
@@ -278,6 +278,8 @@ class HyperplaneGenerator(_Stream):
         seed: int = 1,
     ):
         super().__init__()
+        if _BLOCK * n_attributes > _MAX_CELLS:
+            raise ValueError(f"{n_attributes} attributes make blocks of over {_MAX_CELLS} cells")
         if drift_attributes > n_attributes:
             raise ValueError("drift_attributes cannot exceed n_attributes")
         if not 0.0 <= noise < 1.0:

@@ -1,9 +1,9 @@
 """Incremental decision tree driven by the Hoeffding split test.
 
-Leaves accumulate attribute-value-class counts (``n[attr][value][class]``)
-in place of instances and are evaluated for a split whenever their counter
-has advanced by a grace period. Every behavior the base algorithm leaves
-open is a flag on :class:`StrategyConfig`:
+Leaves keep attribute-value-class counts (``n[attr][value][class]``) and
+per-class Gaussian columns with one count per class, not instances, and are
+evaluated for a split whenever their counter has advanced by a grace period.
+Each behavior the base algorithm leaves open is a flag on :class:`StrategyConfig`:
 
 - ``eidetic``: keep a replay buffer so fresh children start from exact
   recounts instead of zeroed statistics (the default "amnesiac" children).
@@ -101,28 +101,37 @@ def hoeffding_bound(value_range: float, delta: float, n: float) -> float:
 
 
 class NodeStatistics:
-    """Per-leaf attribute observers: nominal counts and per-class Gaussians."""
+    """Per-leaf attribute observers: nominal counts and per-class Gaussians.
 
-    __slots__ = ("schema", "nominal", "numeric", "minmax", "nominal_attrs", "numeric_attrs")
+    Numeric attribute ``i`` is column ``j = slot[i]``, its place in
+    ``numeric_attrs``: class ``c`` has Welford's ``means[c][j]`` and ``m2s[c][j]``,
+    and ``lo[j]``/``hi[j]`` bound the values seen. Every numeric attribute sees
+    the same weights, so ``counts[c]`` is one count per class, shared by all.
+    """
+
+    __slots__ = ("schema", "nominal", "nominal_attrs", "numeric_attrs", "slot",
+                 "counts", "means", "m2s", "lo", "hi")
 
     def __init__(self, schema: Schema):
         self.schema = schema
         c = schema.class_count
-        self.nominal: list = []
-        self.numeric: list = []
-        self.minmax: list = []
-        for attr in schema.attributes:
-            if schema.is_nominal(len(self.nominal)):
-                self.nominal.append([[0.0] * c for _ in range(attr.n_values)])
-                self.numeric.append(None)
-                self.minmax.append(None)
-            else:
-                self.nominal.append(None)
-                self.numeric.append([[0.0, 0.0, 0.0] for _ in range(c)])
-                self.minmax.append([math.inf, -math.inf])
+        self.nominal = [
+            [[0.0] * c for _ in range(attr.n_values)] if schema.is_nominal(i) else None
+            for i, attr in enumerate(schema.attributes)
+        ]
         # the attribute indices of each kind, so observe never branches on it
-        self.nominal_attrs = [i for i, counts in enumerate(self.nominal) if counts is not None]
-        self.numeric_attrs = [i for i, obs in enumerate(self.numeric) if obs is not None]
+        self.nominal_attrs = [i for i, table in enumerate(self.nominal) if table is not None]
+        self.numeric_attrs = [i for i, table in enumerate(self.nominal) if table is None]
+        self.slot = {i: j for j, i in enumerate(self.numeric_attrs)}
+        m = len(self.numeric_attrs)
+        if not m:  # observe returns before the columns and no split reads them
+            self.counts = self.means = self.m2s = self.lo = self.hi = ()
+            return
+        self.counts = [0.0] * c
+        self.means = [[0.0] * m for _ in range(c)]
+        self.m2s = [[0.0] * m for _ in range(c)]
+        self.lo = [math.inf] * m
+        self.hi = [-math.inf] * m
 
     def observe(self, values, label: int, weight: float) -> None:
         if weight <= 0.0:
@@ -130,43 +139,24 @@ class NodeStatistics:
         nominal = self.nominal
         for i in self.nominal_attrs:
             nominal[i][values[i]][label] += weight
-        numeric = self.numeric
-        minmax = self.minmax
-        for i in self.numeric_attrs:
+        numeric_attrs = self.numeric_attrs
+        if not numeric_attrs:
+            return
+        count = self.counts[label] + weight
+        self.counts[label] = count
+        means, m2s = self.means[label], self.m2s[label]
+        lo, hi = self.lo, self.hi
+        for j, i in enumerate(numeric_attrs):
             v = values[i]
-            obs = numeric[i][label]
-            count = obs[0] + weight
-            delta = v - obs[1]
-            mean = obs[1] + weight * delta / count
-            obs[0] = count
-            obs[1] = mean
-            obs[2] += weight * delta * (v - mean)
-            mm = minmax[i]
-            if v < mm[0]:
-                mm[0] = v
-            if v > mm[1]:
-                mm[1] = v
-
-    def total_observed(self, attr: int) -> float:
-        counts = self.nominal[attr]
-        if counts is not None:
-            return sum(sum(row) for row in counts)
-        return sum(obs[0] for obs in self.numeric[attr])
-
-
-def _class_gaussians(observers) -> list:
-    """(count, mean, sd) of each class's Gaussian; sd is 0.0 when it has no spread.
-
-    A class with no mass gets mean +inf, so its left mass is 0.0 at every cut.
-    """
-    out = []
-    for count, mean, m2 in observers:
-        if count <= 0.0:
-            out.append((count, math.inf, 0.0))
-            continue
-        var = m2 / count
-        out.append((count, mean, 0.0 if var <= 1e-12 else math.sqrt(var)))
-    return out
+            mean = means[j]
+            delta = v - mean
+            mean += weight * delta / count
+            means[j] = mean
+            m2s[j] += weight * delta * (v - mean)
+            if v < lo[j]:
+                lo[j] = v
+            if v > hi[j]:
+                hi[j] = v
 
 
 def _gain_with_split(stats, class_dist, parent_entropy, attribute):
@@ -191,13 +181,21 @@ def _gain_with_split(stats, class_dist, parent_entropy, attribute):
                 weighted += t * entropy(row, t)
         return parent_entropy - weighted / total, None
 
-    observers = stats.numeric[attribute]
-    lo, hi = stats.minmax[attribute]
-    total = sum(obs[0] for obs in observers)
+    j = stats.slot[attribute]
+    lo, hi = stats.lo[j], stats.hi[j]
+    counts = stats.counts
+    total = sum(counts)
     if total <= 0.0 or hi <= lo:
         return 0.0, None
-    gaussians = _class_gaussians(observers)
-    counts = [g[0] for g in gaussians]
+    # each class's (count, mean, sd): sd is 0.0 with no spread, and a class with
+    # no mass gets mean +inf, so its left mass is 0.0 at every cut
+    gaussians = []
+    for count, means, m2s in zip(counts, stats.means, stats.m2s):
+        if count <= 0.0:
+            gaussians.append((count, math.inf, 0.0))
+            continue
+        var = m2s[j] / count
+        gaussians.append((count, means[j], 0.0 if var <= 1e-12 else math.sqrt(var)))
     erf = math.erf
     best_gain = -math.inf
     best = None

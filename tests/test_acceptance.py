@@ -114,7 +114,8 @@ def test_criterion_2_oracle_suites():
                 fresh.observe(inst.values, inst.class_label, inst.weight)
                 dist[inst.class_label] += inst.weight
             assert leaf.stats.nominal == fresh.nominal
-            assert leaf.stats.numeric == fresh.numeric
+            for field in ("counts", "means", "m2s", "lo", "hi"):
+                assert getattr(leaf.stats, field) == getattr(fresh, field), field
             assert leaf.class_dist == dist
             checked += 1
         assert checked >= 2

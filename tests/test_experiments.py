@@ -405,6 +405,9 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys, body, fragment):
         # cell tables too large to allocate are rejected by their cell count
         ("AbruptDriftGenerator -n 20 -z 5 -v 2", "5**20 = 95367431640625 cells"),
         ("AbruptDriftGenerator -n 12 -z 5 -v 2", "5**12 = 244140625 cells"),
+        # and so are hyperplane blocks, by their instances times attributes
+        ("HyperplaneGenerator -a 1000000", "1000000 attributes make blocks of over 1048576"),
+        ("HyperplaneGenerator -a 1025", "1025 attributes make blocks of over 1048576"),
     ],
 )
 def test_cli_bad_stream_spec_exits_2(tmp_path, capsys, monkeypatch, row, fragment):

@@ -1,15 +1,21 @@
 """Property harness for the invariants that hold across configurations."""
 
+import math
+import operator
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from streamtrees.schema import Schema
+from streamtrees.schema import NominalAttribute, NumericAttribute, Schema
 from streamtrees.specparse import build_generator, parse_stream_spec
 from streamtrees.streams import AbruptDriftGenerator
 from streamtrees.tree import (
+    _NUMERIC_SPLIT_POINTS,
+    _SQRT2,
     RESPLIT,
     HoeffdingTreeClassifier,
     LearningLeaf,
+    NodeStatistics,
     StrategyConfig,
     _gain_with_split,
     argmax_label,
@@ -19,6 +25,7 @@ from streamtrees.tree import (
     perform_split,
 )
 from test_detectors import assert_matches_reference
+from test_tree import observed_mass
 
 CASES = settings(max_examples=1000, deadline=None)
 
@@ -91,8 +98,148 @@ def test_count_conservation_across_attributes(seed, n_attrs, n_values, classes):
         leaf.learn(values, int(rng.integers(0, classes)), weight)
         total += weight
     for attr in range(n_attrs):
-        assert abs(leaf.stats.total_observed(attr) - total) < 1e-9
+        assert abs(observed_mass(leaf.stats, attr) - total) < 1e-9
     assert abs(sum(leaf.class_dist) - total) < 1e-9
+
+
+class PerAttributeObserver:
+    """Reference numeric observer with a count of its own per (attribute, class).
+
+    ``numeric[i][c]`` is ``[count, mean, M2]`` and ``minmax[i]`` is
+    ``[min, max]``, each updated attribute by attribute with Welford's
+    statements in the order ``NodeStatistics.observe`` must keep.
+    """
+
+    def __init__(self, schema):
+        c = schema.class_count
+        self.nominal = [
+            [[0.0] * c for _ in range(attr.n_values)] if schema.is_nominal(i) else None
+            for i, attr in enumerate(schema.attributes)
+        ]
+        self.numeric = [
+            None if table is not None else [[0.0, 0.0, 0.0] for _ in range(c)]
+            for table in self.nominal
+        ]
+        self.minmax = [None if table is not None else [math.inf, -math.inf]
+                       for table in self.nominal]
+
+    def observe(self, values, label, weight):
+        if weight <= 0.0:
+            return
+        for i, v in enumerate(values):
+            if self.nominal[i] is not None:
+                self.nominal[i][v][label] += weight
+                continue
+            obs = self.numeric[i][label]
+            count = obs[0] + weight
+            delta = v - obs[1]
+            mean = obs[1] + weight * delta / count
+            obs[0] = count
+            obs[1] = mean
+            obs[2] += weight * delta * (v - mean)
+            mm = self.minmax[i]
+            if v < mm[0]:
+                mm[0] = v
+            if v > mm[1]:
+                mm[1] = v
+
+
+def class_gaussians(observers):
+    """(count, mean, sd) of each class's Gaussian; a class with no mass gets mean +inf."""
+    out = []
+    for count, mean, m2 in observers:
+        if count <= 0.0:
+            out.append((count, math.inf, 0.0))
+            continue
+        var = m2 / count
+        out.append((count, mean, 0.0 if var <= 1e-12 else math.sqrt(var)))
+    return out
+
+
+def numeric_gain_oracle(observers, minmax, parent_entropy):
+    """Best gain and (threshold, left, right) over the cut points, per-attribute layout."""
+    lo, hi = minmax
+    total = sum(obs[0] for obs in observers)
+    if total <= 0.0 or hi <= lo:
+        return 0.0, None
+    gaussians = class_gaussians(observers)
+    counts = [g[0] for g in gaussians]
+    best_gain = -math.inf
+    best = None
+    step = (hi - lo) / (_NUMERIC_SPLIT_POINTS + 1)
+    for k in range(1, _NUMERIC_SPLIT_POINTS + 1):
+        t = lo + k * step
+        left = [
+            count * 0.5 * (1.0 + math.erf((t - mean) / sd / _SQRT2)) if sd
+            else count if mean <= t else 0.0
+            for count, mean, sd in gaussians
+        ]
+        right = list(map(operator.sub, counts, left))
+        wl = sum(left)
+        wr = total - wl
+        if wl <= 1e-12 or wr <= 1e-12:
+            continue
+        gain = parent_entropy - (wl * entropy(left, wl) + wr * entropy(right, wr)) / total
+        if gain > best_gain:
+            best_gain = gain
+            best = (t, left, right)
+    if best is None:
+        return 0.0, None
+    return best_gain, best
+
+
+@CASES
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    kinds=st.lists(st.one_of(st.none(), st.integers(min_value=2, max_value=4)),
+                   min_size=1, max_size=6),
+    classes=st.integers(min_value=2, max_value=4),
+    n=st.integers(min_value=0, max_value=120),
+    inherited=st.floats(min_value=0.0, max_value=50.0),
+)
+def test_column_statistics_equal_per_attribute_oracle(seed, kinds, classes, n, inherited):
+    """Per-class columns with one shared count are bit-equal to per-attribute
+    observers, on mixed schemas (``None`` marks a numeric attribute) and
+    zero, fractional and Poisson-like integer weights."""
+    schema = Schema(
+        tuple(NumericAttribute() if k is None else NominalAttribute(k) for k in kinds), classes
+    )
+    rng = _rng(seed)
+    stats = NodeStatistics(schema)
+    oracle = PerAttributeObserver(schema)
+    class_dist = [inherited] + [0.0] * (classes - 1)
+    for _ in range(n):
+        # a few repeated values give ties, constant attributes and zero spread
+        values = tuple(
+            int(rng.integers(0, k)) if k is not None
+            else float(rng.integers(0, 3)) if rng.random() < 0.2
+            else float(rng.normal(0.0, 10.0))
+            for k in kinds
+        )
+        label = int(rng.integers(0, classes))
+        weight = (0.0, float(rng.random()), float(rng.poisson(1.0)))[int(rng.integers(0, 3))]
+        stats.observe(values, label, weight)
+        oracle.observe(values, label, weight)
+        if weight > 0.0:
+            class_dist[label] += weight
+
+    assert stats.nominal == oracle.nominal
+    numeric = [i for i, k in enumerate(kinds) if k is None]
+    assert stats.numeric_attrs == numeric
+    parent_entropy = entropy(class_dist)
+    for i in numeric:
+        j = stats.slot[i]
+        for c in range(classes):
+            count, mean, m2 = oracle.numeric[i][c]
+            assert stats.counts[c] == count
+            assert stats.means[c][j] == mean
+            assert stats.m2s[c][j] == m2
+        assert [stats.lo[j], stats.hi[j]] == oracle.minmax[i]
+        gain, split = _gain_with_split(stats, class_dist, parent_entropy, i)
+        want_gain, want_split = numeric_gain_oracle(oracle.numeric[i], oracle.minmax[i],
+                                                    parent_entropy)
+        assert gain == want_gain
+        assert split == want_split  # threshold and both child masses
 
 
 @CASES

@@ -41,6 +41,11 @@ def info_gain(stats, class_dist, attribute):
     return _gain_with_split(stats, class_dist, entropy(class_dist), attribute)[0]
 
 
+def observed_mass(stats, attr):
+    """Class weight a nominal attribute's observer has seen since leaf creation."""
+    return sum(sum(row) for row in stats.nominal[attr])
+
+
 def fill_leaf(schema, pairs):
     """Build a leaf from (values, label) or (values, label, weight) tuples."""
     leaf = LearningLeaf(schema)
@@ -299,8 +304,8 @@ def test_amnesiac_children_start_with_zero_statistics():
     assert isinstance(node, SplitNode)
     assert len(node.children) == 2
     for j, child in enumerate(node.children):
-        assert child.stats.total_observed(0) == 0.0
-        assert child.stats.total_observed(1) == 0.0
+        assert observed_mass(child.stats, 0) == 0.0
+        assert observed_mass(child.stats, 1) == 0.0
         # class distribution derived from the parent's counts for this branch
         assert child.class_dist == leaf.stats.nominal[decision.best_attribute][j]
 
@@ -363,7 +368,7 @@ def test_eviscerate_clears_everything_in_place():
     assert leaf.class_dist == [0.0, 0.0]
     assert leaf.total_weight == 0.0
     assert leaf.node_time == 0
-    assert leaf.stats.total_observed(1) == 0.0
+    assert observed_mass(leaf.stats, 1) == 0.0
     # all-zero distribution falls back to class 0
     schema_tree = HoeffdingTreeClassifier(schema, StrategyConfig(eviscerate_on_used_best=True))
     schema_tree.root = leaf
@@ -428,7 +433,7 @@ def test_count_conservation_at_leaves():
     for _ in range(20_000):
         tree.train(stream.next_instance())
     for leaf in tree.leaves():
-        totals = {leaf.stats.total_observed(a) for a in range(3)}
+        totals = {observed_mass(leaf.stats, a) for a in range(3)}
         assert len(totals) == 1  # same observed mass on every nominal attribute
         observed = totals.pop()
         # class_dist = inherited + observed
