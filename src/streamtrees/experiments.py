@@ -1,8 +1,10 @@
 """Batch experiment grids: learners x streams x seeds, with CSV/markdown output.
 
 A config is a flat key=value file (repeated ``stream=`` and ``learner=``
-lines); presets bundle the flag pairs and stream lists for the published
-comparisons so they run by name.
+lines). A preset is the lines of such a file, two ``learner=`` lines and a
+row set for one published comparison, kept under a name; ``preset`` parses
+them with the parser ``parse_config_file`` uses, so those lines copied into a
+file run the same grid with ``--config``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .evaluate import (
 )
 from .hat import HatConfig, HoeffdingAdaptiveTreeClassifier
 from .specparse import OutOfScopeError, build_generator, build_stream, parse_stream_spec
-from .tree import AVERAGED, NODE_TIME, HoeffdingTreeClassifier, StrategyConfig
+from .tree import HoeffdingTreeClassifier, StrategyConfig
 
 
 class ConfigError(ValueError):
@@ -127,13 +129,15 @@ def parse_learner_line(text: str) -> LearnerSpec:
     parts = text.split()
     if len(parts) < 2:
         raise ConfigError(f"learner: expected 'name algorithm [flag=value ...]', got {text!r}")
-    overrides = []
+    overrides = {}
     for part in parts[2:]:
         if "=" not in part:
             raise ConfigError(f"learner {parts[0]}: flag {part!r} is not key=value")
         key, _, value = part.partition("=")
-        overrides.append((key, _typed_flag(key, value)))
-    return LearnerSpec(parts[0], parts[1].lower(), tuple(overrides))
+        if key in overrides:
+            raise ConfigError(f"learner {parts[0]}: flag {key!r} given twice")
+        overrides[key] = _typed_flag(key, value)
+    return LearnerSpec(parts[0], parts[1].lower(), tuple(overrides.items()))
 
 
 # config-file key, which is also the CLI long option -> (ExperimentConfig field, type)
@@ -146,32 +150,44 @@ SETTINGS = {
 }
 
 
-def parse_config_file(path: str) -> ExperimentConfig:
+def parse_config_lines(lines) -> ExperimentConfig:
+    """Build a config from config-file lines; errors name the line they are on."""
     cfg = ExperimentConfig(learners=[], streams=[])
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().lower()
-            value = value.strip()
-            if key == "stream":
-                cfg.streams.append(value)
-            elif key == "learner":
+    given = set()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().lower()
+        value = value.strip()
+        if key == "stream":
+            cfg.streams.append(value)
+        elif key == "learner":
+            try:
                 cfg.learners.append(parse_learner_line(value))
-            elif key in SETTINGS:
-                field, kind = SETTINGS[key]
-                try:
-                    setattr(cfg, field, kind(value))
-                except ValueError:
-                    raise ConfigError(
-                        f"line {lineno}: {key} expects an integer, got {value!r}") from None
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            except ConfigError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
+        elif key in SETTINGS:
+            if key in given:
+                raise ConfigError(f"line {lineno}: {key} given twice")
+            given.add(key)
+            field, kind = SETTINGS[key]
+            try:
+                setattr(cfg, field, kind(value))
+            except ValueError:
+                raise ConfigError(
+                    f"line {lineno}: {key} expects an integer, got {value!r}") from None
+        else:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
     return cfg
+
+
+def parse_config_file(path: str) -> ExperimentConfig:
+    with open(path, encoding="utf-8") as fh:
+        return parse_config_lines(fh)
 
 
 # --------------------------------------------------------------------------
@@ -218,88 +234,67 @@ ALTVOTE_ROWS = [r for r in ABRUPT_ROWS if " -z 2 " in r or " -z 3 " in r] + [
 
 AMNESIA_STREAM = "AbruptDriftGenerator -c -o 1.0 -z 5 -n 5 -v 5 -r 1 -b 150000"
 
+# Each preset is the lines of a config file: two learner lines and a row set,
+# plus any setting it changes. preset() parses them as parse_config_file would.
+_TESTBENCH = [f"stream = {row}" for row in TESTBENCH_ROWS]
 # the published-algorithm reading of the base learner: averaged gains over
 # evaluations, instance-count split timer
-_STRIPPED = (("infogain_mode", AVERAGED), ("counter_mode", NODE_TIME))
-_MOA_SIDE = (("allow_resplit", True),)  # instantaneous + weight_seen are the defaults
+_STRIPPED = "infogain_mode=averaged_over_evaluations counter_mode=node_time"
+_MOA_SIDE = "allow_resplit=true"  # instantaneous + weight_seen are the defaults
 # the multiple-alternate voting arms let alternates nest, up to 10 alternate edges
-_NESTED = ("alternate_depth_cap", 10)
-
-
-def _vfdt(name, *overrides) -> LearnerSpec:
-    return LearnerSpec(name, "vfdt", tuple(overrides))
-
-
-def _hat(name, *overrides) -> LearnerSpec:
-    return LearnerSpec(name, "hat", tuple(overrides))
-
-
-def _preset_config(learner_a, learner_b, streams, **settings) -> ExperimentConfig:
-    return ExperimentConfig(learners=[learner_a, learner_b], streams=list(streams), **settings)
-
+_MULTI_VOTE = "voting_mode=multiple_alternates alternate_depth_cap=10"
+_NO_SINGLE_LEAVES = "voting_mode=multiple_excluding_single_leaves alternate_depth_cap=10"
 
 _PRESETS = {
     # base tree flag studies
-    "resplit-vfdt": lambda: _preset_config(
-        _vfdt("vfdt"), _vfdt("vfdt-resplit", ("allow_resplit", True)), TESTBENCH_ROWS),
-    "infogain-vfdt": lambda: _preset_config(
-        _vfdt("vfdt-averaged", ("infogain_mode", AVERAGED)),
-        _vfdt("vfdt-instantaneous"), TESTBENCH_ROWS),
-    "counters-vfdt": lambda: _preset_config(
-        _vfdt("vfdt-node-time", ("counter_mode", NODE_TIME)),
-        _vfdt("vfdt-weight-seen"), TESTBENCH_ROWS),
-    "combined-vfdt": lambda: _preset_config(
-        _vfdt("vfdt-stripped", *_STRIPPED),
-        _vfdt("vfdt-combined", *_MOA_SIDE), TESTBENCH_ROWS),
-    "eviscerate-vfdt": lambda: _preset_config(
-        _vfdt("vfdt"), _vfdt("vfdt-eviscerate", ("eviscerate_on_used_best", True)),
-        TESTBENCH_ROWS),
+    "resplit-vfdt": ["learner = vfdt vfdt",
+                     "learner = vfdt-resplit vfdt allow_resplit=true", *_TESTBENCH],
+    "infogain-vfdt": ["learner = vfdt-averaged vfdt infogain_mode=averaged_over_evaluations",
+                      "learner = vfdt-instantaneous vfdt", *_TESTBENCH],
+    "counters-vfdt": ["learner = vfdt-node-time vfdt counter_mode=node_time",
+                      "learner = vfdt-weight-seen vfdt", *_TESTBENCH],
+    "combined-vfdt": [f"learner = vfdt-stripped vfdt {_STRIPPED}",
+                      f"learner = vfdt-combined vfdt {_MOA_SIDE}", *_TESTBENCH],
+    "eviscerate-vfdt": ["learner = vfdt vfdt",
+                        "learner = vfdt-eviscerate vfdt eviscerate_on_used_best=true",
+                        *_TESTBENCH],
     # adaptive tree flag studies
-    "resplit-hat": lambda: _preset_config(
-        _hat("hat"), _hat("hat-resplit", ("allow_resplit", True)), TESTBENCH_ROWS),
+    "resplit-hat": ["learner = hat hat",
+                    "learner = hat-resplit hat allow_resplit=true", *_TESTBENCH],
     # the alternate-voting study runs with a conservative replacement period in
     # both arms: promotion and voting compete for the same signal, and with
     # immediate promotion there is no window in which lookahead can matter
-    "altvote-hat": lambda: _preset_config(
-        _hat("hat", ("replacement_check_interval", 10_000)),
-        _hat("hat-single-vote", ("voting_mode", "single_alternate"),
-             ("replacement_check_interval", 10_000)),
-        ALTVOTE_ROWS),
-    "multialt-hat": lambda: _preset_config(
-        _hat("hat-multi-vote", ("voting_mode", "multiple_alternates"), _NESTED),
-        _hat("hat-single-vote", ("voting_mode", "single_alternate")), TESTBENCH_ROWS),
-    "singleleaf-hat": lambda: _preset_config(
-        _hat("hat-vote-no-single-leaves", ("voting_mode", "multiple_excluding_single_leaves"),
-             _NESTED),
-        _hat("hat-multi-vote", ("voting_mode", "multiple_alternates"), _NESTED), TESTBENCH_ROWS),
-    "poisson-hat": lambda: _preset_config(
-        _hat("hat-vote-no-single-leaves", ("voting_mode", "multiple_excluding_single_leaves"),
-             _NESTED),
-        _hat("hat-poisson", ("voting_mode", "multiple_excluding_single_leaves"),
-             ("poisson_weighting", True), _NESTED), TESTBENCH_ROWS),
-    "avg-infogain-hat": lambda: _preset_config(
-        _hat("hat"), _hat("hat-averaged", ("infogain_mode", AVERAGED)), TESTBENCH_ROWS),
-    "root-replace-hat": lambda: _preset_config(
-        _hat("hat-moa-flags", *_MOA_SIDE),
-        _hat("hat-root-replace", *_MOA_SIDE, ("replace_root_on_alternate_split", True)),
-        TESTBENCH_ROWS),
-    "subtree-replace-hat": lambda: _preset_config(
-        _hat("hat-moa-flags", *_MOA_SIDE),
-        _hat("hat-subtree-replace", *_MOA_SIDE, ("replace_subtree_on_alternate_split", True)),
-        TESTBENCH_ROWS),
-    "both-replace-hat": lambda: _preset_config(
-        _hat("hat"),
-        _hat("hat-both-replace", ("replace_root_on_alternate_split", True),
-             ("replace_subtree_on_alternate_split", True)), TESTBENCH_ROWS),
-    "vfdt-flags-in-hat": lambda: _preset_config(
-        _hat("hat-stripped", *_STRIPPED),
-        _hat("hat-moa-flags", *_MOA_SIDE), TESTBENCH_ROWS),
+    "altvote-hat": ["learner = hat hat replacement_check_interval=10000",
+                    "learner = hat-single-vote hat voting_mode=single_alternate "
+                    "replacement_check_interval=10000",
+                    *(f"stream = {row}" for row in ALTVOTE_ROWS)],
+    "multialt-hat": [f"learner = hat-multi-vote hat {_MULTI_VOTE}",
+                     "learner = hat-single-vote hat voting_mode=single_alternate", *_TESTBENCH],
+    "singleleaf-hat": [f"learner = hat-vote-no-single-leaves hat {_NO_SINGLE_LEAVES}",
+                       f"learner = hat-multi-vote hat {_MULTI_VOTE}", *_TESTBENCH],
+    "poisson-hat": [f"learner = hat-vote-no-single-leaves hat {_NO_SINGLE_LEAVES}",
+                    f"learner = hat-poisson hat {_NO_SINGLE_LEAVES} poisson_weighting=true",
+                    *_TESTBENCH],
+    "avg-infogain-hat": ["learner = hat hat",
+                         "learner = hat-averaged hat infogain_mode=averaged_over_evaluations",
+                         *_TESTBENCH],
+    "root-replace-hat": [f"learner = hat-moa-flags hat {_MOA_SIDE}",
+                         f"learner = hat-root-replace hat {_MOA_SIDE} "
+                         "replace_root_on_alternate_split=true", *_TESTBENCH],
+    "subtree-replace-hat": [f"learner = hat-moa-flags hat {_MOA_SIDE}",
+                            f"learner = hat-subtree-replace hat {_MOA_SIDE} "
+                            "replace_subtree_on_alternate_split=true", *_TESTBENCH],
+    "both-replace-hat": ["learner = hat hat",
+                         "learner = hat-both-replace hat replace_root_on_alternate_split=true "
+                         "replace_subtree_on_alternate_split=true", *_TESTBENCH],
+    "vfdt-flags-in-hat": [f"learner = hat-stripped hat {_STRIPPED}",
+                          f"learner = hat-moa-flags hat {_MOA_SIDE}", *_TESTBENCH],
     # drift-recovery figure: tie threshold opened up so the tree actually grows
     # on the 5x5x5 stream, identically in both arms
-    "amnesia-figure": lambda: _preset_config(
-        _vfdt("vfdt", ("tau", 0.15)),
-        _vfdt("vfdt-eidetic", ("tau", 0.15), ("eidetic", True)),
-        [AMNESIA_STREAM], n_instances=300_000, seeds=10, snapshot_every=1000),
+    "amnesia-figure": ["learner = vfdt vfdt tau=0.15",
+                       "learner = vfdt-eidetic vfdt tau=0.15 eidetic=true",
+                       f"stream = {AMNESIA_STREAM}",
+                       "instances = 300000", "seeds = 10", "snapshot-every = 1000"],
 }
 
 PRESET_NAMES = sorted(_PRESETS)
@@ -307,10 +302,10 @@ PRESET_NAMES = sorted(_PRESETS)
 
 def preset(name: str) -> ExperimentConfig:
     try:
-        factory = _PRESETS[name]
+        lines = _PRESETS[name]
     except KeyError:
         raise ConfigError(f"preset: unknown preset {name!r}; choose from {PRESET_NAMES}") from None
-    return factory()
+    return parse_config_lines(lines)
 
 
 # --------------------------------------------------------------------------

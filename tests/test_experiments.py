@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from streamtrees import experiments
 from streamtrees.cli import build_arg_parser, main
 from streamtrees.experiments import (
     ABRUPT_ROWS,
@@ -125,6 +126,10 @@ def test_flag_table_types_every_field_alike_on_vfdt_and_hat_lines(field):
         ("x hat detector_check_interval=0", "detector_check_interval"),
         ("x hat detector_delta=1.5", "detector_delta"),
         ("x vfdt tau=nan", "tau"),
+        # a repeated flag is an error, not a silent override by the last one
+        ("x vfdt tau=0.1 tau=0.3", "flag 'tau' given twice"),
+        ("x hat voting_mode=single_alternate voting_mode=multiple_alternates",
+         "flag 'voting_mode' given twice"),
     ],
 )
 def test_learner_line_errors_name_the_problem(line, fragment):
@@ -163,6 +168,9 @@ def test_config_file_round_trip(tmp_path):
         ("n_instances = 500", "unknown key"),
         ("snapshot_every = 100", "unknown key"),
         ("output_dir = somewhere", "unknown key"),
+        # a repeated setting is an error, not a silent override by the last one
+        ("seeds = 3\nseeds = 1", "line 3: seeds given twice"),
+        ("instances = 500\nlearner = b vfdt\ninstances = 500", "line 4: instances given twice"),
     ],
 )
 def test_config_file_rejects_bad_settings(tmp_path, line, fragment):
@@ -187,6 +195,13 @@ def test_readme_config_example_validates(tmp_path):
     path = tmp_path / "readme.conf"
     path.write_text(example)
     parse_config_file(str(path)).validate()
+
+
+def test_readme_preset_list_matches_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = re.search(r"^`--preset` names .*?\n\n", readme, re.S | re.M).group(0)
+    names = [n for n in re.findall(r"`([^`]+)`", paragraph) if n != "--preset"]
+    assert sorted(names) == PRESET_NAMES
 
 
 def test_config_validation_names_fields(tmp_path):
@@ -222,12 +237,16 @@ def test_unknown_preset_rejected():
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_presets_validate_and_use_testbench_rows(name):
+def test_presets_validate_and_use_testbench_rows(tmp_path, name):
     cfg = preset(name)
     cfg.validate()
     assert len(cfg.learners) == 2
     allowed = set(TESTBENCH_ROWS) | {AMNESIA_STREAM}
     assert set(cfg.streams) <= allowed
+    # a preset's lines copied into a config file give the same grid
+    path = tmp_path / f"{name}.conf"
+    path.write_text("\n".join(experiments._PRESETS[name]) + "\n")
+    assert parse_config_file(str(path)) == cfg
 
 
 def test_resplit_preset_isolates_the_flag():
@@ -379,6 +398,9 @@ def test_cli_runs_config_file(tmp_path, capsys):
          "stream = RecurrentConceptDriftStream -x 2000 -y 2000 -z 100 "
          "-s (SEAGenerator -f 1 -i 2) -d (SEAGenerator -f 4 -i 3)\n",
          "(SEAGenerator -f 3 -i 3)' and 'RecurrentConceptDriftStream"),
+        # a bad learner line names the line it is on
+        ("learner = a vfdt\nlearner = b vfdt tau=abc\nstream = STAGGERGenerator -i 1 -f 1\n",
+         "line 2: learner flags: tau='abc' is not a number"),
     ],
 )
 def test_cli_invalid_config_exits_2(tmp_path, capsys, body, fragment):
