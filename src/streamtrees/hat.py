@@ -252,14 +252,17 @@ class HoeffdingAdaptiveTreeClassifier:
 
     # -- prediction ------------------------------------------------------------
 
-    def _alternate_votes(self, path: list, values, out: list, routes: dict) -> None:
+    def _alternate_votes(self, path: list, values, out: list, routes: dict, depth: int) -> None:
         """Append the leaf distribution of each alternate off ``path`` that votes.
 
-        Each alternate's path goes into ``routes``.
+        ``path`` hangs ``depth`` alternate edges below the root. Each
+        alternate's path goes into ``routes``.
         """
         mode = self.config.voting_mode
         if mode == VOTE_NONE:
             return
+        # no alternate hangs alternate_depth_cap or more edges below the root
+        nested = depth + 1 < self.config.alternate_depth_cap
         for node in path:
             alt = node.alternate
             if alt is not None:
@@ -268,29 +271,37 @@ class HoeffdingAdaptiveTreeClassifier:
                     out.append(alt_path[-1].mainline.class_dist)
                 if mode == VOTE_SINGLE:
                     return  # the shallowest alternate on the mainline path votes alone
-                self._alternate_votes(alt_path, values, out, routes)
+                if nested:
+                    self._alternate_votes(alt_path, values, out, routes, depth + 1)
 
-    def predict(self, instance: Instance) -> list:
-        """Class distribution, with alternates contributing per voting_mode."""
+    def _vote(self, instance: Instance) -> list:
+        """The voted class distribution: the mainline leaf's own ``class_dist``,
+        not a copy, when no alternate votes."""
         values = instance.values
         path = self._route(self._root, values)
         routes = {self._root: path}
         mainline = path[-1].mainline.class_dist
         contributions: list = []
-        self._alternate_votes(path, values, contributions, routes)
+        self._alternate_votes(path, values, contributions, routes, 0)
         self._routed, self._routes = instance, routes
         if not contributions:
-            return list(mainline)
-        combined = [0.0] * self.schema.class_count
-        for dist in [mainline] + contributions:
+            return mainline
+        # each distribution normalised to 1 and summed; the mainline's seeds the sum
+        total = sum(mainline)
+        combined = [m / total for m in mainline] if total > 0.0 else [0.0] * len(mainline)
+        for dist in contributions:
             total = sum(dist)
             if total > 0.0:
                 for i, m in enumerate(dist):
                     combined[i] += m / total
         return combined
 
+    def predict(self, instance: Instance) -> list:
+        """Class distribution, with alternates contributing per voting_mode."""
+        return list(self._vote(instance))
+
     def predict_label(self, instance: Instance) -> int:
-        return argmax_label(self.predict(instance))
+        return argmax_label(self._vote(instance))
 
     # -- introspection -----------------------------------------------------------
 

@@ -7,6 +7,13 @@ included) give bitwise-identical sequences. Instances come from blocks of
 ``next_instance`` hands them out from a C-level iterator. The sequence does
 not depend on how callers interleave their pulls from different streams.
 
+The nominal generators, ``StaggerGenerator`` and ``AbruptDriftGenerator``,
+hand out shared Instances: every draw of one (value tuple, class) pair is the
+same object, built the first time the pair is drawn. A stream keeps at most
+``_MAX_INTERNED`` = 16,384 of them and empties that cache before a block that
+could take it past the bound. Instances are immutable, so sharing is
+invisible to learners, and equal values route the same way through a tree.
+
 A ``RecurrentConceptDriftStream`` reads its two sub-streams up to one block
 ahead of its own caller, so a sub-stream object must not be read anywhere
 else. It evaluates its sigmoid only inside a drift window, within 15 widths
@@ -28,6 +35,9 @@ _BLOCK = 1024
 # the most cells an AbruptDriftGenerator table or a HyperplaneGenerator block may
 # have; the testbench's largest are 5**5 = 3125 and 1024 * 10, 8 bytes a cell
 _MAX_CELLS = 2**20
+# the most Instances a nominal stream keeps to hand out again; the testbench's
+# largest table has 5**5 cells * 5 classes = 15,625 (cell, class) keys
+_MAX_INTERNED = 2**14
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -139,6 +149,37 @@ def _block(values: np.ndarray, labels: np.ndarray) -> list[Instance]:
     return list(map(new_instance, zip(zip(*values.T.tolist()), labels.tolist(), repeat(1.0))))
 
 
+class _InstanceCache(dict):
+    """The Instances of a nominal stream, one per ``cell * class_count + label`` key.
+
+    A cell is the row-major index of a value tuple (attribute 0 slowest). A
+    key's Instance is built the first time it is drawn, with int values, an
+    int label and weight 1.0 as ``_block`` builds them, and every later draw
+    of that key hands out the same object. The cache is emptied before a
+    block that could take it past ``_MAX_INTERNED`` entries.
+    """
+
+    def __init__(self, schema: Schema):
+        super().__init__()
+        self._class_count = schema.class_count
+        self._sizes = [schema.n_values(i) for i in reversed(range(schema.n_attributes))]
+
+    def __missing__(self, key: int) -> Instance:
+        cell, label = divmod(key, self._class_count)
+        values = []
+        for n in self._sizes:
+            cell, v = divmod(cell, n)
+            values.append(v)
+        instance = self[key] = new_instance((tuple(reversed(values)), label, 1.0))
+        return instance
+
+    def block(self, cells: np.ndarray, labels: np.ndarray) -> list[Instance]:
+        """The Instance of each (cell, label) pair; a hit runs no Python code."""
+        if len(self) > _MAX_INTERNED - len(cells):
+            self.clear()
+        return list(map(self.__getitem__, (cells * self._class_count + labels).tolist()))
+
+
 class AbruptDriftGenerator(_Stream):
     """Nominal stream with an instantaneous switch of P(Y|X) at the drift point.
 
@@ -176,18 +217,15 @@ class AbruptDriftGenerator(_Stream):
         self.table_before = CellTable.random(self._rng, n_attributes, n_values, class_count)
         self.table_after = apply_drift(self.table_before, magnitude, self._rng)
         self._cum = [np.cumsum(p) for p in self.table_before.attribute_value_probs]
+        self._cache = _InstanceCache(self.schema)
         self._t = 0
 
     def _make_block(self) -> list[Instance]:
-        n_attr = self.schema.n_attributes
-        u = self._rng.random((_BLOCK, n_attr))
-        values = np.empty((_BLOCK, n_attr), dtype=np.int64)
-        for i, cum in enumerate(self._cum):
-            values[:, i] = np.searchsorted(cum, u[:, i], side="right")
-            np.clip(values[:, i], 0, len(cum) - 1, out=values[:, i])
+        u = self._rng.random((_BLOCK, self.schema.n_attributes))
         cells = np.zeros(_BLOCK, dtype=np.int64)
         for i, cum in enumerate(self._cum):
-            cells = cells * len(cum) + values[:, i]
+            values = np.searchsorted(cum, u[:, i], side="right")
+            cells = cells * len(cum) + np.minimum(values, len(cum) - 1)
         ts = np.arange(self._t, self._t + _BLOCK)
         if self.recurrent:
             after = (ts // self.drift_point) % 2 == 1
@@ -199,7 +237,7 @@ class AbruptDriftGenerator(_Stream):
             self.table_before.class_assignment[cells],
         )
         self._t += _BLOCK
-        return _block(values, labels)
+        return self._cache.block(cells, labels)
 
 
 # STAGGER concept definitions, attributes (size, color, shape) each with
@@ -220,6 +258,7 @@ class StaggerGenerator(_Stream):
         self.schema = Schema.uniform_nominal(3, 3, 2)
         self.function = function
         self._rng = make_rng(seed)
+        self._cache = _InstanceCache(self.schema)
 
     def _make_block(self) -> list[Instance]:
         vals = self._rng.integers(0, 3, size=(_BLOCK, 3))
@@ -230,7 +269,7 @@ class StaggerGenerator(_Stream):
             labels = (color == GREEN) | (shape == CIRCULAR)
         else:
             labels = (size == MEDIUM) | (size == LARGE)
-        return _block(vals, labels.astype(int))
+        return self._cache.block((size * 3 + color) * 3 + shape, labels.astype(int))
 
 
 SEA_THRESHOLDS = {1: 0.8, 2: 0.9, 3: 0.7, 4: 0.95}

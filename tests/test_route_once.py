@@ -92,6 +92,55 @@ def test_hat_routed_twin_matches_train_only_twin(mode):
     assert promotions > 0
 
 
+LEARNERS = {
+    "vfdt": lambda schema: HoeffdingTreeClassifier(schema, StrategyConfig()),
+    "vfdt-eidetic": lambda schema: HoeffdingTreeClassifier(schema, StrategyConfig(eidetic=True)),
+    **{
+        f"hat-{mode}": lambda schema, mode=mode: HoeffdingAdaptiveTreeClassifier(
+            schema, HatConfig(voting_mode=mode, alternate_depth_cap=10), seed=1)
+        for mode in (VOTE_NONE, VOTE_SINGLE, VOTE_MULTI, VOTE_MULTI_NO_SINGLE_LEAVES)
+    },
+}
+
+
+def _with_repeats(n):
+    """n instances of the drifting stream; every third draw is handed out twice in a row."""
+    stream = build_stream(DRIFTING)
+    out = []
+    while len(out) < n:
+        x = stream.next_instance()
+        out.append(x)
+        if len(out) % 3 == 0:
+            out.append(x)
+    return stream.schema, out[:n]
+
+
+@pytest.mark.parametrize("make", LEARNERS.values(), ids=LEARNERS.keys())
+def test_one_object_on_consecutive_steps_matches_train_only_twin(make):
+    schema, xs = _with_repeats(20_000)
+    plain, routed = make(schema), make(schema)
+    for x in xs:
+        routed.predict_label(x)
+        routed.train(x)
+        plain.train(x)
+    assert plain.dump() == routed.dump()
+
+
+@pytest.mark.parametrize("make", LEARNERS.values(), ids=LEARNERS.keys())
+def test_predict_then_train_of_the_next_step_matches_train_only_twin(make):
+    # predict(a) then train(b): whenever b is a, the route predict took is reused
+    schema, xs = _with_repeats(20_000)
+    plain, routed = make(schema), make(schema)
+    reused = 0
+    for a, b in zip(xs, xs[1:]):
+        routed.predict_label(a)
+        routed.train(b)
+        plain.train(b)
+        reused += b is a
+    assert reused > len(xs) // 4
+    assert plain.dump() == routed.dump()
+
+
 def test_eidetic_buffers_hold_no_tracked_entries():
     stream = build_stream(DRIFTING)
     tree = HoeffdingTreeClassifier(stream.schema, StrategyConfig(eidetic=True))

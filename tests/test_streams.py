@@ -20,6 +20,8 @@ from streamtrees.streams import (
     RecurrentConceptDriftStream,
     SeaGenerator,
     StaggerGenerator,
+    _BLOCK,
+    _MAX_INTERNED,
     apply_drift,
     make_rng,
 )
@@ -257,6 +259,34 @@ def test_wrapper_requires_matching_schemas():
         RecurrentConceptDriftStream(
             StaggerGenerator(1, seed=1), SeaGenerator(1, seed=1), 100, 100, 10
         )
+
+
+# --------------------------------------------------------------------------
+# nominal streams hand out one shared Instance per distinct draw
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: StaggerGenerator(2, seed=3), lambda: AbruptDriftGenerator(3, 3, 4, 1.0, 700, True, seed=3)],
+    ids=["stagger", "abrupt"],
+)
+def test_equal_nominal_draws_are_one_object(make):
+    drawn = make().take(3 * _BLOCK)
+    first = {}
+    for inst in drawn:
+        assert first.setdefault((inst.values, inst.class_label), inst) is inst
+    assert len(first) < len(drawn)  # some draws were repeats
+
+
+def test_instance_cache_never_exceeds_its_bound():
+    # 2**20 cells, so almost every draw is a new (cell, class) key
+    gen = AbruptDriftGenerator(20, 2, 2, magnitude=0.0, drift_point=10**9, seed=5)
+    largest = 0
+    for _ in range(3 * _MAX_INTERNED // _BLOCK):
+        gen.take(_BLOCK)
+        assert len(gen._cache) <= _MAX_INTERNED
+        largest = max(largest, len(gen._cache))
+    assert largest > _MAX_INTERNED - _BLOCK  # the cache filled up to the bound, then was emptied
 
 
 # --------------------------------------------------------------------------

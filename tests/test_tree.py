@@ -338,6 +338,20 @@ def test_eidetic_children_match_replay_recount():
         assert child.buffer == routed
 
 
+def test_eidetic_buffer_shares_a_nominal_streams_values():
+    stream = build_stream("AbruptDriftGenerator -o 1.0 -z 3 -n 3 -v 2 -b 100000 -r 1")
+    tree = HoeffdingTreeClassifier(stream.schema, StrategyConfig(eidetic=True))
+    for _ in range(5_000):
+        instance = stream.next_instance()
+        tree.train(instance)
+        leaf, _, _ = tree._sort_to_leaf(instance.values)
+        entry = leaf.buffer[-1]
+        assert entry[0] is instance.values
+    assert len(tree.leaves()) > 1
+    # one values tuple per drawn cell, however many entries buffer it
+    assert len({id(entry[0]) for leaf in tree.leaves() for entry in leaf.buffer}) <= 27
+
+
 def test_resplit_routes_all_traffic_to_the_path_child():
     schema = Schema.uniform_nominal(2, 3, 2)
     leaf = LearningLeaf(schema, class_dist=[3000.0, 0.0], used_attributes={0})
