@@ -35,7 +35,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--instances", type=int, metavar="N", help="instances per run")
     parser.add_argument("--snapshot-every", type=int, metavar="N",
                         help="error-series window size (0 disables series output)")
-    parser.add_argument("--jobs", type=int, metavar="N", help="parallel worker processes")
+    parser.add_argument("--jobs", type=int, metavar="N",
+                        help="parallel worker processes, at most one per cell")
     return parser
 
 

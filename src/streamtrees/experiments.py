@@ -335,7 +335,8 @@ def run_grid(config: ExperimentConfig):
         # validation, skip importing multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
+        # the pool forks all its workers at the first submit: one per cell at most
+        with ProcessPoolExecutor(max_workers=min(config.parallelism, len(tasks))) as pool:
             results = list(pool.map(_run_one, tasks))
     else:
         results = [_run_one(t) for t in tasks]

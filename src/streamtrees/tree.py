@@ -7,7 +7,10 @@ Each behavior the base algorithm leaves open is a flag on :class:`StrategyConfig
 
 - ``eidetic``: keep a replay buffer so fresh children start from exact
   recounts instead of zeroed statistics (the default "amnesiac" children).
-  Buffers are unbounded and grow with the stream; desk-scale runs only.
+  A leaf buffers in three parallel lists in learn order: ``buffer`` holds
+  the values tuples, ``buffer_labels`` the labels and ``buffer_weights`` the
+  weights, so buffering allocates no object per instance. Buffers are
+  unbounded and grow with the stream; desk-scale runs only.
 - ``allow_resplit``: let nominal attributes already used on the path win the
   split evaluation again, producing one reachable child with clean counts.
 - ``eviscerate_on_used_best``: instead of resplitting, clear the leaf's
@@ -253,6 +256,8 @@ class LearningLeaf:
         "counter_at_last_eval",
         "used_attributes",
         "buffer",
+        "buffer_labels",
+        "buffer_weights",
         "eval_count",
         "gain_sums",
     )
@@ -264,7 +269,10 @@ class LearningLeaf:
         self.node_time = 0
         self.counter_at_last_eval = 0.0
         self.used_attributes = frozenset(used_attributes)
+        # the replay columns: values tuples, labels, weights; None when amnesiac
         self.buffer: list | None = [] if eidetic else None
+        self.buffer_labels: list | None = [] if eidetic else None
+        self.buffer_weights: list | None = [] if eidetic else None
         self.eval_count = 0
         self.gain_sums = [0.0] * schema.n_attributes
 
@@ -276,13 +284,14 @@ class LearningLeaf:
         self.class_dist[label] += weight
         self.total_weight += weight
 
-    def replay(self, entry: tuple) -> None:
-        """Feed a buffered ``(values, label, weight)`` back in without counting it as new."""
-        values, label, weight = entry
+    def replay(self, values, label: int, weight: float) -> None:
+        """Feed a buffered instance back in without counting it as new."""
         self.stats.observe(values, label, weight)
         self.class_dist[label] += weight
         self.total_weight += weight
-        self.buffer.append(entry)
+        self.buffer.append(values)
+        self.buffer_labels.append(label)
+        self.buffer_weights.append(weight)
 
     def is_pure(self) -> bool:
         seen = 0
@@ -409,8 +418,8 @@ def perform_split(leaf: LearningLeaf, decision: SplitDecision, config: StrategyC
 
     node = SplitNode(attr, threshold, children)
     if eidetic:
-        for entry in leaf.buffer:
-            children[node.branch(entry[0])].replay(entry)
+        for values, label, weight in zip(leaf.buffer, leaf.buffer_labels, leaf.buffer_weights):
+            children[node.branch(values)].replay(values, label, weight)
     for child in children:
         child.counter_at_last_eval = _leaf_counter(child, config)
     return node
@@ -422,11 +431,12 @@ def learn_at_leaf(leaf: LearningLeaf, instance: Instance, config: StrategyConfig
     This is the learn step of both trees. Returns the SplitNode that replaces
     the leaf, or None when the leaf stays (an evisceration clears it in place).
     """
-    leaf.learn(instance.values, instance.class_label, instance.weight)
+    values, label, weight = instance
+    leaf.learn(values, label, weight)
     if leaf.buffer is not None:
-        # a plain tuple of untracked items leaves the cyclic collector's lists
-        # at its first collection; an Instance, a tuple subclass, never does
-        leaf.buffer.append(tuple(instance))
+        leaf.buffer.append(values)
+        leaf.buffer_labels.append(label)
+        leaf.buffer_weights.append(weight)
     counter = _leaf_counter(leaf, config)
     if counter - leaf.counter_at_last_eval < config.grace_period:
         return None

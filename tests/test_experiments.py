@@ -361,6 +361,39 @@ def test_parallel_matches_serial(tmp_path):
     assert a == b
 
 
+def test_parallel_grid_starts_at_most_one_worker_per_cell(tmp_path, monkeypatch):
+    # the pool forks all max_workers processes at its first submit, so a
+    # pool wider than the grid would fork workers with no cell to run
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        """Records its width and maps in this process: starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = small_config(tmp_path, learners=[parse_learner_line("vfdt vfdt")],
+                       streams=SMALL_STREAMS[:1], seeds=2)
+    wide = experiments.run_grid(dataclasses.replace(cfg, parallelism=64))
+    serial = experiments.run_grid(dataclasses.replace(cfg, parallelism=1))
+    assert sizes == [2]
+    outputs = lambda results: {key: (res.instances_processed, res.final_error, res.error_series)
+                               for key, res in results.items()}
+    assert outputs(wide) == outputs(serial)
+
+
 # --------------------------------------------------------------------------
 # command line surface
 # --------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Each preset's two learners run through ``run_experiment`` on a reduced grid;
 the digest covers results.csv without its wall_seconds column, both
 comparison files and the series files. One more digest covers an adaptive
 tree at an alternate depth cap of 10, where alternates sprout alternates
-of their own, voting over all of them. A refactor that claims identical
+of their own, voting over all of them. Nine more cover eidetic replay
+buffers: three eidetic learners, weighted adaptive-tree entries among them,
+on two numeric rows and a nominal one. A refactor that claims identical
 outputs must leave every digest unchanged. To print the current digests:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
@@ -16,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from streamtrees.experiments import PRESET_NAMES, preset, run_experiment
+from streamtrees.evaluate import prequential_run
+from streamtrees.experiments import PRESET_NAMES, parse_learner_line, preset, run_experiment
 from streamtrees.hat import VOTE_MULTI, HatConfig, HoeffdingAdaptiveTreeClassifier
 from streamtrees.specparse import build_stream
 
@@ -52,6 +55,42 @@ NESTED_ROW = (
 )
 NESTED_INSTANCES = 60_000
 NESTED_SHA256 = "90269480100af01ac9b7aee65873a131342875f681b1bdc9a11e1e055befe91b"
+
+
+EIDETIC_ROWS = [
+    "SEAGenerator -f 2 -i 2",
+    "HyperplaneGenerator -k 2 -t 0.001 -i 3",
+    GOLDEN_ROWS[2],
+]
+EIDETIC_LEARNERS = [
+    "vfdt-eidetic-resplit vfdt eidetic=true allow_resplit=true",
+    "hat-eidetic hat eidetic=true",
+    "hat-eidetic-poisson-vote hat eidetic=true poisson_weighting=true "
+    "voting_mode=multiple_alternates alternate_depth_cap=10",
+]
+EIDETIC_INSTANCES = 30_000
+EIDETIC_SHA256 = {
+    ("vfdt-eidetic-resplit", "SEAGenerator"): "4335dc3d599b8665cfda0a7b6167c2f6df37fcb8663e5878b928d92dce8f75bb",
+    ("vfdt-eidetic-resplit", "HyperplaneGenerator"): "de1be529b151f5cbe72d5faf78c47b576fc4830a0a7e8e25fa633399561ec8eb",
+    ("vfdt-eidetic-resplit", "AbruptDriftGenerator"): "5e60d3949b80c9b5a2cb7f23e382cd629ac20ba1e1dba93841a81c491fe4ffc1",
+    ("hat-eidetic", "SEAGenerator"): "b8ab5c670bf99bbdd2fe673c040a62e5d54e2c59f620be62ea427930251c9a10",
+    ("hat-eidetic", "HyperplaneGenerator"): "564217a772d746c1374b7faf4deb932c35d446aded1cb4bdb9a897e314f07f93",
+    ("hat-eidetic", "AbruptDriftGenerator"): "9d1f3cb958a4d4923bb66b5c83c86c80078ede2c5c0447452ee8004d27b9b194",
+    ("hat-eidetic-poisson-vote", "SEAGenerator"): "56b381b84173edc8d1337750b4f9c00b73ddbd829147b8133497d244128178d8",
+    ("hat-eidetic-poisson-vote", "HyperplaneGenerator"): "778cabd2f3bc6fbfe45716fe756509c90d6d043ac91d2b8de8430f93b89d9364",
+    ("hat-eidetic-poisson-vote", "AbruptDriftGenerator"): "557ac6ac2d155182cc70003965db6ebe603f1bd22fa1b73614bd366aa6d5df8b",
+}
+
+
+def eidetic_digest(learner_line: str, row: str) -> str:
+    """Final dump, final error and error series of one eidetic cell."""
+    stream = build_stream(row)
+    learner = parse_learner_line(learner_line).build(stream.schema)
+    result = prequential_run(learner, stream, EIDETIC_INSTANCES, snapshot_every=1000)
+    h = hashlib.sha256(learner.dump().encode())
+    h.update(repr(result.final_error).encode())
+    h.update(repr(result.error_series).encode())
+    return h.hexdigest()
 
 
 def nested_alternates_digest() -> str:
@@ -100,6 +139,13 @@ def test_nested_alternates_match_golden():
     assert nested_alternates_digest() == NESTED_SHA256
 
 
+@pytest.mark.parametrize("row", EIDETIC_ROWS)
+@pytest.mark.parametrize("learner_line", EIDETIC_LEARNERS)
+def test_eidetic_outputs_match_golden(learner_line, row):
+    name = learner_line.split()[0]
+    assert eidetic_digest(learner_line, row) == EIDETIC_SHA256[name, row.split()[0]]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -108,3 +154,7 @@ if __name__ == "__main__":
             digest = preset_digest(preset_name, Path(tmp) / preset_name)
             print(f'    "{preset_name}": "{digest}",')
     print(f'NESTED_SHA256 = "{nested_alternates_digest()}"')
+    for learner_line in EIDETIC_LEARNERS:
+        for row in EIDETIC_ROWS:
+            key = f'("{learner_line.split()[0]}", "{row.split()[0]}")'
+            print(f'    {key}: "{eidetic_digest(learner_line, row)}",')

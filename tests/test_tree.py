@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,7 @@ from streamtrees.tree import (
     evaluate_split,
     _gain_with_split,
     hoeffding_bound,
+    learn_at_leaf,
     perform_split,
 )
 
@@ -314,12 +316,13 @@ def test_eidetic_children_match_replay_recount():
     schema = Schema.uniform_nominal(2, 3, 2)
     config = StrategyConfig(eidetic=True)
     leaf = LearningLeaf(schema, eidetic=True)
+    # a grace period past the stream's end: the learn step buffers, never splits
+    fill = StrategyConfig(eidetic=True, grace_period=10_000)
     instances = []
     for i in range(900):
-        inst = Instance((i % 3, (i // 3) % 3), (i % 3 == 0) * 1)
+        inst = Instance((i % 3, (i // 3) % 3), (i % 3 == 0) * 1, 1.0 + (i // 9) % 2)
         instances.append(inst)
-        leaf.learn(inst.values, inst.class_label, inst.weight)
-        leaf.buffer.append(inst)
+        assert learn_at_leaf(leaf, inst, fill) is None
     decision = evaluate_split(leaf, config, 2)
     assert decision.action == SPLIT
     node = perform_split(leaf, decision, config)
@@ -331,11 +334,14 @@ def test_eidetic_children_match_replay_recount():
             for v in range(3):
                 for c in range(2):
                     expected = sum(
-                        1.0 for inst in routed
+                        inst.weight for inst in routed
                         if inst.values[a] == v and inst.class_label == c
                     )
                     assert child.stats.nominal[a][v][c] == expected
-        assert child.buffer == routed
+        # the child's columns hold the routed instances, in learn order
+        assert child.buffer == [inst.values for inst in routed]
+        assert child.buffer_labels == [inst.class_label for inst in routed]
+        assert child.buffer_weights == [inst.weight for inst in routed]
 
 
 def test_eidetic_buffer_shares_a_nominal_streams_values():
@@ -345,11 +351,35 @@ def test_eidetic_buffer_shares_a_nominal_streams_values():
         instance = stream.next_instance()
         tree.train(instance)
         leaf, _, _ = tree._sort_to_leaf(instance.values)
-        entry = leaf.buffer[-1]
-        assert entry[0] is instance.values
+        assert leaf.buffer[-1] is instance.values
+        assert leaf.buffer_labels[-1] == instance.class_label
+        assert leaf.buffer_weights[-1] == instance.weight
     assert len(tree.leaves()) > 1
     # one values tuple per drawn cell, however many entries buffer it
-    assert len({id(entry[0]) for leaf in tree.leaves() for entry in leaf.buffer}) <= 27
+    assert len({id(values) for leaf in tree.leaves() for values in leaf.buffer}) <= 27
+
+
+def test_eidetic_buffer_costs_at_most_32_bytes_per_entry():
+    # three column slots cost about 26 bytes an entry; one tuple per entry
+    # and its list slot cost 72
+    stream = build_stream("STAGGERGenerator -i 2 -f 2")
+    tracemalloc.start()
+    try:
+        tree = HoeffdingTreeClassifier(stream.schema, StrategyConfig(eidetic=True))
+        for _ in range(20_000):
+            tree.train(stream.next_instance())
+        leaves = tree.leaves()
+        entries = sum(len(leaf.buffer) for leaf in leaves)
+        before = tracemalloc.get_traced_memory()[0]
+        for leaf in leaves:
+            for column in (leaf.buffer, leaf.buffer_labels, leaf.buffer_weights):
+                del column[:]
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(leaves) > 1
+    assert entries == 20_000
+    assert 0 < freed <= 32 * entries
 
 
 def test_resplit_routes_all_traffic_to_the_path_child():
