@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import AdwinDetector, NeverFireDetector
-from .schema import Instance, Schema, new_instance
+from .schema import Instance, Schema
 from .tree import (
     LearningLeaf,
     SplitNode,
@@ -203,13 +203,10 @@ class HoeffdingAdaptiveTreeClassifier:
                 # everything deeper on the old path is discarded, and the
                 # promoted subtree already trained on this instance
                 return
-        self._learn_at_leaf(leaf_node, instance)
-
-    def _learn_at_leaf(self, leaf_node: _HatNode, instance: Instance) -> None:
-        if self.config.poisson_weighting:
-            values, label, weight = instance
-            instance = new_instance((values, label, weight * self._poisson_weight()))
-        new_node = learn_at_leaf(leaf_node.mainline, instance, self.config)
+        values, label, weight = instance
+        if cfg.poisson_weighting:
+            weight *= self._poisson_weight()
+        new_node = learn_at_leaf(leaf_node.mainline, values, label, weight, cfg)
         if new_node is not None:
             new_node.children = [_HatNode(child, self._new_detector()) for child in new_node.children]
             leaf_node.mainline = new_node

@@ -113,9 +113,9 @@ def apply_drift(table: CellTable, magnitude: float, rng: np.random.Generator) ->
     if n_change:
         chosen = rng.choice(n_cells, size=n_change, replace=False)
         draws = rng.integers(0, table.class_count - 1, size=n_change)
-        for cell, d in zip(chosen, draws):
-            old = assignment[cell]
-            assignment[cell] = d if d < old else d + 1
+        # chosen holds no cell twice, so one gathered assignment is exact
+        old = assignment[chosen]
+        assignment[chosen] = np.where(draws < old, draws, draws + 1)
     return CellTable([p.copy() for p in table.attribute_value_probs], assignment, table.class_count)
 
 

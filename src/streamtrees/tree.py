@@ -9,8 +9,10 @@ Each behavior the base algorithm leaves open is a flag on :class:`StrategyConfig
   recounts instead of zeroed statistics (the default "amnesiac" children).
   A leaf buffers in three parallel lists in learn order: ``buffer`` holds
   the values tuples, ``buffer_labels`` the labels and ``buffer_weights`` the
-  weights, so buffering allocates no object per instance. Buffers are
-  unbounded and grow with the stream; desk-scale runs only.
+  weights, so buffering allocates no object per instance. New and replayed
+  instances enter through ``LearningLeaf.learn`` alone, which buffers only
+  positive weights: replay then teaches each child exactly what its parent
+  learned. Buffers are unbounded and grow with the stream; desk-scale runs only.
 - ``allow_resplit``: let nominal attributes already used on the path win the
   split evaluation again, producing one reachable child with clean counts.
 - ``eviscerate_on_used_best``: instead of resplitting, clear the leaf's
@@ -277,21 +279,20 @@ class LearningLeaf:
         self.gain_sums = [0.0] * schema.n_attributes
 
     def learn(self, values, label: int, weight: float) -> None:
-        self.node_time += 1
+        """Add one instance, new or replayed, and buffer it when eidetic.
+
+        The only way into a leaf. A weight <= 0 adds nothing and is not
+        buffered; ``node_time`` counts new instances, so ``learn_at_leaf`` bumps it.
+        """
         if weight <= 0.0:
             return
         self.stats.observe(values, label, weight)
         self.class_dist[label] += weight
         self.total_weight += weight
-
-    def replay(self, values, label: int, weight: float) -> None:
-        """Feed a buffered instance back in without counting it as new."""
-        self.stats.observe(values, label, weight)
-        self.class_dist[label] += weight
-        self.total_weight += weight
-        self.buffer.append(values)
-        self.buffer_labels.append(label)
-        self.buffer_weights.append(weight)
+        if self.buffer is not None:
+            self.buffer.append(values)
+            self.buffer_labels.append(label)
+            self.buffer_weights.append(weight)
 
     def is_pure(self) -> bool:
         seen = 0
@@ -419,24 +420,20 @@ def perform_split(leaf: LearningLeaf, decision: SplitDecision, config: StrategyC
     node = SplitNode(attr, threshold, children)
     if eidetic:
         for values, label, weight in zip(leaf.buffer, leaf.buffer_labels, leaf.buffer_weights):
-            children[node.branch(values)].replay(values, label, weight)
+            children[node.branch(values)].learn(values, label, weight)
     for child in children:
         child.counter_at_last_eval = _leaf_counter(child, config)
     return node
 
 
-def learn_at_leaf(leaf: LearningLeaf, instance: Instance, config: StrategyConfig):
-    """Learn one instance at a leaf, then split it once the grace period is up.
+def learn_at_leaf(leaf: LearningLeaf, values, label: int, weight: float, config: StrategyConfig):
+    """Learn one new instance at a leaf, then split it once the grace period is up.
 
     This is the learn step of both trees. Returns the SplitNode that replaces
     the leaf, or None when the leaf stays (an evisceration clears it in place).
     """
-    values, label, weight = instance
+    leaf.node_time += 1
     leaf.learn(values, label, weight)
-    if leaf.buffer is not None:
-        leaf.buffer.append(values)
-        leaf.buffer_labels.append(label)
-        leaf.buffer_weights.append(weight)
     counter = _leaf_counter(leaf, config)
     if counter - leaf.counter_at_last_eval < config.grace_period:
         return None
@@ -450,7 +447,8 @@ def learn_at_leaf(leaf: LearningLeaf, instance: Instance, config: StrategyConfig
 
 
 def check_shape(schema: Schema, instance: Instance) -> None:
-    """Raise ValueError when the value count or the label does not fit the schema."""
+    """Raise ValueError when the value count or the label does not fit the schema,
+    or the weight is negative or NaN."""
     if len(instance.values) != schema.n_attributes or not (
         0 <= instance.class_label < schema.class_count
     ):
@@ -458,6 +456,8 @@ def check_shape(schema: Schema, instance: Instance) -> None:
             f"instance does not match schema: {len(instance.values)} values, "
             f"label {instance.class_label}"
         )
+    if not instance.weight >= 0.0:
+        raise ValueError(f"instance weight must be >= 0, got {instance.weight!r}")
 
 
 def argmax_label(dist) -> int:
@@ -503,11 +503,12 @@ class HoeffdingTreeClassifier:
     def train(self, instance: Instance) -> None:
         routed, self._routed = self._routed, None
         check_shape(self.schema, instance)
+        values, label, weight = instance
         if routed is instance:
             leaf, parent, slot = self._route
         else:
-            leaf, parent, slot = self._sort_to_leaf(instance.values)
-        new_node = learn_at_leaf(leaf, instance, self.config)
+            leaf, parent, slot = self._sort_to_leaf(values)
+        new_node = learn_at_leaf(leaf, values, label, weight, self.config)
         if new_node is not None:
             if parent is None:
                 self.root = new_node

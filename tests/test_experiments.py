@@ -197,6 +197,15 @@ def test_readme_config_example_validates(tmp_path):
     parse_config_file(str(path)).validate()
 
 
+def test_readme_library_sketch_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(sketch, "README.md", "exec"), {})
+    errors = [float(line) for line in capsys.readouterr().out.split()]
+    assert len(errors) == 2
+    assert all(0.0 <= e < 0.1 for e in errors)
+
+
 def test_readme_preset_list_matches_code():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     paragraph = re.search(r"^`--preset` names .*?\n\n", readme, re.S | re.M).group(0)

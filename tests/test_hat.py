@@ -430,6 +430,37 @@ def test_poisson_weighting_keeps_node_time_on_instances():
     assert abs(leaf.total_weight - 1000.0) < 150.0
 
 
+def test_eidetic_poisson_buffers_no_zero_weight():
+    # Poisson(1) draws 0 for about 37% of leaf updates; such an update adds
+    # nothing to a leaf, so replaying it would add nothing either
+    stream = build_stream("STAGGERGenerator -i 2 -f 2")
+    config = HatConfig(eidetic=True, poisson_weighting=True)
+    hat = HoeffdingAdaptiveTreeClassifier(stream.schema, config, seed=0)
+    for _ in range(50_000):
+        instance = stream.next_instance()
+        hat.predict_label(instance)
+        hat.train(instance)
+    leaves = []
+    stack = [hat._root]
+    while stack:
+        node = stack.pop()
+        if node.alternate is not None:
+            stack.append(node.alternate)
+        if isinstance(node.mainline, SplitNode):
+            stack.extend(node.mainline.children)
+        else:
+            leaves.append(node.mainline)
+    assert len(leaves) > 1
+    assert sum(len(leaf.buffer_weights) for leaf in leaves) > 40_000
+    for leaf in leaves:
+        assert 0.0 not in leaf.buffer_weights
+        # an eidetic leaf's mass is exactly its buffer's (integer weights)
+        mass = [0.0] * stream.schema.class_count
+        for label, weight in zip(leaf.buffer_labels, leaf.buffer_weights):
+            mass[label] += weight
+        assert leaf.class_dist == mass
+
+
 def test_hat_dump_marks_alternates():
     hat = _hat_with_alternate(VOTE_SINGLE, [3.0, 1.0], [0.0, 2.0])
     dump = hat.dump()

@@ -116,6 +116,29 @@ def test_apply_drift_exact_counts_exhaustive(n, v):
         assert int((drifted.class_assignment != table.class_assignment).sum()) == expected
 
 
+def apply_drift_loop(table, magnitude, rng):
+    """apply_drift as one Python step per chosen cell, drawing the same numbers."""
+    n_change = int(math.floor(magnitude * table.n_cells + 0.5))
+    assignment = table.class_assignment.copy()
+    if n_change:
+        chosen = rng.choice(table.n_cells, size=n_change, replace=False)
+        draws = rng.integers(0, table.class_count - 1, size=n_change)
+        for cell, d in zip(chosen, draws):
+            old = assignment[cell]
+            assignment[cell] = d if d < old else d + 1
+    return assignment
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("magnitude", [0.0, 0.3, 1.0])
+def test_apply_drift_matches_per_cell_loop(seed, magnitude):
+    table = CellTable.random(make_rng(seed), 5, 5, 2 + seed % 4)
+    drifted = apply_drift(table, magnitude, make_rng(100 + seed))
+    reference = apply_drift_loop(table, magnitude, make_rng(100 + seed))
+    assert drifted.class_assignment.dtype == reference.dtype
+    assert (drifted.class_assignment == reference).all()
+
+
 def test_apply_drift_rejects_out_of_range():
     rng = make_rng(1)
     table = CellTable.random(rng, 2, 2, 2)

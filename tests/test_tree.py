@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from streamtrees.hat import HatConfig, HoeffdingAdaptiveTreeClassifier
 from streamtrees.schema import Instance, NumericAttribute, Schema
 from streamtrees.specparse import build_stream
 from streamtrees.tree import (
@@ -49,11 +50,16 @@ def observed_mass(stats, attr):
 
 
 def fill_leaf(schema, pairs):
-    """Build a leaf from (values, label) or (values, label, weight) tuples."""
+    """Build a leaf from (values, label) or (values, label, weight) tuples.
+
+    Counts each tuple in ``node_time`` as the learn step does, without
+    evaluating a split.
+    """
     leaf = LearningLeaf(schema)
     for entry in pairs:
         values, label = entry[0], entry[1]
         weight = entry[2] if len(entry) > 2 else 1.0
+        leaf.node_time += 1
         leaf.learn(values, label, weight)
     return leaf
 
@@ -318,26 +324,36 @@ def test_eidetic_children_match_replay_recount():
     leaf = LearningLeaf(schema, eidetic=True)
     # a grace period past the stream's end: the learn step buffers, never splits
     fill = StrategyConfig(eidetic=True, grace_period=10_000)
+    # zero, fractional and integer weights; dyadic, so every sum is exact
+    weights = (0.0, 0.5, 1.0, 2.0, 0.25, 0.0, 3.0)
     instances = []
     for i in range(900):
-        inst = Instance((i % 3, (i // 3) % 3), (i % 3 == 0) * 1, 1.0 + (i // 9) % 2)
+        inst = Instance((i % 3, (i // 3) % 3), (i % 3 == 0) * 1, weights[(i // 9) % len(weights)])
         instances.append(inst)
-        assert learn_at_leaf(leaf, inst, fill) is None
+        assert learn_at_leaf(leaf, *inst, fill) is None
+    assert leaf.node_time == 900
+    assert 0.0 not in leaf.buffer_weights
     decision = evaluate_split(leaf, config, 2)
     assert decision.action == SPLIT
     node = perform_split(leaf, decision, config)
     attr = decision.best_attribute
     for j, child in enumerate(node.children):
-        routed = [inst for inst in instances if inst.values[attr] == j]
-        # brute-force recount of n_ijk for the routed instances
+        routed = [inst for inst in instances if inst.values[attr] == j and inst.weight > 0.0]
+        # brute-force recount of n_ijk and the class mass of the routed instances
         for a in range(2):
             for v in range(3):
                 for c in range(2):
-                    expected = sum(
-                        inst.weight for inst in routed
-                        if inst.values[a] == v and inst.class_label == c
-                    )
+                    expected = 0.0
+                    for inst in routed:
+                        if inst.values[a] == v and inst.class_label == c:
+                            expected += inst.weight
                     assert child.stats.nominal[a][v][c] == expected
+        mass = [0.0, 0.0]
+        for inst in routed:
+            mass[inst.class_label] += inst.weight
+        assert child.class_dist == mass
+        assert child.total_weight == mass[0] + mass[1]
+        assert child.node_time == 0
         # the child's columns hold the routed instances, in learn order
         assert child.buffer == [inst.values for inst in routed]
         assert child.buffer_labels == [inst.class_label for inst in routed]
@@ -417,6 +433,27 @@ def test_eviscerate_clears_everything_in_place():
     schema_tree = HoeffdingTreeClassifier(schema, StrategyConfig(eviscerate_on_used_best=True))
     schema_tree.root = leaf
     assert schema_tree.predict_label(Instance((1, 0), 1)) == 0
+
+
+@pytest.mark.parametrize("weight", [-1.0, math.nan])
+@pytest.mark.parametrize("make_tree", [
+    lambda schema: HoeffdingTreeClassifier(schema, StrategyConfig(eidetic=True)),
+    lambda schema: HoeffdingAdaptiveTreeClassifier(schema, HatConfig(eidetic=True)),
+], ids=["vfdt", "hat"])
+def test_train_rejects_bad_weight_without_changing_state(make_tree, weight):
+    stream = build_stream("STAGGERGenerator -i 2 -f 2")
+    tree = make_tree(stream.schema)
+    for _ in range(300):
+        tree.train(stream.next_instance())
+    before = tree.dump()
+    values, label, _ = stream.next_instance()
+    bad = Instance(values, label, weight)
+    tree.predict_label(bad)
+    with pytest.raises(ValueError, match="weight"):
+        tree.train(bad)
+    assert tree.dump() == before
+    # weight 0 stays legal: Poisson weighting draws it
+    tree.train(Instance(values, label, 0.0))
 
 
 def test_train_rejects_schema_mismatch():
