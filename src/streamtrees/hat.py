@@ -27,7 +27,6 @@ base tree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,7 @@ from .tree import (
     argmax_label,
     check_shape,
     describe,
+    hoeffding_bound,
     learn_at_leaf,
 )
 # perfbench/spans.py times splits by patching these names in this module too
@@ -54,6 +54,10 @@ VOTE_MULTI_NO_SINGLE_LEAVES = "multiple_excluding_single_leaves"
 _VOTE_MODES = (VOTE_NONE, VOTE_SINGLE, VOTE_MULTI, VOTE_MULTI_NO_SINGLE_LEAVES)
 
 _NO_ROUTES: dict = {}  # read only: predict fills a fresh routes dict each time
+
+# one float per Poisson count, shared by every draw of that count, so an
+# eidetic buffer holds no weight float of its own
+_POISSON_WEIGHTS: dict[int, float] = {}
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,8 @@ class HoeffdingAdaptiveTreeClassifier:
 
     def _poisson_weight(self) -> float:
         if not self._poisson_buf:
-            self._poisson_buf = self._rng.poisson(1.0, 1024).astype(float).tolist()
+            draws = self._rng.poisson(1.0, 1024).tolist()
+            self._poisson_buf = [_POISSON_WEIGHTS.setdefault(k, float(k)) for k in draws]
         return self._poisson_buf.pop()
 
     # -- training --------------------------------------------------------------
@@ -205,7 +210,9 @@ class HoeffdingAdaptiveTreeClassifier:
                 return
         values, label, weight = instance
         if cfg.poisson_weighting:
-            weight *= self._poisson_weight()
+            draw = self._poisson_weight()
+            # 1.0 * draw is draw bit for bit; keeping it keeps the shared float
+            weight = draw if weight == 1.0 else weight * draw
         new_node = learn_at_leaf(leaf_node.mainline, values, label, weight, cfg)
         if new_node is not None:
             new_node.children = [_HatNode(child, self._new_detector()) for child in new_node.children]
@@ -227,9 +234,9 @@ class HoeffdingAdaptiveTreeClassifier:
         if wm <= 0 or wa <= 0:
             return False
         em, ea = nd.detector.estimate(), alt.detector.estimate()
-        log_term = math.log(1.0 / self.config.replacement_delta)
-        bm = math.sqrt(log_term / (2.0 * wm))
-        ba = math.sqrt(log_term / (2.0 * wa))
+        delta = self.config.replacement_delta
+        bm = hoeffding_bound(1.0, delta, wm)
+        ba = hoeffding_bound(1.0, delta, wa)
         if ea + ba < em - bm:
             self._promote(nd)
             return True

@@ -72,17 +72,3 @@ class Instance(NamedTuple):
 # fifth of the cost of NamedTuple's Python-level ``__new__`` or ``_replace``
 new_instance = partial(tuple.__new__, Instance)
 
-
-def check_instance(schema: Schema, instance: Instance) -> None:
-    """Raise ValueError when the instance does not fit the schema."""
-    if len(instance.values) != schema.n_attributes:
-        raise ValueError(
-            f"instance has {len(instance.values)} values, schema expects {schema.n_attributes}"
-        )
-    if not 0 <= instance.class_label < schema.class_count:
-        raise ValueError(f"class label {instance.class_label} outside [0, {schema.class_count})")
-    if instance.weight < 0:
-        raise ValueError(f"negative weight {instance.weight}")
-    for i, (attr, v) in enumerate(zip(schema.attributes, instance.values)):
-        if isinstance(attr, NominalAttribute) and not 0 <= int(v) < attr.n_values:
-            raise ValueError(f"attribute {i}: value {v} outside [0, {attr.n_values})")

@@ -79,15 +79,6 @@ class CellTable:
     def n_cells(self) -> int:
         return len(self.class_assignment)
 
-    def cell_index(self, values) -> int:
-        idx = 0
-        for p, v in zip(self.attribute_value_probs, values):
-            idx = idx * len(p) + int(v)
-        return idx
-
-    def class_of(self, values) -> int:
-        return int(self.class_assignment[self.cell_index(values)])
-
     @staticmethod
     def random(rng: np.random.Generator, n_attributes: int, n_values: int, class_count: int) -> "CellTable":
         probs = []

@@ -448,13 +448,15 @@ def learn_at_leaf(leaf: LearningLeaf, values, label: int, weight: float, config:
 
 def check_shape(schema: Schema, instance: Instance) -> None:
     """Raise ValueError when the value count or the label does not fit the schema,
-    or the weight is negative or NaN."""
-    if len(instance.values) != schema.n_attributes or not (
-        0 <= instance.class_label < schema.class_count
-    ):
+    the label is not an integer, or the weight is negative or NaN."""
+    try:
+        label = operator.index(instance.class_label)
+    except TypeError:
+        label = -1  # a float label like 1.0 would index nothing: out of range
+    if len(instance.values) != schema.n_attributes or not 0 <= label < schema.class_count:
         raise ValueError(
             f"instance does not match schema: {len(instance.values)} values, "
-            f"label {instance.class_label}"
+            f"label {instance.class_label!r}"
         )
     if not instance.weight >= 0.0:
         raise ValueError(f"instance weight must be >= 0, got {instance.weight!r}")

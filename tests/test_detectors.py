@@ -121,8 +121,9 @@ def assert_matches_reference(xs, delta=0.002, max_buckets=5, check_interval=1):
         if i % check_interval == 0:
             # a check tick has folded everything, so the rows are comparable
             assert det._rows == ref.row_sums(), i
-            assert det._n_buckets == ref.n_buckets, i
-    assert det.n_buckets == ref.n_buckets
+            assert sum(map(len, det._rows)) == ref.n_buckets, i
+    det._fold()
+    assert sum(map(len, det._rows)) == ref.n_buckets
     assert det._rows == ref.row_sums()
 
 
@@ -230,28 +231,13 @@ def test_reading_between_checks_changes_nothing(max_buckets, check_interval):
     unread = AdwinDetector(0.002, max_buckets, check_interval)
     for x in xs:
         assert read.add_element(x) == unread.add_element(x)
-        assert read.n_buckets == sum(map(len, read._rows))  # reading folds
+        read._fold()  # merging between checks builds the buckets a check would
         assert read.width == unread.width
         if read.width:
             assert read.estimate() == unread.estimate()
         assert read.total_sum == unread.total_sum
-    assert read.n_buckets == unread.n_buckets and read._rows == unread._rows
-
-
-def test_reset_clears_state_and_pending_elements():
-    rng = np.random.Generator(np.random.PCG64(5))
-    used = AdwinDetector(check_interval=32)
-    for x in (rng.random(1000) < 0.8).astype(float):
-        used.add_element(float(x))
-    for _ in range(10):  # off the check tick: these ten are still pending
-        used.add_element(1.0)
-    used.reset()
-    assert used.width == 0 and used.n_buckets == 0
-    fresh = AdwinDetector(check_interval=32)
-    for x in (rng.random(10_000) < 0.3).astype(float):
-        assert used.add_element(float(x)) == fresh.add_element(float(x))
-        assert used.width == fresh.width and used.total_sum == fresh.total_sum
-    assert used.n_buckets == fresh.n_buckets and used._rows == fresh._rows
+    unread._fold()
+    assert read._rows == unread._rows
 
 
 def test_detects_mean_shift_quickly_across_seeds():
@@ -289,7 +275,8 @@ def test_bucket_count_logarithmic_at_1e6():
     for x in (rng.random(1_000_000) < 0.5).astype(float):
         det.add_element(float(x))
     # 5 buckets per capacity class, ~log2(1e6) classes
-    assert det.n_buckets <= 150
+    det._fold()
+    assert sum(map(len, det._rows)) <= 150
     assert det.width == 1_000_000
 
 
@@ -314,7 +301,13 @@ def test_never_fire_stub_interface():
         det.estimate()
     with pytest.raises(ValueError):
         det.add_element(2.0)
-    det.reset()
+
+
+def test_detectors_share_three_method_interface():
+    public = {"add_element", "estimate", "width"}
+    assert {n for n in dir(NeverFireDetector) if not n.startswith("_")} == public
+    state = {"delta", "max_buckets", "check_interval", "total_count", "total_sum"}
+    assert {n for n in dir(AdwinDetector) if not n.startswith("_")} == public | state
 
 
 def test_bad_construction_rejected():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 
@@ -76,6 +77,21 @@ ALL_MODES = (VOTE_NONE, VOTE_SINGLE, VOTE_MULTI, VOTE_MULTI_NO_SINGLE_LEAVES)
 
 def _schema():
     return Schema.uniform_nominal(2, 2, 2)
+
+
+def _leaves(hat) -> list:
+    """Every mainline leaf in the tree, alternates' leaves included."""
+    leaves = []
+    stack = [hat._root]
+    while stack:
+        node = stack.pop()
+        if node.alternate is not None:
+            stack.append(node.alternate)
+        if isinstance(node.mainline, SplitNode):
+            stack.extend(node.mainline.children)
+        else:
+            leaves.append(node.mainline)
+    return leaves
 
 
 def _count_alternates(hat) -> int:
@@ -440,16 +456,7 @@ def test_eidetic_poisson_buffers_no_zero_weight():
         instance = stream.next_instance()
         hat.predict_label(instance)
         hat.train(instance)
-    leaves = []
-    stack = [hat._root]
-    while stack:
-        node = stack.pop()
-        if node.alternate is not None:
-            stack.append(node.alternate)
-        if isinstance(node.mainline, SplitNode):
-            stack.extend(node.mainline.children)
-        else:
-            leaves.append(node.mainline)
+    leaves = _leaves(hat)
     assert len(leaves) > 1
     assert sum(len(leaf.buffer_weights) for leaf in leaves) > 40_000
     for leaf in leaves:
@@ -459,6 +466,30 @@ def test_eidetic_poisson_buffers_no_zero_weight():
         for label, weight in zip(leaf.buffer_labels, leaf.buffer_weights):
             mass[label] += weight
         assert leaf.class_dist == mass
+
+
+def test_eidetic_poisson_buffer_costs_at_most_32_bytes_per_entry():
+    # the three column slots cost about 26 bytes an entry; a weight float of
+    # its own per entry would add 24 more
+    stream = build_stream("STAGGERGenerator -i 2 -f 2")
+    config = HatConfig(eidetic=True, poisson_weighting=True)
+    tracemalloc.start()
+    try:
+        hat = HoeffdingAdaptiveTreeClassifier(stream.schema, config, seed=1)
+        for _ in range(50_000):
+            hat.train(stream.next_instance())
+        leaves = _leaves(hat)
+        entries = sum(len(leaf.buffer) for leaf in leaves)
+        before = tracemalloc.get_traced_memory()[0]
+        for leaf in leaves:
+            for column in (leaf.buffer, leaf.buffer_labels, leaf.buffer_weights):
+                del column[:]
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(leaves) > 1
+    assert entries > 40_000
+    assert 0 < freed <= 32 * entries
 
 
 def test_hat_dump_marks_alternates():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamtrees.schema import NominalAttribute, NumericAttribute, Schema, Instance, check_instance
+from streamtrees.schema import NominalAttribute, NumericAttribute, Schema, Instance
 from streamtrees.specparse import build_stream
 from streamtrees.streams import (
     CIRCULAR,
@@ -25,6 +25,7 @@ from streamtrees.streams import (
     apply_drift,
     make_rng,
 )
+from streamtrees.tree import check_shape
 
 
 def stagger_concept(function, size, color, shape):
@@ -52,21 +53,33 @@ def test_schema_invariants():
 
 
 def test_check_instance():
+    # nominal value ranges are not checked yet: see the xfail tests in test_tree.py
     schema = Schema((NominalAttribute(3), NumericAttribute()), 2)
-    check_instance(schema, Instance((2, 0.5), 1))
-    with pytest.raises(ValueError):
-        check_instance(schema, Instance((3, 0.5), 1))
-    with pytest.raises(ValueError):
-        check_instance(schema, Instance((2, 0.5), 2))
-    with pytest.raises(ValueError):
-        check_instance(schema, Instance((2, 0.5), 0, weight=-1.0))
-    with pytest.raises(ValueError):
-        check_instance(schema, Instance((2,), 0))
+    check_shape(schema, Instance((2, 0.5), 1))
+    check_shape(schema, Instance((2, 0.5), np.int64(1)))
+    for bad in (
+        Instance((2, 0.5), 2),
+        Instance((2, 0.5), -1),
+        Instance((2, 0.5), 1.0),
+        Instance((2, 0.5), 0, weight=-1.0),
+        Instance((2, 0.5), 0, weight=math.nan),
+        Instance((2,), 0),
+    ):
+        with pytest.raises(ValueError):
+            check_shape(schema, bad)
 
 
 # --------------------------------------------------------------------------
 # cell tables and the drift operator
 # --------------------------------------------------------------------------
+
+def class_of(table, values) -> int:
+    """The class of a value cell, looked up with row-major strides (attribute 0 slowest)."""
+    idx = 0
+    for p, v in zip(table.attribute_value_probs, values):
+        idx = idx * len(p) + int(v)
+    return int(table.class_assignment[idx])
+
 
 def test_cell_table_shape_and_invariants():
     rng = make_rng(5)
@@ -162,24 +175,24 @@ def test_abrupt_generator_label_flips_at_drift_point():
     gen = AbruptDriftGenerator(2, 2, 3, magnitude=1.0, drift_point=100, seed=9)
     for cell in range(4):
         values = (cell >> 1, cell & 1)
-        assert gen.table_before.class_of(values) != gen.table_after.class_of(values)
+        assert class_of(gen.table_before, values) != class_of(gen.table_after, values)
     for t, inst in enumerate(gen.take(300)):
         table = gen.table_after if t >= 100 else gen.table_before
-        assert inst.class_label == table.class_of(inst.values)
+        assert inst.class_label == class_of(table, inst.values)
 
 
 def test_recurrent_mode_alternates_with_period():
     gen = AbruptDriftGenerator(2, 2, 3, magnitude=1.0, drift_point=50, recurrent=True, seed=9)
     for t, inst in enumerate(gen.take(1200)):
         table = gen.table_after if (t // 50) % 2 == 1 else gen.table_before
-        assert inst.class_label == table.class_of(inst.values)
+        assert inst.class_label == class_of(table, inst.values)
 
 
 def test_abrupt_generator_streams_match_tables():
     gen = AbruptDriftGenerator(2, 3, 4, magnitude=1.0, drift_point=500, seed=4)
     for t, inst in enumerate(gen.take(1200)):
         table = gen.table_after if t >= 500 else gen.table_before
-        assert inst.class_label == table.class_of(inst.values)
+        assert inst.class_label == class_of(table, inst.values)
 
 
 def test_empirical_value_frequencies_within_3_sigma():
