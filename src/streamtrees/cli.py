@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 invalid configuration (message names the field or
 stream row), 3 stream names a recognized but unsupported generator. The
-options that override config-file keys share their names with those keys
-(``experiments.SETTINGS``).
+options that override config-file keys are built from
+``experiments.SETTINGS`` and share their names with those keys.
 """
 
 from __future__ import annotations
@@ -30,13 +30,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="PATH", help="key=value experiment config file")
     parser.add_argument("--preset", metavar="NAME", help=f"one of: {', '.join(PRESET_NAMES)}")
-    parser.add_argument("--out", metavar="DIR", help="output directory (default: results)")
-    parser.add_argument("--seeds", type=int, metavar="N", help="stream reseedings per row")
-    parser.add_argument("--instances", type=int, metavar="N", help="instances per run")
-    parser.add_argument("--snapshot-every", type=int, metavar="N",
-                        help="error-series window size (0 disables series output)")
-    parser.add_argument("--jobs", type=int, metavar="N",
-                        help="parallel worker processes, at most one per cell")
+    for key, (_, kind, metavar, text) in SETTINGS.items():
+        parser.add_argument(f"--{key}", type=kind, metavar=metavar, help=text)
     return parser
 
 
@@ -51,7 +46,7 @@ def main(argv=None) -> int:
             config = preset(args.preset)
         else:
             raise ConfigError("config: one of --config or --preset is required")
-        for key, (field, _) in SETTINGS.items():
+        for key, (field, *_) in SETTINGS.items():
             value = getattr(args, key.replace("-", "_"))
             if value is not None:
                 setattr(config, field, value)

@@ -140,13 +140,15 @@ def parse_learner_line(text: str) -> LearnerSpec:
     return LearnerSpec(parts[0], parts[1].lower(), tuple(overrides.items()))
 
 
-# config-file key, which is also the CLI long option -> (ExperimentConfig field, type)
+# config-file key, which is also the CLI long option ->
+# (ExperimentConfig field, type, CLI metavar, CLI help)
 SETTINGS = {
-    "instances": ("n_instances", int),
-    "seeds": ("seeds", int),
-    "snapshot-every": ("snapshot_every", int),
-    "out": ("output_dir", str),
-    "jobs": ("parallelism", int),
+    "out": ("output_dir", str, "DIR", "output directory (default: results)"),
+    "seeds": ("seeds", int, "N", "stream reseedings per row"),
+    "instances": ("n_instances", int, "N", "instances per run"),
+    "snapshot-every": ("snapshot_every", int, "N",
+                       "error-series window size (0 disables series output)"),
+    "jobs": ("parallelism", int, "N", "parallel worker processes, at most one per cell"),
 }
 
 
@@ -174,7 +176,7 @@ def parse_config_lines(lines) -> ExperimentConfig:
             if key in given:
                 raise ConfigError(f"line {lineno}: {key} given twice")
             given.add(key)
-            field, kind = SETTINGS[key]
+            field, kind, *_ = SETTINGS[key]
             try:
                 setattr(cfg, field, kind(value))
             except ValueError:

@@ -53,8 +53,6 @@ VOTE_MULTI_NO_SINGLE_LEAVES = "multiple_excluding_single_leaves"
 
 _VOTE_MODES = (VOTE_NONE, VOTE_SINGLE, VOTE_MULTI, VOTE_MULTI_NO_SINGLE_LEAVES)
 
-_NO_ROUTES: dict = {}  # read only: predict fills a fresh routes dict each time
-
 # one float per Poisson count, shared by every draw of that count, so an
 # eidetic buffer holds no weight float of its own
 _POISSON_WEIGHTS: dict[int, float] = {}
@@ -116,11 +114,10 @@ class HoeffdingAdaptiveTreeClassifier:
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._poisson_buf: list[float] = []
         self._root = self._new_node()
-        # the instance predict routed last, and the mainline path it walked from
-        # each subtree root, alternates included; the next train of that same
-        # object reuses them
-        self._routed: Instance | None = None
-        self._routes: dict = {}
+        # (instance, path): the instance predict routed last and the mainline
+        # path it walked from the root; the next train of that same object
+        # reuses the path
+        self._routed: tuple | None = None
         self._n_promotions = 0
         self._n_sprouts = 0
 
@@ -149,7 +146,8 @@ class HoeffdingAdaptiveTreeClassifier:
     def train(self, instance: Instance) -> None:
         routed, self._routed = self._routed, None
         check_shape(self.schema, instance)
-        self._train_subtree(self._root, instance, 0, self._routes if routed is instance else _NO_ROUTES)
+        path = routed[1] if routed is not None and routed[0] is instance else None
+        self._train_subtree(self._root, instance, 0, path)
 
     def _route(self, hnode: _HatNode, values):
         """Mainline path of _HatNodes from hnode down to its leaf."""
@@ -166,13 +164,14 @@ class HoeffdingAdaptiveTreeClassifier:
         return path
 
     def _train_subtree(self, hnode: _HatNode, instance: Instance, depth: int,
-                       routes: dict = _NO_ROUTES) -> None:
+                       path: list | None = None) -> None:
         """Train the subtree under hnode, which hangs ``depth`` alternate edges below the root.
 
-        ``routes`` maps subtree roots to their paths as routed before this
-        train; no subtree's mainline changes before its own training starts.
+        ``path`` is hnode's mainline path for this instance when the caller
+        has already routed it.
         """
-        path = routes.get(hnode) or self._route(hnode, instance.values)
+        if path is None:
+            path = self._route(hnode, instance.values)
         leaf_node = path[-1]
         bit = 1.0 if argmax_label(leaf_node.mainline.class_dist) != instance.class_label else 0.0
         cfg = self.config
@@ -191,22 +190,18 @@ class HoeffdingAdaptiveTreeClassifier:
             alt = nd.alternate
             if alt is None:
                 continue
-            alt_was_leaf = alt.mainline.__class__ is not SplitNode
-            self._train_subtree(alt, instance, depth + 1, routes)
+            # premature replacement applies while the alternate is one leaf
+            promote_on_split = alt.mainline.__class__ is not SplitNode and (
+                cfg.replace_root_on_alternate_split if nd is self._root
+                else cfg.replace_subtree_on_alternate_split)
+            self._train_subtree(alt, instance, depth + 1)
             nd.alt_instances += 1
-            node_is_root = nd is self._root
-            promoted = False
-            if alt_was_leaf and alt.mainline.__class__ is SplitNode:
-                if (node_is_root and cfg.replace_root_on_alternate_split) or (
-                    not node_is_root and cfg.replace_subtree_on_alternate_split
-                ):
-                    self._promote(nd)
-                    promoted = True
-            if not promoted and nd.alt_instances % cfg.replacement_check_interval == 0:
-                promoted = self.maybe_replace(nd)
-            if promoted:
-                # everything deeper on the old path is discarded, and the
-                # promoted subtree already trained on this instance
+            # after a promotion everything deeper on the old path is discarded,
+            # and the promoted subtree already trained on this instance
+            if promote_on_split and alt.mainline.__class__ is SplitNode:
+                self._promote(nd)
+                return
+            if nd.alt_instances % cfg.replacement_check_interval == 0 and self.maybe_replace(nd):
                 return
         values, label, weight = instance
         if cfg.poisson_weighting:
@@ -256,11 +251,10 @@ class HoeffdingAdaptiveTreeClassifier:
 
     # -- prediction ------------------------------------------------------------
 
-    def _alternate_votes(self, path: list, values, out: list, routes: dict, depth: int) -> None:
+    def _alternate_votes(self, path: list, values, out: list, depth: int) -> None:
         """Append the leaf distribution of each alternate off ``path`` that votes.
 
-        ``path`` hangs ``depth`` alternate edges below the root. Each
-        alternate's path goes into ``routes``.
+        ``path`` hangs ``depth`` alternate edges below the root.
         """
         mode = self.config.voting_mode
         if mode == VOTE_NONE:
@@ -270,24 +264,23 @@ class HoeffdingAdaptiveTreeClassifier:
         for node in path:
             alt = node.alternate
             if alt is not None:
-                alt_path = routes[alt] = self._route(alt, values)
+                alt_path = self._route(alt, values)
                 if mode != VOTE_MULTI_NO_SINGLE_LEAVES or alt.mainline.__class__ is SplitNode:
                     out.append(alt_path[-1].mainline.class_dist)
                 if mode == VOTE_SINGLE:
                     return  # the shallowest alternate on the mainline path votes alone
                 if nested:
-                    self._alternate_votes(alt_path, values, out, routes, depth + 1)
+                    self._alternate_votes(alt_path, values, out, depth + 1)
 
     def _vote(self, instance: Instance) -> list:
         """The voted class distribution: the mainline leaf's own ``class_dist``,
         not a copy, when no alternate votes."""
         values = instance.values
         path = self._route(self._root, values)
-        routes = {self._root: path}
+        self._routed = (instance, path)
         mainline = path[-1].mainline.class_dist
         contributions: list = []
-        self._alternate_votes(path, values, contributions, routes, 0)
-        self._routed, self._routes = instance, routes
+        self._alternate_votes(path, values, contributions, 0)
         if not contributions:
             return mainline
         # each distribution normalised to 1 and summed; the mainline's seeds the sum

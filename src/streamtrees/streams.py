@@ -131,9 +131,6 @@ class _Stream:
     def _make_block(self) -> list[Instance]:
         raise NotImplementedError
 
-    def take(self, n: int) -> list[Instance]:
-        return list(islice(iter(self.next_instance, None), n))
-
 
 def _block(values: np.ndarray, labels: np.ndarray) -> list[Instance]:
     """One Instance of weight 1.0 per row of ``values``, built in C."""

@@ -164,7 +164,7 @@ class NodeStatistics:
                 hi[j] = v
 
 
-def _gain_with_split(stats, class_dist, parent_entropy, attribute):
+def _gain_with_split(stats, parent_entropy, attribute):
     """Information gain of splitting on one attribute, and the best numeric cut.
 
     The parent entropy comes from the leaf's class distribution (parent-derived
@@ -342,7 +342,7 @@ def evaluate_split(leaf: LearningLeaf, config: StrategyConfig, class_count: int)
     for attr in range(schema.n_attributes):
         if leaf.stats.nominal[attr] is not None and attr in leaf.used_attributes and not allow_used:
             continue
-        gain, split_info = _gain_with_split(leaf.stats, leaf.class_dist, parent_entropy, attr)
+        gain, split_info = _gain_with_split(leaf.stats, parent_entropy, attr)
         raw.append((attr, gain, split_info))
 
     leaf.eval_count += 1
@@ -402,21 +402,13 @@ def perform_split(leaf: LearningLeaf, decision: SplitDecision, config: StrategyC
 
     schema = leaf.stats.schema
     attr = decision.best_attribute
-    eidetic = leaf.buffer is not None
-    children: list[LearningLeaf] = []
     if leaf.stats.nominal[attr] is not None:
-        used = leaf.used_attributes | {attr}
-        for j in range(schema.n_values(attr)):
-            dist = None if eidetic else list(leaf.stats.nominal[attr][j])
-            children.append(LearningLeaf(schema, dist, used, eidetic))
-        threshold = None
+        dists, used, threshold = leaf.stats.nominal[attr], leaf.used_attributes | {attr}, None
     else:
-        left, right = decision.child_dists
-        used = leaf.used_attributes
-        children.append(LearningLeaf(schema, None if eidetic else list(left), used, eidetic))
-        children.append(LearningLeaf(schema, None if eidetic else list(right), used, eidetic))
-        threshold = decision.threshold
-
+        dists, used, threshold = decision.child_dists, leaf.used_attributes, decision.threshold
+    eidetic = leaf.buffer is not None
+    # LearningLeaf copies the distribution it starts from
+    children = [LearningLeaf(schema, None if eidetic else dist, used, eidetic) for dist in dists]
     node = SplitNode(attr, threshold, children)
     if eidetic:
         for values, label, weight in zip(leaf.buffer, leaf.buffer_labels, leaf.buffer_weights):

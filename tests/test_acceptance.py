@@ -24,6 +24,8 @@ from streamtrees.tree import (
     StrategyConfig,
 )
 
+from test_streams import take
+
 JOBS = 2
 
 
@@ -96,7 +98,7 @@ def test_criterion_2_oracle_suites():
         stream = build_stream(row)
         config = StrategyConfig(eidetic=True, tau=0.2)
         tree = HoeffdingTreeClassifier(stream.schema, config)
-        instances = stream.take(5000)
+        instances = take(stream, 5000)
         for inst in instances:
             tree.train(inst)
         checked = 0

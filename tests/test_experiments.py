@@ -183,7 +183,7 @@ def test_config_file_rejects_bad_settings(tmp_path, line, fragment):
 def test_settings_keys_are_cli_options_and_config_fields():
     actions = {opt: a for a in build_arg_parser()._actions for opt in a.option_strings}
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    for key, (field, kind) in SETTINGS.items():
+    for key, (field, kind, *_) in SETTINGS.items():
         assert f"--{key}" in actions
         assert (actions[f"--{key}"].type or str) is kind
         assert field in fields

@@ -23,6 +23,8 @@ from streamtrees.tree import (
     StrategyConfig,
 )
 
+from test_streams import take
+
 
 class FireOnceDetector:
     """Fires on the nth element, then behaves like a plain estimator."""
@@ -46,10 +48,6 @@ class FireOnceDetector:
     def width(self):
         return self.count
 
-    def reset(self):
-        self.count = 0
-        self.total = 0.0
-
 
 class FixedEstimator:
     """Detector stand-in with a pinned estimate and width."""
@@ -67,9 +65,6 @@ class FixedEstimator:
     @property
     def width(self):
         return self._width
-
-    def reset(self):
-        pass
 
 
 ALL_MODES = (VOTE_NONE, VOTE_SINGLE, VOTE_MULTI, VOTE_MULTI_NO_SINGLE_LEAVES)
@@ -318,7 +313,7 @@ def _hat_with_alternate(mode, mainline_dist, alt_dist, alt_split=False):
 
 def test_vote_without_alternates_matches_base_predict_in_all_modes():
     stream = build_stream("STAGGERGenerator -i 7 -f 1")
-    insts = stream.take(3000)
+    insts = take(stream, 3000)
     reference = None
     for mode in ALL_MODES:
         s = build_stream("STAGGERGenerator -i 7 -f 1")

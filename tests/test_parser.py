@@ -17,6 +17,8 @@ from streamtrees.streams import (
     StaggerGenerator,
 )
 
+from test_streams import take
+
 # every distinct row string from the published testbench tables
 TABLE_ROWS = [
     "RecurrentConceptDriftStream -x 200000 -y 200000 -z 100 -s (AgrawalGenerator -f 2 -i 2) -d (AgrawalGenerator -f 3 -i 3)",
@@ -170,7 +172,7 @@ def test_recurrent_wrapper_defaults_come_from_the_constructor():
     assert (gen.position, gen.period, gen.width) == (200_000, 200_000, 100)
     built = build_generator(parse_stream_spec(
         "RecurrentConceptDriftStream -s (STAGGERGenerator -i 2) -d (STAGGERGenerator -i 3 -f 2)"))
-    assert built.take(2000) == gen.take(2000)
+    assert take(built, 2000) == take(gen, 2000)
     with pytest.raises(ValueError, match="needs both -s and -d"):
         build_generator(parse_stream_spec("RecurrentConceptDriftStream -s (STAGGERGenerator)"))
 
@@ -210,14 +212,14 @@ def test_variant_zero_of_an_unseeded_spec_is_the_unseeded_build(row):
     info = GENERATORS[spec.generator_name]
     default = inspect.signature(info.cls).parameters["seed"].default
     assert dict(spec.reseeded(0).items)[info.seed_flags[0]] == default
-    assert build_generator(spec.reseeded(0)).take(1000) == build_generator(spec).take(1000)
+    assert take(build_generator(spec.reseeded(0)), 1000) == take(build_generator(spec), 1000)
 
 
 def test_reseeded_streams_differ_but_are_deterministic():
     spec = parse_stream_spec("STAGGERGenerator -i 2 -f 2")
-    a0 = build_generator(spec.reseeded(0)).take(500)
-    a0_again = build_generator(spec.reseeded(0)).take(500)
-    a1 = build_generator(spec.reseeded(1)).take(500)
+    a0 = take(build_generator(spec.reseeded(0)), 500)
+    a0_again = take(build_generator(spec.reseeded(0)), 500)
+    a1 = take(build_generator(spec.reseeded(1)), 500)
     assert a0 == a0_again
     assert a0 != a1
 

@@ -25,6 +25,7 @@ from streamtrees.tree import (
     perform_split,
 )
 from test_detectors import assert_matches_reference
+from test_streams import take
 from test_tree import observed_mass
 
 CASES = settings(max_examples=1000, deadline=None)
@@ -32,7 +33,7 @@ CASES = settings(max_examples=1000, deadline=None)
 
 def info_gain(stats, class_dist, attribute):
     """Information gain of splitting on one attribute, parent entropy from class_dist."""
-    return _gain_with_split(stats, class_dist, entropy(class_dist), attribute)[0]
+    return _gain_with_split(stats, entropy(class_dist), attribute)[0]
 
 
 def _rng(seed):
@@ -235,7 +236,7 @@ def test_column_statistics_equal_per_attribute_oracle(seed, kinds, classes, n, i
             assert stats.means[c][j] == mean
             assert stats.m2s[c][j] == m2
         assert [stats.lo[j], stats.hi[j]] == oracle.minmax[i]
-        gain, split = _gain_with_split(stats, class_dist, parent_entropy, i)
+        gain, split = _gain_with_split(stats, parent_entropy, i)
         want_gain, want_split = numeric_gain_oracle(oracle.numeric[i], oracle.minmax[i],
                                                     parent_entropy)
         assert gain == want_gain
@@ -296,8 +297,8 @@ def test_stream_determinism(seed, generator):
         "hyperplane": f"HyperplaneGenerator -k 2 -t 0.001 -i {seed}",
     }[generator]
     spec = parse_stream_spec(text)
-    a = build_generator(spec).take(300)
-    b = build_generator(spec).take(300)
+    a = take(build_generator(spec), 300)
+    b = take(build_generator(spec), 300)
     assert a == b
 
 

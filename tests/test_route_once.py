@@ -84,21 +84,53 @@ def test_vfdt_routed_twin_matches_train_only_twin(row, eidetic):
     _drive_twins(row, lambda schema: HoeffdingTreeClassifier(schema, config), 20_000)
 
 
-@pytest.mark.parametrize("mode", [VOTE_NONE, VOTE_SINGLE, VOTE_MULTI, VOTE_MULTI_NO_SINGLE_LEAVES])
-def test_hat_routed_twin_matches_train_only_twin(mode):
-    config = HatConfig(voting_mode=mode, alternate_depth_cap=10)
-    promotions = _drive_twins(
-        DRIFTING, lambda schema: HoeffdingAdaptiveTreeClassifier(schema, config, seed=1), 20_000)
+class _CountingHat(HoeffdingAdaptiveTreeClassifier):
+    """Counts the promotions ``maybe_replace`` makes; any others were premature."""
+
+    replacements = 0
+
+    def maybe_replace(self, nd):
+        promoted = super().maybe_replace(nd)
+        self.replacements += promoted
+        return promoted
+
+
+# premature replacement at the root and below it, with alternates that split soon
+PREMATURE = dict(replace_root_on_alternate_split=True, replace_subtree_on_alternate_split=True,
+                 tau=0.2, grace_period=50, voting_mode=VOTE_MULTI, alternate_depth_cap=10)
+
+HAT_CONFIGS = {
+    **{
+        mode: HatConfig(voting_mode=mode, alternate_depth_cap=10)
+        for mode in (VOTE_NONE, VOTE_SINGLE, VOTE_MULTI, VOTE_MULTI_NO_SINGLE_LEAVES)
+    },
+    "premature-unweighted": HatConfig(**PREMATURE),
+    "premature-poisson": HatConfig(poisson_weighting=True, **PREMATURE),
+}
+
+
+@pytest.mark.parametrize("config", HAT_CONFIGS.values(), ids=HAT_CONFIGS.keys())
+def test_hat_routed_twin_matches_train_only_twin(config):
+    twins = []
+
+    def make(schema):
+        twins.append(_CountingHat(schema, config, seed=1))
+        return twins[-1]
+
+    promotions = _drive_twins(DRIFTING, make, 20_000)
     assert promotions > 0
+    if config.replace_root_on_alternate_split:
+        for hat in twins:
+            assert hat._n_promotions > hat.replacements
 
 
 LEARNERS = {
     "vfdt": lambda schema: HoeffdingTreeClassifier(schema, StrategyConfig()),
     "vfdt-eidetic": lambda schema: HoeffdingTreeClassifier(schema, StrategyConfig(eidetic=True)),
     **{
-        f"hat-{mode}": lambda schema, mode=mode: HoeffdingAdaptiveTreeClassifier(
-            schema, HatConfig(voting_mode=mode, alternate_depth_cap=10), seed=1)
-        for mode in (VOTE_NONE, VOTE_SINGLE, VOTE_MULTI, VOTE_MULTI_NO_SINGLE_LEAVES)
+        f"hat-{name}": lambda schema, config=config: HoeffdingAdaptiveTreeClassifier(
+            schema, config, seed=1)
+        for name, config in HAT_CONFIGS.items()
     },
 }
 

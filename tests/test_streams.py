@@ -28,6 +28,11 @@ from streamtrees.streams import (
 from streamtrees.tree import check_shape
 
 
+def take(stream, n):
+    """The next n instances of a stream or a reference stream, in order."""
+    return [stream.next_instance() for _ in range(n)]
+
+
 def stagger_concept(function, size, color, shape):
     """The three STAGGER rules, written out one instance at a time."""
     if function == 1:
@@ -168,7 +173,7 @@ def test_apply_drift_rejects_out_of_range():
 def test_abrupt_generator_deterministic():
     a = AbruptDriftGenerator(3, 3, 5, 1.0, 200, recurrent=True, seed=2)
     b = AbruptDriftGenerator(3, 3, 5, 1.0, 200, recurrent=True, seed=2)
-    assert a.take(10_000) == b.take(10_000)
+    assert take(a, 10_000) == take(b, 10_000)
 
 
 def test_abrupt_generator_label_flips_at_drift_point():
@@ -176,21 +181,21 @@ def test_abrupt_generator_label_flips_at_drift_point():
     for cell in range(4):
         values = (cell >> 1, cell & 1)
         assert class_of(gen.table_before, values) != class_of(gen.table_after, values)
-    for t, inst in enumerate(gen.take(300)):
+    for t, inst in enumerate(take(gen, 300)):
         table = gen.table_after if t >= 100 else gen.table_before
         assert inst.class_label == class_of(table, inst.values)
 
 
 def test_recurrent_mode_alternates_with_period():
     gen = AbruptDriftGenerator(2, 2, 3, magnitude=1.0, drift_point=50, recurrent=True, seed=9)
-    for t, inst in enumerate(gen.take(1200)):
+    for t, inst in enumerate(take(gen, 1200)):
         table = gen.table_after if (t // 50) % 2 == 1 else gen.table_before
         assert inst.class_label == class_of(table, inst.values)
 
 
 def test_abrupt_generator_streams_match_tables():
     gen = AbruptDriftGenerator(2, 3, 4, magnitude=1.0, drift_point=500, seed=4)
-    for t, inst in enumerate(gen.take(1200)):
+    for t, inst in enumerate(take(gen, 1200)):
         table = gen.table_after if t >= 500 else gen.table_before
         assert inst.class_label == class_of(table, inst.values)
 
@@ -198,7 +203,7 @@ def test_abrupt_generator_streams_match_tables():
 def test_empirical_value_frequencies_within_3_sigma():
     gen = AbruptDriftGenerator(3, 4, 2, magnitude=1.0, drift_point=10**9, seed=11)
     n = 100_000
-    values = np.array([inst.values for inst in gen.take(n)])
+    values = np.array([inst.values for inst in take(gen, n)])
     for attr, probs in enumerate(gen.table_before.attribute_value_probs):
         emp = np.bincount(values[:, attr], minlength=len(probs)) / n
         se = np.sqrt(probs * (1 - probs) / n)
@@ -212,7 +217,7 @@ def test_empirical_value_frequencies_within_3_sigma():
 def test_stagger_matches_published_concepts():
     for function in (1, 2, 3):
         gen = StaggerGenerator(function=function, seed=3)
-        for inst in gen.take(3000):
+        for inst in take(gen, 3000):
             assert inst.class_label == stagger_concept(function, *inst.values)
 
 
@@ -225,14 +230,14 @@ def test_stagger_function_1_red_small_positive():
 
 def test_sea_thresholds_and_ranges():
     gen = SeaGenerator(function=2, seed=4)
-    for inst in gen.take(3000):
+    for inst in take(gen, 3000):
         assert all(0.0 <= v <= 1.0 for v in inst.values)
         assert inst.class_label == int(inst.values[0] + inst.values[1] <= 0.9)
 
 
 def test_sea_noise_flips_labels():
-    clean = SeaGenerator(function=1, noise=0.0, seed=8).take(20_000)
-    noisy = SeaGenerator(function=1, noise=0.2, seed=8).take(20_000)
+    clean = take(SeaGenerator(function=1, noise=0.0, seed=8), 20_000)
+    noisy = take(SeaGenerator(function=1, noise=0.2, seed=8), 20_000)
     flipped = sum(
         a.class_label != int(a.values[0] + a.values[1] <= 0.8) for a in noisy
     )
@@ -243,8 +248,8 @@ def test_sea_noise_flips_labels():
 def test_hyperplane_deterministic_and_balanced():
     a = HyperplaneGenerator(10, 10, 0.001, seed=2)
     b = HyperplaneGenerator(10, 10, 0.001, seed=2)
-    xs = a.take(30_000)
-    assert xs == b.take(30_000)
+    xs = take(a, 30_000)
+    assert xs == take(b, 30_000)
     rate = sum(i.class_label for i in xs) / len(xs)
     assert 0.35 < rate < 0.65
     assert all(0.0 <= v <= 1.0 for v in xs[0].values)
@@ -278,7 +283,7 @@ def test_wrapper_sigmoid_profile():
 
 def test_wrapper_concepts_alternate():
     w = _wrapper()
-    insts = w.take(8000)
+    insts = take(w, 8000)
     def err_against(function, chunk):
         return sum(i.class_label != stagger_concept(function, *i.values) for i in chunk) / len(chunk)
     assert err_against(2, insts[:1500]) == 0.0
@@ -287,7 +292,7 @@ def test_wrapper_concepts_alternate():
 
 
 def test_wrapper_deterministic():
-    assert _wrapper().take(5000) == _wrapper().take(5000)
+    assert take(_wrapper(), 5000) == take(_wrapper(), 5000)
 
 
 def test_wrapper_requires_matching_schemas():
@@ -307,7 +312,7 @@ def test_wrapper_requires_matching_schemas():
     ids=["stagger", "abrupt"],
 )
 def test_equal_nominal_draws_are_one_object(make):
-    drawn = make().take(3 * _BLOCK)
+    drawn = take(make(), 3 * _BLOCK)
     first = {}
     for inst in drawn:
         assert first.setdefault((inst.values, inst.class_label), inst) is inst
@@ -319,7 +324,7 @@ def test_instance_cache_never_exceeds_its_bound():
     gen = AbruptDriftGenerator(20, 2, 2, magnitude=0.0, drift_point=10**9, seed=5)
     largest = 0
     for _ in range(3 * _MAX_INTERNED // _BLOCK):
-        gen.take(_BLOCK)
+        take(gen, _BLOCK)
         assert len(gen._cache) <= _MAX_INTERNED
         largest = max(largest, len(gen._cache))
     assert largest > _MAX_INTERNED - _BLOCK  # the cache filled up to the bound, then was emptied
@@ -348,9 +353,6 @@ class ReferenceStream:
         inst = self._buffer[self._pos]
         self._pos += 1
         return inst
-
-    def take(self, n):
-        return [self.next_instance() for _ in range(n)]
 
 
 class ReferenceAbrupt(ReferenceStream):
@@ -458,11 +460,9 @@ class ReferenceRecurrent:
             pick_drift = p >= 1.0
         return self.drift.next_instance() if pick_drift else self.base.next_instance()
 
-    take = ReferenceStream.take
-
 
 def assert_same_stream(stream, reference, n=3 * 1024 + 517):
-    got, want = stream.take(n), reference.take(n)
+    got, want = take(stream, n), take(reference, n)
     assert got == want
     for g, w in zip(got, want):
         assert type(g) is Instance and type(g.class_label) is int and type(g.weight) is float
@@ -515,8 +515,8 @@ def test_recurrent_stream_matches_per_instance_reference(position, period, width
     reference = _recurrent((ReferenceRecurrent, ReferenceStagger), position, period, width, nested)
     assert_same_stream(stream, reference)
     # both draw the same uniforms up to the next block boundary and over the two blocks after it
-    assert stream.take(1024 - 517) == reference.take(1024 - 517)
-    assert stream.take(2 * 1024) == reference.take(2 * 1024)
+    assert take(stream, 1024 - 517) == take(reference, 1024 - 517)
+    assert take(stream, 2 * 1024) == take(reference, 2 * 1024)
 
 
 @settings(max_examples=60, deadline=None)
@@ -532,5 +532,5 @@ def test_interleaved_pulls_leave_each_sequence_unchanged(pulls):
     for first in pulls:
         got[0 if first else 1].append((a if first else b).next_instance())
     fresh_a, fresh_b = pair()
-    assert got[0] == fresh_a.take(len(got[0]))
-    assert got[1] == fresh_b.take(len(got[1]))
+    assert got[0] == take(fresh_a, len(got[0]))
+    assert got[1] == take(fresh_b, len(got[1]))

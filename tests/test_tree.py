@@ -42,7 +42,7 @@ def weighted_entropy_oracle(rows):
 
 def info_gain(stats, class_dist, attribute):
     """Information gain of splitting on one attribute, parent entropy from class_dist."""
-    return _gain_with_split(stats, class_dist, entropy(class_dist), attribute)[0]
+    return _gain_with_split(stats, entropy(class_dist), attribute)[0]
 
 
 def observed_mass(stats, attr):
