@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
@@ -31,16 +31,15 @@ class Schema:
 
     attributes: tuple[Attribute, ...]
     class_count: int
+    # stored, not a property: check_shape reads it on every train
+    n_attributes: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.attributes:
             raise ValueError("schema needs at least one attribute")
         if self.class_count < 2:
             raise ValueError(f"class_count must be >= 2, got {self.class_count}")
-
-    @property
-    def n_attributes(self) -> int:
-        return len(self.attributes)
+        object.__setattr__(self, "n_attributes", len(self.attributes))
 
     def is_nominal(self, index: int) -> bool:
         return isinstance(self.attributes[index], NominalAttribute)

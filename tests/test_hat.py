@@ -453,19 +453,23 @@ def test_eidetic_poisson_buffers_no_zero_weight():
         hat.train(instance)
     leaves = _leaves(hat)
     assert len(leaves) > 1
-    assert sum(len(leaf.buffer_weights) for leaf in leaves) > 40_000
+    assert sum(len(leaf.buffer) for leaf in leaves) > 40_000
     for leaf in leaves:
-        assert 0.0 not in leaf.buffer_weights
+        entries = list(leaf.buffered())
+        assert len(entries) == len(leaf.buffer)
+        assert 0.0 not in [weight for _, _, weight in entries]
         # an eidetic leaf's mass is exactly its buffer's (integer weights)
         mass = [0.0] * stream.schema.class_count
-        for label, weight in zip(leaf.buffer_labels, leaf.buffer_weights):
+        for _, label, weight in entries:
             mass[label] += weight
         assert leaf.class_dist == mass
 
 
-def test_eidetic_poisson_buffer_costs_at_most_32_bytes_per_entry():
-    # the three column slots cost about 26 bytes an entry; a weight float of
-    # its own per entry would add 24 more
+def test_eidetic_poisson_buffer_costs_at_most_24_bytes_per_entry():
+    # a values slot, a label byte and, for the ~57% of entries whose weight
+    # differs from the one before, a run's weight slot and 8-byte start cost
+    # about 18.8 bytes an entry; a weight float of its own per entry, or run
+    # starts kept as Python ints, would add 15 or more
     stream = build_stream("STAGGERGenerator -i 2 -f 2")
     config = HatConfig(eidetic=True, poisson_weighting=True)
     tracemalloc.start()
@@ -477,14 +481,14 @@ def test_eidetic_poisson_buffer_costs_at_most_32_bytes_per_entry():
         entries = sum(len(leaf.buffer) for leaf in leaves)
         before = tracemalloc.get_traced_memory()[0]
         for leaf in leaves:
-            for column in (leaf.buffer, leaf.buffer_labels, leaf.buffer_weights):
+            for column in (leaf.buffer, leaf.buffer_labels, leaf.buffer_weights, leaf.buffer_runs):
                 del column[:]
         freed = before - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len(leaves) > 1
     assert entries > 40_000
-    assert 0 < freed <= 32 * entries
+    assert 0 < freed <= 24 * entries
 
 
 def test_hat_dump_marks_alternates():

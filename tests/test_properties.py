@@ -13,9 +13,11 @@ from streamtrees.tree import (
     _NUMERIC_SPLIT_POINTS,
     _SQRT2,
     RESPLIT,
+    SPLIT,
     HoeffdingTreeClassifier,
     LearningLeaf,
     NodeStatistics,
+    SplitDecision,
     StrategyConfig,
     _gain_with_split,
     argmax_label,
@@ -282,6 +284,81 @@ def test_argmax_invariant_to_positive_scaling(seed, classes, scale):
     dist = [float(m) for m in rng.random(classes)]
     scaled = [m * scale for m in dist]
     assert argmax_label(dist) == argmax_label(scaled)
+
+
+def argmax_loop(dist):
+    """The first index of the largest mass, one comparison at a time."""
+    best = 0
+    for i in range(1, len(dist)):
+        if dist[i] > dist[best]:
+            best = i
+    return best
+
+
+@CASES
+@given(dist=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1e-300, 2.0, 7.25]),
+                     min_size=1, max_size=8))
+def test_argmax_label_is_the_first_largest_mass(dist):
+    # drawn from few masses, so most lists hold ties, the maximum's among them
+    assert argmax_label(dist) == argmax_loop(dist)
+
+
+# dyadic weights, so every sum is exact; 0 is learned but never buffered
+BUFFER_WEIGHTS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def buffered_sequences(draw):
+    """A mixed schema and a sequence of (values, label, weight) to learn.
+
+    Weights repeat in runs and change, and some are 0."""
+    kinds = draw(st.lists(st.one_of(st.none(), st.integers(min_value=2, max_value=4)),
+                          min_size=1, max_size=4))
+    classes = draw(st.integers(min_value=2, max_value=4))
+    schema = Schema(
+        tuple(NumericAttribute() if k is None else NominalAttribute(k) for k in kinds), classes
+    )
+    entry = st.tuples(
+        st.tuples(*(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) if k is None
+                    else st.integers(min_value=0, max_value=k - 1) for k in kinds)),
+        st.integers(min_value=0, max_value=classes - 1),
+        BUFFER_WEIGHTS,
+    )
+    runs = draw(st.lists(st.tuples(entry, st.integers(min_value=1, max_value=4)), max_size=20))
+    # a drawn entry repeated a few times makes a run of equal weights
+    return schema, [e for e, times in runs for e in [e] * times]
+
+
+def leaf_state(leaf):
+    """Everything a leaf has learned, buffer included."""
+    stats = leaf.stats
+    return (stats.nominal, stats.counts, stats.means, stats.m2s, stats.lo, stats.hi,
+            leaf.class_dist, leaf.total_weight, leaf.used_attributes, list(leaf.buffered()))
+
+
+@CASES
+@given(case=buffered_sequences(), data=st.data())
+def test_buffered_replays_positive_weights_in_learn_order(case, data):
+    schema, entries = case
+    leaf = LearningLeaf(schema, eidetic=True)
+    for values, label, weight in entries:
+        leaf.learn(values, label, weight)
+    positive = [entry for entry in entries if entry[2] > 0.0]
+    assert list(leaf.buffered()) == positive
+    assert len(leaf.buffer) == len(positive)
+
+    # split on a drawn attribute: each child equals a fresh leaf fed the
+    # entries routed to it directly
+    attr = data.draw(st.integers(min_value=0, max_value=schema.n_attributes - 1))
+    threshold = None if schema.is_nominal(attr) else data.draw(st.sampled_from([0.3, 0.5]))
+    masses = ([0.0] * schema.class_count,) * 2  # unused by eidetic children
+    decision = SplitDecision(attr, 1.0, 0.0, 0.0, SPLIT, threshold, masses)
+    node = perform_split(leaf, decision, StrategyConfig(eidetic=True))
+    used = leaf.used_attributes | ({attr} if threshold is None else set())
+    fresh = [LearningLeaf(schema, None, used, eidetic=True) for _ in node.children]
+    for values, label, weight in entries:
+        fresh[node.branch(values)].learn(values, label, weight)
+    assert [leaf_state(child) for child in node.children] == [leaf_state(f) for f in fresh]
 
 
 @CASES

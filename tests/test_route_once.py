@@ -181,8 +181,7 @@ def test_eidetic_buffers_hold_no_tracked_entries():
         tree.predict_label(x)
         tree.train(x)
     gc.collect()
-    leaves = tree.leaves()
-    for column in ("buffer", "buffer_labels", "buffer_weights"):
-        entries = [entry for leaf in leaves for entry in getattr(leaf, column)]
-        assert len(entries) == 5_000
-        assert not any(gc.is_tracked(entry) for entry in entries), column
+    entries = [entry for leaf in tree.leaves() for entry in leaf.buffered()]
+    assert len(entries) == 5_000
+    for name, parts in zip(("values", "label", "weight"), zip(*entries)):
+        assert not any(gc.is_tracked(part) for part in parts), name

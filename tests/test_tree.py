@@ -319,8 +319,13 @@ def test_amnesiac_children_start_with_zero_statistics():
         assert child.class_dist == leaf.stats.nominal[decision.best_attribute][j]
 
 
-def test_eidetic_children_match_replay_recount():
-    schema = Schema.uniform_nominal(2, 3, 2)
+def assert_children_match_replay_recount(class_count, label_of):
+    """Buffer 900 weighted instances in one eidetic leaf, split it, and check
+    each child against a brute-force recount of the instances routed to it.
+
+    ``label_of[v]`` is the label of every instance whose attribute 0 is ``v``.
+    """
+    schema = Schema.uniform_nominal(2, 3, class_count)
     config = StrategyConfig(eidetic=True)
     leaf = LearningLeaf(schema, eidetic=True)
     # a grace period past the stream's end: the learn step buffers, never splits
@@ -329,12 +334,12 @@ def test_eidetic_children_match_replay_recount():
     weights = (0.0, 0.5, 1.0, 2.0, 0.25, 0.0, 3.0)
     instances = []
     for i in range(900):
-        inst = Instance((i % 3, (i // 3) % 3), (i % 3 == 0) * 1, weights[(i // 9) % len(weights)])
+        inst = Instance((i % 3, (i // 3) % 3), label_of[i % 3], weights[(i // 9) % len(weights)])
         instances.append(inst)
         assert learn_at_leaf(leaf, *inst, fill) is None
     assert leaf.node_time == 900
-    assert 0.0 not in leaf.buffer_weights
-    decision = evaluate_split(leaf, config, 2)
+    assert 0.0 not in [weight for _, _, weight in leaf.buffered()]
+    decision = evaluate_split(leaf, config, class_count)
     assert decision.action == SPLIT
     node = perform_split(leaf, decision, config)
     attr = decision.best_attribute
@@ -343,22 +348,32 @@ def test_eidetic_children_match_replay_recount():
         # brute-force recount of n_ijk and the class mass of the routed instances
         for a in range(2):
             for v in range(3):
-                for c in range(2):
+                for c in range(class_count):
                     expected = 0.0
                     for inst in routed:
                         if inst.values[a] == v and inst.class_label == c:
                             expected += inst.weight
                     assert child.stats.nominal[a][v][c] == expected
-        mass = [0.0, 0.0]
+        mass = [0.0] * class_count
         for inst in routed:
             mass[inst.class_label] += inst.weight
         assert child.class_dist == mass
-        assert child.total_weight == mass[0] + mass[1]
+        assert child.total_weight == sum(mass)
         assert child.node_time == 0
         # the child's columns hold the routed instances, in learn order
-        assert child.buffer == [inst.values for inst in routed]
-        assert child.buffer_labels == [inst.class_label for inst in routed]
-        assert child.buffer_weights == [inst.weight for inst in routed]
+        assert list(child.buffered()) == [tuple(inst) for inst in routed]
+    return leaf
+
+
+def test_eidetic_children_match_replay_recount():
+    leaf = assert_children_match_replay_recount(2, (1, 0, 0))
+    assert type(leaf.buffer_labels) is bytearray
+
+
+def test_eidetic_children_match_replay_recount_past_256_classes():
+    # labels past 255 do not fit a bytearray: the label column is a list
+    leaf = assert_children_match_replay_recount(300, (299, 150, 0))
+    assert type(leaf.buffer_labels) is list
 
 
 def test_eidetic_buffer_shares_a_nominal_streams_values():
@@ -376,9 +391,9 @@ def test_eidetic_buffer_shares_a_nominal_streams_values():
     assert len({id(values) for leaf in tree.leaves() for values in leaf.buffer}) <= 27
 
 
-def test_eidetic_buffer_costs_at_most_32_bytes_per_entry():
-    # three column slots cost about 26 bytes an entry; one tuple per entry
-    # and its list slot cost 72
+def test_eidetic_buffer_costs_at_most_12_bytes_per_entry():
+    # a values slot and a label byte cost about 9.3 bytes an entry; one
+    # tuple per entry and its list slot cost 72
     stream = build_stream("STAGGERGenerator -i 2 -f 2")
     tracemalloc.start()
     try:
@@ -389,14 +404,14 @@ def test_eidetic_buffer_costs_at_most_32_bytes_per_entry():
         entries = sum(len(leaf.buffer) for leaf in leaves)
         before = tracemalloc.get_traced_memory()[0]
         for leaf in leaves:
-            for column in (leaf.buffer, leaf.buffer_labels, leaf.buffer_weights):
+            for column in (leaf.buffer, leaf.buffer_labels, leaf.buffer_weights, leaf.buffer_runs):
                 del column[:]
         freed = before - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len(leaves) > 1
     assert entries == 20_000
-    assert 0 < freed <= 32 * entries
+    assert 0 < freed <= 12 * entries
 
 
 def test_resplit_routes_all_traffic_to_the_path_child():
