@@ -1,7 +1,7 @@
 """Streaming decision trees with contested design choices exposed as flags,
 plus the synthetic drift streams and prequential testbench to measure them."""
 
-from .detectors import AdwinDetector, NeverFireDetector
+from .detectors import AdwinDetector
 from .evaluate import (
     ComparisonReport,
     PrequentialResult,
@@ -54,7 +54,6 @@ __all__ = [
     "HyperplaneGenerator",
     "Instance",
     "LearningLeaf",
-    "NeverFireDetector",
     "NodeStatistics",
     "NominalAttribute",
     "NumericAttribute",

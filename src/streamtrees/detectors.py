@@ -1,10 +1,9 @@
 """Adaptive-windowing change detection over a stream of values in [0, 1].
 
-The detector interface used throughout the package is three methods:
+The detector interface the adaptive tree uses is three methods:
 ``add_element``, ``estimate`` and the ``width`` property. ``AdwinDetector``
-is the real implementation; ``NeverFireDetector`` is an inert stand-in so an
-adaptive tree can be collapsed onto its non-adaptive base for differential
-testing. A detector is never reset: the adaptive tree builds a new one.
+is the one implementation. A detector is never reset: the adaptive tree
+builds a new one.
 """
 
 from __future__ import annotations
@@ -151,21 +150,3 @@ class AdwinDetector:
             rows.pop()
         if self.total_count == 0:
             self.total_sum = 0.0
-
-
-class NeverFireDetector:
-    """Detector stub that accepts every element and never signals change."""
-
-    __slots__ = ()
-
-    def add_element(self, x: float) -> bool:
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"element {x} outside [0, 1]")
-        return False
-
-    def estimate(self) -> float:
-        raise ValueError("empty detector has no estimate")
-
-    @property
-    def width(self) -> int:
-        return 0

@@ -125,7 +125,8 @@ def _typed_flag(key: str, text: str):
 
 
 def parse_learner_line(text: str) -> LearnerSpec:
-    """``name algorithm [flag=value ...]``, e.g. ``resplit vfdt allow_resplit=true``."""
+    """``name algorithm [flag=value ...]``, e.g.
+    ``resplit vfdt used_attribute_policy=resplit``."""
     parts = text.split()
     if len(parts) < 2:
         raise ConfigError(f"learner: expected 'name algorithm [flag=value ...]', got {text!r}")
@@ -242,7 +243,7 @@ _TESTBENCH = [f"stream = {row}" for row in TESTBENCH_ROWS]
 # the published-algorithm reading of the base learner: averaged gains over
 # evaluations, instance-count split timer
 _STRIPPED = "infogain_mode=averaged_over_evaluations counter_mode=node_time"
-_MOA_SIDE = "allow_resplit=true"  # instantaneous + weight_seen are the defaults
+_MOA_SIDE = "used_attribute_policy=resplit"  # instantaneous + weight_seen are the defaults
 # the multiple-alternate voting arms let alternates nest, up to 10 alternate edges
 _MULTI_VOTE = "voting_mode=multiple_alternates alternate_depth_cap=10"
 _NO_SINGLE_LEAVES = "voting_mode=multiple_excluding_single_leaves alternate_depth_cap=10"
@@ -250,7 +251,7 @@ _NO_SINGLE_LEAVES = "voting_mode=multiple_excluding_single_leaves alternate_dept
 _PRESETS = {
     # base tree flag studies
     "resplit-vfdt": ["learner = vfdt vfdt",
-                     "learner = vfdt-resplit vfdt allow_resplit=true", *_TESTBENCH],
+                     "learner = vfdt-resplit vfdt used_attribute_policy=resplit", *_TESTBENCH],
     "infogain-vfdt": ["learner = vfdt-averaged vfdt infogain_mode=averaged_over_evaluations",
                       "learner = vfdt-instantaneous vfdt", *_TESTBENCH],
     "counters-vfdt": ["learner = vfdt-node-time vfdt counter_mode=node_time",
@@ -258,11 +259,11 @@ _PRESETS = {
     "combined-vfdt": [f"learner = vfdt-stripped vfdt {_STRIPPED}",
                       f"learner = vfdt-combined vfdt {_MOA_SIDE}", *_TESTBENCH],
     "eviscerate-vfdt": ["learner = vfdt vfdt",
-                        "learner = vfdt-eviscerate vfdt eviscerate_on_used_best=true",
+                        "learner = vfdt-eviscerate vfdt used_attribute_policy=eviscerate",
                         *_TESTBENCH],
     # adaptive tree flag studies
     "resplit-hat": ["learner = hat hat",
-                    "learner = hat-resplit hat allow_resplit=true", *_TESTBENCH],
+                    "learner = hat-resplit hat used_attribute_policy=resplit", *_TESTBENCH],
     # the alternate-voting study runs with a conservative replacement period in
     # both arms: promotion and voting compete for the same signal, and with
     # immediate promotion there is no window in which lookahead can matter

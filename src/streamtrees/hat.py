@@ -22,7 +22,10 @@ significantly worse. Every contested behavior is a flag on
 ``HatConfig`` is a ``StrategyConfig`` plus these flags, and leaves learn and
 split through the base tree's ``learn_at_leaf`` with that config, so every
 base-tree flag, ``counter_mode`` included, acts exactly as it does in the
-base tree.
+base tree. Every node's detector is an ``AdwinDetector`` built by
+``_new_detector`` from ``detector_delta`` and ``detector_check_interval``; a
+subclass whose ``_new_detector`` returns a detector that never fires learns
+exactly what the base tree learns.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import AdwinDetector, NeverFireDetector
+from .detectors import AdwinDetector
 from .schema import Instance, Schema
 from .tree import (
     LearningLeaf,
@@ -67,7 +70,6 @@ class HatConfig(StrategyConfig):
     replacement_check_interval: int = 300
     replacement_delta: float = 0.05
     alternate_depth_cap: int = 1
-    detector: str = "adwin"
     detector_delta: float = 0.002
     detector_check_interval: int = 32
 
@@ -75,8 +77,6 @@ class HatConfig(StrategyConfig):
         super().__post_init__()
         if self.voting_mode not in _VOTE_MODES:
             raise ValueError(f"bad voting_mode {self.voting_mode!r}")
-        if self.detector not in ("adwin", "neverfire"):
-            raise ValueError(f"bad detector {self.detector!r}")
         if self.replacement_check_interval < 1:
             raise ValueError("replacement_check_interval must be >= 1")
         if not 0.0 < self.replacement_delta < 1.0:
@@ -118,14 +118,12 @@ class HoeffdingAdaptiveTreeClassifier:
         # path it walked from the root; the next train of that same object
         # reuses the path
         self._routed: tuple | None = None
-        self._n_promotions = 0
         self._n_sprouts = 0
 
     # -- construction helpers ------------------------------------------------
 
     def _new_detector(self):
-        if self.config.detector == "neverfire":
-            return NeverFireDetector()
+        """The one place a node's detector is built."""
         return AdwinDetector(
             delta=self.config.detector_delta,
             check_interval=self.config.detector_check_interval,
@@ -247,20 +245,19 @@ class HoeffdingAdaptiveTreeClassifier:
         nd.alternate = alt.alternate
         nd.detector = self._new_detector()
         nd.alt_instances = alt.alt_instances
-        self._n_promotions += 1
 
     # -- prediction ------------------------------------------------------------
 
-    def _alternate_votes(self, path: list, values, out: list, depth: int) -> None:
-        """Append the leaf distribution of each alternate off ``path`` that votes.
+    def _alternate_votes(self, path: list, values, out: list) -> None:
+        """Append the leaf distribution of each alternate off ``path`` that votes,
+        then walk each alternate's own path the same way.
 
-        ``path`` hangs ``depth`` alternate edges below the root.
+        Only ``_train_subtree`` reads ``alternate_depth_cap``: alternates
+        sprout only within it, so the walk needs no cap of its own.
         """
         mode = self.config.voting_mode
         if mode == VOTE_NONE:
             return
-        # no alternate hangs alternate_depth_cap or more edges below the root
-        nested = depth + 1 < self.config.alternate_depth_cap
         for node in path:
             alt = node.alternate
             if alt is not None:
@@ -269,8 +266,7 @@ class HoeffdingAdaptiveTreeClassifier:
                     out.append(alt_path[-1].mainline.class_dist)
                 if mode == VOTE_SINGLE:
                     return  # the shallowest alternate on the mainline path votes alone
-                if nested:
-                    self._alternate_votes(alt_path, values, out, depth + 1)
+                self._alternate_votes(alt_path, values, out)
 
     def _vote(self, instance: Instance) -> list:
         """The voted class distribution: the mainline leaf's own ``class_dist``,
@@ -280,7 +276,7 @@ class HoeffdingAdaptiveTreeClassifier:
         self._routed = (instance, path)
         mainline = path[-1].mainline.class_dist
         contributions: list = []
-        self._alternate_votes(path, values, contributions, 0)
+        self._alternate_votes(path, values, contributions)
         if not contributions:
             return mainline
         # each distribution normalised to 1 and summed; the mainline's seeds the sum
@@ -292,10 +288,6 @@ class HoeffdingAdaptiveTreeClassifier:
                 for i, m in enumerate(dist):
                     combined[i] += m / total
         return combined
-
-    def predict(self, instance: Instance) -> list:
-        """Class distribution, with alternates contributing per voting_mode."""
-        return list(self._vote(instance))
 
     def predict_label(self, instance: Instance) -> int:
         return argmax_label(self._vote(instance))

@@ -18,10 +18,11 @@ Each behavior the base algorithm leaves open is a flag on :class:`StrategyConfig
   ``LearningLeaf.learn`` alone, which buffers only positive weights: replay
   then teaches each child exactly what its parent learned. Buffers are
   unbounded and grow with the stream; desk-scale runs only.
-- ``allow_resplit``: let nominal attributes already used on the path win the
-  split evaluation again, producing one reachable child with clean counts.
-- ``eviscerate_on_used_best``: instead of resplitting, clear the leaf's
-  statistics and class distribution in place when a used attribute wins.
+- ``used_attribute_policy``: what a leaf does with a nominal attribute already
+  used on its path. ``exclude`` (the default) leaves it out of the split
+  evaluation; under ``resplit`` it may win again, and its split leaves one
+  reachable child with clean counts; under ``eviscerate`` its win clears the
+  leaf's statistics and class distribution in place instead.
 - ``infogain_mode``: score candidates by the latest computed gain (with the
   Hoeffding n taken from the leaf counter) or by the running mean of gains
   across evaluations (with n = number of evaluations).
@@ -47,8 +48,11 @@ WEIGHT_SEEN = "weight_seen"
 
 NO_SPLIT = "no_split"
 SPLIT = "split"
+# a used attribute's win is the action used_attribute_policy names, RESPLIT or
+# EVISCERATE; under EXCLUDE no used attribute is a candidate
 RESPLIT = "resplit"
 EVISCERATE = "eviscerate"
+EXCLUDE = "exclude"
 
 _NUMERIC_SPLIT_POINTS = 10
 _SQRT2 = math.sqrt(2.0)
@@ -57,8 +61,7 @@ _SQRT2 = math.sqrt(2.0)
 @dataclass(frozen=True)
 class StrategyConfig:
     eidetic: bool = False
-    allow_resplit: bool = False
-    eviscerate_on_used_best: bool = False
+    used_attribute_policy: str = EXCLUDE
     infogain_mode: str = INSTANTANEOUS
     counter_mode: str = WEIGHT_SEEN
     grace_period: int = 200
@@ -66,8 +69,8 @@ class StrategyConfig:
     tau: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.allow_resplit and self.eviscerate_on_used_best:
-            raise ValueError("allow_resplit and eviscerate_on_used_best are mutually exclusive")
+        if self.used_attribute_policy not in (EXCLUDE, RESPLIT, EVISCERATE):
+            raise ValueError(f"bad used_attribute_policy {self.used_attribute_policy!r}")
         if self.infogain_mode not in (INSTANTANEOUS, AVERAGED):
             raise ValueError(f"bad infogain_mode {self.infogain_mode!r}")
         if self.counter_mode not in (NODE_TIME, WEIGHT_SEEN):
@@ -356,16 +359,18 @@ def _leaf_counter(leaf: LearningLeaf, config: StrategyConfig) -> float:
 def evaluate_split(leaf: LearningLeaf, config: StrategyConfig, class_count: int) -> SplitDecision:
     """Score all candidate attributes against the null split.
 
-    Used nominal attributes only enter the candidate set when resplitting or
-    evisceration is enabled; the null split carries merit 0 and loses merit
-    ties to real attributes.
+    Attributes used on the leaf's path (nominal only) are candidates unless
+    ``used_attribute_policy`` is ``exclude``, and the action when one wins is
+    the policy's level; the null split carries merit 0 and loses merit ties
+    to real attributes.
     """
     schema = leaf.stats.schema
-    allow_used = config.allow_resplit or config.eviscerate_on_used_best
+    policy = config.used_attribute_policy
+    used = leaf.used_attributes
     parent_entropy = entropy(leaf.class_dist, leaf.total_weight)
     raw = []  # (attr, gain, split_info)
     for attr in range(schema.n_attributes):
-        if leaf.stats.nominal[attr] is not None and attr in leaf.used_attributes and not allow_used:
+        if policy == EXCLUDE and attr in used:
             continue
         gain, split_info = _gain_with_split(leaf.stats, parent_entropy, attr)
         raw.append((attr, gain, split_info))
@@ -403,10 +408,7 @@ def evaluate_split(leaf: LearningLeaf, config: StrategyConfig, class_count: int)
         decision.threshold = split_info[0]
         decision.child_dists = (split_info[1], split_info[2])
     if merit - second_merit > eps or eps < config.tau:
-        if leaf.stats.nominal[attr] is not None and attr in leaf.used_attributes:
-            decision.action = EVISCERATE if config.eviscerate_on_used_best else RESPLIT
-        else:
-            decision.action = SPLIT
+        decision.action = policy if attr in used else SPLIT
     return decision
 
 
@@ -528,10 +530,6 @@ class HoeffdingTreeClassifier:
                 self.root = new_node
             else:
                 parent.children[slot] = new_node
-
-    def predict(self, instance: Instance) -> list:
-        leaf, _, _ = self._sort_to_leaf(instance.values)
-        return list(leaf.class_dist)
 
     def predict_label(self, instance: Instance) -> int:
         self._route = route = self._sort_to_leaf(instance.values)

@@ -24,6 +24,7 @@ from streamtrees.tree import (
     StrategyConfig,
 )
 
+from test_hat import NeverFireHat
 from test_streams import take
 
 JOBS = 2
@@ -219,7 +220,7 @@ def test_criterion_6_hat_reduction_exact():
     for row in rows:
         s1, s2 = build_stream(row), build_stream(row)
         vfdt = HoeffdingTreeClassifier(s1.schema, StrategyConfig())
-        hat = HoeffdingAdaptiveTreeClassifier(s2.schema, HatConfig(detector="neverfire"))
+        hat = NeverFireHat(s2.schema, HatConfig())
         for i in range(100_000):
             i1, i2 = s1.next_instance(), s2.next_instance()
             p1, p2 = vfdt.predict_label(i1), hat.predict_label(i2)

@@ -3,7 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from streamtrees.detectors import AdwinDetector, NeverFireDetector
+from streamtrees.detectors import AdwinDetector
+
+
+class NeverFireDetector:
+    """Detector stub that accepts every element and never signals change.
+
+    An adaptive tree built with it (``test_hat.NeverFireHat``) learns exactly
+    what the base tree learns, which is the differential oracle for the
+    adaptive tree.
+    """
+
+    __slots__ = ()
+
+    def add_element(self, x: float) -> bool:
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"element {x} outside [0, 1]")
+        return False
+
+    def estimate(self) -> float:
+        raise ValueError("empty detector has no estimate")
+
+    @property
+    def width(self) -> int:
+        return 0
 
 
 class ReferenceAdwin:

@@ -37,7 +37,7 @@ def small_config(tmp_path, **kwargs):
     defaults = dict(
         learners=[
             parse_learner_line("vfdt vfdt"),
-            parse_learner_line("resplit vfdt allow_resplit=true"),
+            parse_learner_line("resplit vfdt used_attribute_policy=resplit"),
         ],
         streams=list(SMALL_STREAMS),
         n_instances=800,
@@ -56,8 +56,10 @@ def small_config(tmp_path, **kwargs):
 @pytest.mark.parametrize(
     "flags,expected",
     [
-        ("allow_resplit=true grace_period=100", {"allow_resplit": True, "grace_period": 100}),
-        ("eidetic=YES allow_resplit=0", {"eidetic": True, "allow_resplit": False}),
+        ("used_attribute_policy=resplit grace_period=100",
+         {"used_attribute_policy": "resplit", "grace_period": 100}),
+        ("eidetic=YES used_attribute_policy=exclude",
+         {"eidetic": True, "used_attribute_policy": "exclude"}),
         # each value takes the type of its field, not a type guessed from the text
         ("grace_period=1", {"grace_period": 1}),
         ("tau=1", {"tau": 1.0}),
@@ -73,23 +75,23 @@ def test_parse_learner_line(flags, expected):
 
 def test_parse_hat_learner_with_base_flags():
     spec = parse_learner_line(
-        "h hat voting_mode=single_alternate poisson_weighting=true allow_resplit=true"
+        "h hat voting_mode=single_alternate poisson_weighting=true used_attribute_policy=resplit"
     )
     cfg = spec.config()
     assert cfg.voting_mode == "single_alternate"
     assert cfg.poisson_weighting
-    assert cfg.allow_resplit
+    assert cfg.used_attribute_policy == "resplit"
 
 
 # a valid value other than the default for every learner flag
 FLAG_TEXT = {
-    "eidetic": "true", "allow_resplit": "yes", "eviscerate_on_used_best": "1",
+    "eidetic": "true", "used_attribute_policy": "eviscerate",
     "infogain_mode": "averaged_over_evaluations", "counter_mode": "node_time",
     "grace_period": "50", "delta": "0.001", "tau": "1",
     "voting_mode": "single_alternate", "poisson_weighting": "true",
     "replace_root_on_alternate_split": "true", "replace_subtree_on_alternate_split": "true",
     "replacement_check_interval": "10", "replacement_delta": "0.1",
-    "alternate_depth_cap": "3", "detector": "neverfire", "detector_delta": "0.01",
+    "alternate_depth_cap": "3", "detector_delta": "0.01",
     "detector_check_interval": "16",
 }
 BASE_FIELDS = {f.name for f in dataclasses.fields(StrategyConfig)}
@@ -117,7 +119,7 @@ def test_flag_table_types_every_field_alike_on_vfdt_and_hat_lines(field):
         ("x hat sprockets=4", "unknown hat option"),
         ("x vfdt voting_mode=single_alternate", "unknown vfdt option"),
         # a misspelled or mistyped value names its flag instead of turning it on
-        ("x vfdt allow_resplit=ture", "allow_resplit"),
+        ("x vfdt used_attribute_policy=resplt", "bad used_attribute_policy 'resplt'"),
         ("x vfdt eidetic=flase", "eidetic"),
         ("x hat poisson_weighting=no_thanks", "poisson_weighting"),
         ("x vfdt grace_period=abc", "grace_period"),
@@ -142,7 +144,7 @@ def test_config_file_round_trip(tmp_path):
     path.write_text(
         "# comment\n"
         "learner = base vfdt\n"
-        "learner = resplit vfdt allow_resplit=true\n"
+        "learner = resplit vfdt used_attribute_policy=resplit\n"
         f"stream = {SMALL_STREAMS[0]}\n"
         f"stream = {SMALL_STREAMS[1]}\n"
         "instances = 500\n"
@@ -261,8 +263,8 @@ def test_presets_validate_and_use_testbench_rows(tmp_path, name):
 def test_resplit_preset_isolates_the_flag():
     cfg = preset("resplit-vfdt")
     a, b = cfg.learners
-    assert not a.config().allow_resplit
-    assert b.config().allow_resplit
+    assert a.config().used_attribute_policy == "exclude"
+    assert b.config().used_attribute_policy == "resplit"
     assert cfg.streams == TESTBENCH_ROWS
 
 
@@ -411,7 +413,7 @@ def test_cli_runs_config_file(tmp_path, capsys):
     conf = tmp_path / "exp.conf"
     conf.write_text(
         "learner = base vfdt\n"
-        "learner = resplit vfdt allow_resplit=true\n"
+        "learner = resplit vfdt used_attribute_policy=resplit\n"
         f"stream = {SMALL_STREAMS[0]}\n"
         "instances = 400\n"
     )
@@ -443,6 +445,13 @@ def test_cli_runs_config_file(tmp_path, capsys):
         # a bad learner line names the line it is on
         ("learner = a vfdt\nlearner = b vfdt tau=abc\nstream = STAGGERGenerator -i 1 -f 1\n",
          "line 2: learner flags: tau='abc' is not a number"),
+        # the two bools that used_attribute_policy replaced are unknown options
+        ("learner = a vfdt allow_resplit=true\nstream = STAGGERGenerator -i 1 -f 1\n",
+         "line 1: learner flags: unknown vfdt option 'allow_resplit'"),
+        ("learner = a hat eviscerate_on_used_best=true\nstream = STAGGERGenerator -i 1 -f 1\n",
+         "line 1: learner flags: unknown hat option 'eviscerate_on_used_best'"),
+        ("learner = a vfdt used_attribute_policy=reuse\nstream = STAGGERGenerator -i 1 -f 1\n",
+         "line 1: learner flags: bad used_attribute_policy 'reuse'"),
     ],
 )
 def test_cli_invalid_config_exits_2(tmp_path, capsys, body, fragment):
@@ -492,7 +501,7 @@ def test_cli_bad_stream_spec_exits_2(tmp_path, capsys, monkeypatch, row, fragmen
 def test_cli_out_of_scope_generator_exits_3(tmp_path, capsys):
     conf = tmp_path / "led.conf"
     conf.write_text(
-        "learner = a vfdt\nlearner = b vfdt allow_resplit=true\n"
+        "learner = a vfdt\nlearner = b vfdt used_attribute_policy=resplit\n"
         "stream = LEDGeneratorDrift -d 1 -i 2\ninstances = 100\n"
     )
     assert main(["--config", str(conf), "--out", str(tmp_path / "o")]) == 3

@@ -63,7 +63,7 @@ EIDETIC_ROWS = [
     GOLDEN_ROWS[2],
 ]
 EIDETIC_LEARNERS = [
-    "vfdt-eidetic-resplit vfdt eidetic=true allow_resplit=true",
+    "vfdt-eidetic-resplit vfdt eidetic=true used_attribute_policy=resplit",
     "hat-eidetic hat eidetic=true",
     "hat-eidetic-poisson-vote hat eidetic=true poisson_weighting=true "
     "voting_mode=multiple_alternates alternate_depth_cap=10",

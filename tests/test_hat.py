@@ -23,7 +23,25 @@ from streamtrees.tree import (
     StrategyConfig,
 )
 
+from test_detectors import NeverFireDetector
 from test_streams import take
+
+
+class NeverFireHat(HoeffdingAdaptiveTreeClassifier):
+    """An adaptive tree whose detectors never fire: it must learn the base tree."""
+
+    def _new_detector(self):
+        return NeverFireDetector()
+
+
+class _CountingHat(HoeffdingAdaptiveTreeClassifier):
+    """Counts the promotions ``_promote`` makes, premature ones included."""
+
+    promotions = 0
+
+    def _promote(self, nd):
+        super()._promote(nd)
+        self.promotions += 1
 
 
 class FireOnceDetector:
@@ -121,8 +139,7 @@ def _count_alternates(hat) -> int:
 def test_never_fire_hat_equals_vfdt_exactly(row, base):
     s1, s2 = build_stream(row), build_stream(row)
     vfdt = HoeffdingTreeClassifier(s1.schema, base)
-    config = HatConfig(**dataclasses.asdict(base), detector="neverfire")
-    hat = HoeffdingAdaptiveTreeClassifier(s2.schema, config)
+    hat = NeverFireHat(s2.schema, HatConfig(**dataclasses.asdict(base)))
     for _ in range(20_000):
         i1, i2 = s1.next_instance(), s2.next_instance()
         assert vfdt.predict_label(i1) == hat.predict_label(i2)
@@ -133,7 +150,7 @@ def test_never_fire_hat_equals_vfdt_exactly(row, base):
 
 def test_never_fire_hat_grows_no_alternates():
     stream = build_stream("STAGGERGenerator -i 5 -f 2")
-    hat = HoeffdingAdaptiveTreeClassifier(stream.schema, HatConfig(detector="neverfire"))
+    hat = NeverFireHat(stream.schema, HatConfig())
     for _ in range(20_000):
         hat.train(stream.next_instance())
     assert _count_alternates(hat) == 0
@@ -189,7 +206,7 @@ def _width_for_bound(bound, delta=0.05):
 
 
 def test_maybe_replace_clear_separation_promotes():
-    hat = HoeffdingAdaptiveTreeClassifier(_schema(), HatConfig())
+    hat = _CountingHat(_schema(), HatConfig())
     node = hat._root
     node.alternate = hat._new_node()
     w = _width_for_bound(0.02)
@@ -197,11 +214,11 @@ def test_maybe_replace_clear_separation_promotes():
     node.alternate.detector = FixedEstimator(0.05, w)
     assert hat.maybe_replace(node) is True
     assert node.alternate is None
-    assert hat._n_promotions == 1
+    assert hat.promotions == 1
 
 
 def test_maybe_replace_overlapping_bounds_holds():
-    hat = HoeffdingAdaptiveTreeClassifier(_schema(), HatConfig())
+    hat = _CountingHat(_schema(), HatConfig())
     node = hat._root
     node.alternate = hat._new_node()
     w = _width_for_bound(0.05)
@@ -209,7 +226,7 @@ def test_maybe_replace_overlapping_bounds_holds():
     node.alternate.detector = FixedEstimator(0.30, w)
     assert hat.maybe_replace(node) is False
     assert node.alternate is not None
-    assert hat._n_promotions == 0
+    assert hat.promotions == 0
 
 
 def test_maybe_replace_discards_significantly_worse_alternate():
@@ -254,15 +271,15 @@ def test_promotion_preserves_subtree_structure():
 def test_premature_root_replacement_on_first_alternate_split():
     config = HatConfig(replace_root_on_alternate_split=True, tau=0.2)
     stream = build_stream("STAGGERGenerator -i 4 -f 2")
-    hat = HoeffdingAdaptiveTreeClassifier(stream.schema, config)
+    hat = _CountingHat(stream.schema, config)
     hat._root.alternate = hat._new_node()
-    promos_before = hat._n_promotions
+    promos_before = hat.promotions
     alt = hat._root.alternate
     for _ in range(20_000):
         hat.train(stream.next_instance())
-        if hat._n_promotions > promos_before:
+        if hat.promotions > promos_before:
             break
-    assert hat._n_promotions > promos_before
+    assert hat.promotions > promos_before
     # the promoted subtree is the alternate that just split
     assert isinstance(hat._root.mainline, SplitNode)
 
@@ -270,7 +287,7 @@ def test_premature_root_replacement_on_first_alternate_split():
 def test_premature_subtree_replacement_on_first_alternate_split():
     config = HatConfig(replace_subtree_on_alternate_split=True)
     stream = build_stream("STAGGERGenerator -i 4 -f 2")
-    hat = HoeffdingAdaptiveTreeClassifier(stream.schema, config)
+    hat = _CountingHat(stream.schema, config)
     # grow a mainline split so a non-root node exists
     for _ in range(30_000):
         hat.train(stream.next_instance())
@@ -279,13 +296,13 @@ def test_premature_subtree_replacement_on_first_alternate_split():
     child.alternate = hat._new_node()
     # force the alternate's own error to look terrible so only the premature
     # path can promote it
-    promos_before = hat._n_promotions
+    promos_before = hat.promotions
     alt = child.alternate
     for _ in range(30_000):
         hat.train(stream.next_instance())
-        if hat._n_promotions > promos_before:
+        if hat.promotions > promos_before:
             break
-    assert hat._n_promotions > promos_before  # replaced upon its first split
+    assert hat.promotions > promos_before  # replaced upon its first split
 
 
 # --------------------------------------------------------------------------
@@ -317,7 +334,7 @@ def test_vote_without_alternates_matches_base_predict_in_all_modes():
     reference = None
     for mode in ALL_MODES:
         s = build_stream("STAGGERGenerator -i 7 -f 1")
-        hat = HoeffdingAdaptiveTreeClassifier(s.schema, HatConfig(voting_mode=mode, detector="neverfire"))
+        hat = NeverFireHat(s.schema, HatConfig(voting_mode=mode))
         for inst in insts:
             hat.train(inst)
         preds = [hat.predict_label(i) for i in insts]
@@ -329,7 +346,7 @@ def test_vote_without_alternates_matches_base_predict_in_all_modes():
 def test_vote_symmetric_opposites_tie_to_class_zero():
     hat = _hat_with_alternate(VOTE_MULTI, [10.0, 0.0], [0.0, 10.0])
     inst = Instance((0,), 0)
-    dist = hat.predict(inst)
+    dist = hat._vote(inst)
     assert dist == pytest.approx([1.0, 1.0])
     assert hat.predict_label(inst) == 0
 
@@ -337,17 +354,17 @@ def test_vote_symmetric_opposites_tie_to_class_zero():
 def test_vote_excluding_single_leaves_skips_leaf_alternates():
     hat = _hat_with_alternate(VOTE_MULTI_NO_SINGLE_LEAVES, [10.0, 0.0], [0.0, 10.0])
     inst = Instance((0,), 0)
-    assert hat.predict(inst) == [10.0, 0.0]  # mainline alone
+    assert hat._vote(inst) == [10.0, 0.0]  # mainline alone
     assert hat.predict_label(inst) == 0
     # once the alternate has structure it votes again
     hat2 = _hat_with_alternate(VOTE_MULTI_NO_SINGLE_LEAVES, [10.0, 0.0], [0.0, 10.0], alt_split=True)
-    assert hat2.predict(inst) == pytest.approx([1.0, 1.0])
+    assert hat2._vote(inst) == pytest.approx([1.0, 1.0])
 
 
 def test_single_mode_uses_shallowest_alternate_only():
     hat = _hat_with_alternate(VOTE_SINGLE, [8.0, 2.0], [0.0, 10.0])
     inst = Instance((0,), 0)
-    assert hat.predict(inst) == pytest.approx([0.8, 1.2])
+    assert hat._vote(inst) == pytest.approx([0.8, 1.2])
     assert hat.predict_label(inst) == 1
 
 
@@ -428,10 +445,9 @@ def test_poisson_zero_fraction_matches_exp_minus_one():
 def test_poisson_weighting_keeps_node_time_on_instances():
     config = HatConfig(
         poisson_weighting=True,
-        detector="neverfire",
         grace_period=10_000,  # keep the root a leaf
     )
-    hat = HoeffdingAdaptiveTreeClassifier(_schema(), config, seed=1)
+    hat = NeverFireHat(_schema(), config, seed=1)
     for i in range(1000):
         hat.train(Instance((i % 2, 0), i % 2))
     leaf = hat._root.mainline
@@ -512,8 +528,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         HatConfig(voting_mode="everything")
     with pytest.raises(ValueError):
-        HatConfig(detector="ddm")
-    with pytest.raises(ValueError):
         HatConfig(replacement_check_interval=0)
     with pytest.raises(ValueError, match="detector_check_interval"):
         HatConfig(detector_check_interval=0)
@@ -530,7 +544,7 @@ def test_hat_with_resplitting_flag_keeps_adapting():
     stream = build_stream(
         "AbruptDriftGenerator -c -o 1.0 -z 2 -n 2 -v 2 -r 3 -b 30000 -d Recurrent"
     )
-    config = HatConfig(allow_resplit=True)
+    config = HatConfig(used_attribute_policy="resplit")
     hat = HoeffdingAdaptiveTreeClassifier(stream.schema, config)
     errs = 0
     for _ in range(120_000):
@@ -544,7 +558,7 @@ def test_hat_with_evisceration_flag_keeps_adapting():
     stream = build_stream(
         "AbruptDriftGenerator -c -o 1.0 -z 2 -n 2 -v 2 -r 3 -b 30000 -d Recurrent"
     )
-    config = HatConfig(eviscerate_on_used_best=True)
+    config = HatConfig(used_attribute_policy="eviscerate")
     hat = HoeffdingAdaptiveTreeClassifier(stream.schema, config)
     errs = 0
     for _ in range(120_000):

@@ -261,10 +261,10 @@ def test_resplit_routes_everything_to_the_path_child(seed, n_values, classes):
                         used_attributes={0})
     for _ in range(4000):
         leaf.learn((fixed, int(rng.integers(0, n_values))), int(rng.integers(0, classes)), 1.0)
-    decision = evaluate_split(leaf, StrategyConfig(allow_resplit=True), classes)
+    decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="resplit"), classes)
     if decision.action != RESPLIT:
         return  # noise can hand the win to the unused attribute; nothing to check
-    node = perform_split(leaf, decision, StrategyConfig(allow_resplit=True))
+    node = perform_split(leaf, decision, StrategyConfig(used_attribute_policy="resplit"))
     for _ in range(50):
         values = (fixed, int(rng.integers(0, n_values)))
         assert node.branch(values) == fixed
@@ -403,16 +403,16 @@ def test_tree_training_determinism(seed):
 )
 def test_drift_free_resplit_agreement(seed, n_attrs, n_values, classes):
     """With no drift, enabling resplits changes neither structure nor output."""
-    def run(allow_resplit):
+    def run(policy):
         gen = AbruptDriftGenerator(n_attrs, n_values, classes, 0.0, 10**9, seed=seed)
-        tree = HoeffdingTreeClassifier(gen.schema, StrategyConfig(allow_resplit=allow_resplit))
+        tree = HoeffdingTreeClassifier(gen.schema, StrategyConfig(used_attribute_policy=policy))
         preds = []
         for _ in range(1200):
             inst = gen.next_instance()
             preds.append(tree.predict_label(inst))
             tree.train(inst)
         return preds, tree.dump()
-    assert run(False) == run(True)
+    assert run("exclude") == run("resplit")
 
 
 @CASES

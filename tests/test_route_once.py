@@ -85,9 +85,15 @@ def test_vfdt_routed_twin_matches_train_only_twin(row, eidetic):
 
 
 class _CountingHat(HoeffdingAdaptiveTreeClassifier):
-    """Counts the promotions ``maybe_replace`` makes; any others were premature."""
+    """Counts every promotion, and the ones ``maybe_replace`` makes; any
+    others were premature."""
 
+    promotions = 0
     replacements = 0
+
+    def _promote(self, nd):
+        super()._promote(nd)
+        self.promotions += 1
 
     def maybe_replace(self, nd):
         promoted = super().maybe_replace(nd)
@@ -121,7 +127,7 @@ def test_hat_routed_twin_matches_train_only_twin(config):
     assert promotions > 0
     if config.replace_root_on_alternate_split:
         for hat in twins:
-            assert hat._n_promotions > hat.replacements
+            assert hat.promotions > hat.replacements
 
 
 LEARNERS = {

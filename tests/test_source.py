@@ -1,50 +1,102 @@
 """Checks on the source tree itself, not on its behaviour."""
 
 import ast
+import dataclasses
 import io
 import re
 import tokenize
 from pathlib import Path
 
+from streamtrees.hat import HatConfig
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "streamtrees"
 
 
-def _defined_names(path: Path) -> set[str]:
-    """Every function, method and class defined in a module, dunders excluded."""
+def _definitions(path: Path) -> tuple[set[str], set[str]]:
+    """The functions and classes a module defines, and apart from them the
+    methods its classes define; dunders excluded."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    return {
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+    methods = {
+        node
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
+    names, method_names = set(), set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not (node.name.startswith("__") and node.name.endswith("__")):
+            (method_names if node in methods else names).add(node.name)
+    return names, method_names
 
 
-def _code_names(path: Path) -> set[str]:
-    """The names a module's code uses: NAME tokens, so no comment or string
-    counts, and not the name a ``def`` or ``class`` statement defines."""
+def _code_names(path: Path) -> tuple[set[str], set[str]]:
+    """The names a module's code uses, and of them the ones it reads as an
+    attribute (``.name``): NAME tokens, so no comment or string counts, and
+    not the name a ``def`` or ``class`` statement defines."""
     tokens = list(tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline))
-    return {
-        tok.string
-        for prev, tok in zip([None] + tokens, tokens)
-        if tok.type == tokenize.NAME and (prev is None or prev.string not in ("def", "class"))
-    }
+    names, attributes = set(), set()
+    for prev, tok in zip([None] + tokens, tokens):
+        if tok.type != tokenize.NAME or (prev is not None and prev.string in ("def", "class")):
+            continue
+        names.add(tok.string)
+        if prev is not None and prev.string == ".":
+            attributes.add(tok.string)
+    return names, attributes
 
 
-def _readme_code_words(text: str) -> set[str]:
-    """The words of README's code blocks and inline code spans, not of its prose."""
+def _readme_code(text: str) -> str:
+    """README's code blocks and inline code spans, not its prose."""
     block = re.compile(r"```.*?```", re.S)
-    code = block.findall(text) + re.findall(r"`([^`\n]+)`", block.sub("", text))
-    return set(re.findall(r"\w+", "\n".join(code)))
+    return "\n".join(block.findall(text) + re.findall(r"`([^`\n]+)`", block.sub("", text)))
 
 
 def test_src_holds_no_code_that_only_tests_use():
-    """Each def and class is used by code in src or the benchmark, or by README's code."""
-    used = set().union(
-        *(_code_names(p) for p in sorted(SRC.glob("*.py"))),
-        *(_code_names(p) for p in sorted((ROOT / "perfbench").glob("*.py"))),
-        _readme_code_words((ROOT / "README.md").read_text(encoding="utf-8")),
-    )
-    names = set().union(*(_defined_names(p) for p in SRC.glob("*.py") if p.name != "__init__.py"))
-    assert sorted(names - used) == []
+    """Each def and class is used by code in src or the benchmark, or by
+    README's code; a method counts as used only where it is read as an
+    attribute, so a local variable of the same name does not hide it."""
+    used, attributes = set(), set()
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        names, attrs = _code_names(path)
+        used |= names
+        attributes |= attrs
+    readme = _readme_code((ROOT / "README.md").read_text(encoding="utf-8"))
+    used |= set(re.findall(r"\w+", readme))
+    attributes |= set(re.findall(r"\.(\w+)", readme))
+    defined, methods = set(), set()
+    for path in SRC.glob("*.py"):
+        if path.name != "__init__.py":
+            names, method_names = _definitions(path)
+            defined |= names
+            methods |= method_names
+    assert sorted(defined - used) == []
+    assert sorted(methods - attributes) == []
+
+
+def _config_readers() -> dict[str, set[str]]:
+    """For each learner setting, the functions in src that read it off a
+    config (``config.x``, ``cfg.x`` or ``self.config.x``); ``__post_init__``
+    validates through ``self`` and does not count."""
+    readers = {f.name: set() for f in dataclasses.fields(HatConfig)}
+    for path in SRC.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Attribute) or node.attr not in readers:
+                    continue
+                owner = node.value
+                if (isinstance(owner, ast.Name) and owner.id in ("config", "cfg")) or (
+                        isinstance(owner, ast.Attribute) and owner.attr == "config"):
+                    readers[node.attr].add(func.name)
+    return readers
+
+
+def test_each_learner_setting_is_read_in_one_function():
+    readers = _config_readers()
+    # each tree builds its leaves, and both pass on whether they buffer
+    assert readers.pop("eidetic") == {"__init__", "_new_node"}
+    assert {name: funcs for name, funcs in readers.items() if len(funcs) != 1} == {}
+    assert readers["used_attribute_policy"] == {"evaluate_split"}
+    assert readers["alternate_depth_cap"] == {"_train_subtree"}

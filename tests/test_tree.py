@@ -193,7 +193,7 @@ def test_predict_fresh_tree_falls_back_to_class_zero():
     schema = Schema.uniform_nominal(1, 2, 4)
     tree = HoeffdingTreeClassifier(schema)
     assert tree.predict_label(Instance((0,), 0)) == 0
-    assert tree.predict(Instance((1,), 0)) == [0.0] * 4
+    assert tree._sort_to_leaf((1,))[0].class_dist == [0.0] * 4
 
 
 def test_predict_majority_and_routing():
@@ -207,8 +207,8 @@ def test_predict_majority_and_routing():
         tree.train(Instance((0, 0), 0))
         tree.train(Instance((0, 1), 1))
     assert isinstance(tree.root, SplitNode)
-    dist_left = tree.predict(Instance((0, 0), 0))
-    dist_right = tree.predict(Instance((0, 1), 0))
+    dist_left = tree._sort_to_leaf((0, 0))[0].class_dist
+    dist_right = tree._sort_to_leaf((0, 1))[0].class_dist
     assert dist_left.index(max(dist_left)) == 0
     assert dist_right.index(max(dist_right)) == 1
 
@@ -289,13 +289,13 @@ def test_used_attribute_wins_at_zero_gain_under_drift():
     for values, label in [((1, 0), 0), ((1, 1), 1), ((1, 0), 1), ((1, 1), 0)] * 1000:
         leaf.learn(values, label, 1.0)
     assert info_gain(leaf.stats, leaf.class_dist, 1) < 0.0
-    resplit_decision = evaluate_split(leaf, StrategyConfig(allow_resplit=True), 2)
+    resplit_decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="resplit"), 2)
     assert resplit_decision.action == RESPLIT
     assert resplit_decision.best_attribute == 0
     assert resplit_decision.best_merit == 0.0
-    evisc_decision = evaluate_split(leaf, StrategyConfig(eviscerate_on_used_best=True), 2)
+    evisc_decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="eviscerate"), 2)
     assert evisc_decision.action == EVISCERATE
-    # without either flag the used attribute is no candidate at all
+    # under the default policy the used attribute is no candidate at all
     plain = evaluate_split(leaf, StrategyConfig(), 2)
     assert plain.action == NO_SPLIT
 
@@ -419,9 +419,9 @@ def test_resplit_routes_all_traffic_to_the_path_child():
     leaf = LearningLeaf(schema, class_dist=[3000.0, 0.0], used_attributes={0})
     for i in range(4000):
         leaf.learn((1, i % 3), i % 2, 1.0)
-    decision = evaluate_split(leaf, StrategyConfig(allow_resplit=True), 2)
+    decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="resplit"), 2)
     assert decision.action == RESPLIT
-    node = perform_split(leaf, decision, StrategyConfig(allow_resplit=True))
+    node = perform_split(leaf, decision, StrategyConfig(used_attribute_policy="resplit"))
     assert len(node.children) == 3
     # every instance at this leaf had value 1, so only child 1 is reachable
     assert node.branch((1, 0)) == 1
@@ -437,16 +437,16 @@ def test_eviscerate_clears_everything_in_place():
     leaf = LearningLeaf(schema, class_dist=[5000.0, 100.0], used_attributes={0})
     for i in range(1000):
         leaf.learn((1, (i // 2) % 2), i % 2, 1.0)
-    decision = evaluate_split(leaf, StrategyConfig(eviscerate_on_used_best=True), 2)
+    decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="eviscerate"), 2)
     assert decision.action == EVISCERATE
-    result = perform_split(leaf, decision, StrategyConfig(eviscerate_on_used_best=True))
+    result = perform_split(leaf, decision, StrategyConfig(used_attribute_policy="eviscerate"))
     assert result is None
     assert leaf.class_dist == [0.0, 0.0]
     assert leaf.total_weight == 0.0
     assert leaf.node_time == 0
     assert observed_mass(leaf.stats, 1) == 0.0
     # all-zero distribution falls back to class 0
-    schema_tree = HoeffdingTreeClassifier(schema, StrategyConfig(eviscerate_on_used_best=True))
+    schema_tree = HoeffdingTreeClassifier(schema, StrategyConfig(used_attribute_policy="eviscerate"))
     schema_tree.root = leaf
     assert schema_tree.predict_label(Instance((1, 0), 1)) == 0
 
@@ -527,8 +527,8 @@ def test_train_rejects_schema_mismatch():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        StrategyConfig(allow_resplit=True, eviscerate_on_used_best=True)
+    with pytest.raises(ValueError, match="used_attribute_policy 'reuse'"):
+        StrategyConfig(used_attribute_policy="reuse")
     with pytest.raises(ValueError):
         StrategyConfig(infogain_mode="bogus")
     with pytest.raises(ValueError):
@@ -602,7 +602,7 @@ def test_stationary_streams_identical_with_and_without_resplit():
     row = "AbruptDriftGenerator -o 0.0 -z 3 -n 3 -v 3 -b 1000000 -r 7"
     s1, s2 = build_stream(row), build_stream(row)
     plain = HoeffdingTreeClassifier(s1.schema, StrategyConfig())
-    resplit = HoeffdingTreeClassifier(s2.schema, StrategyConfig(allow_resplit=True))
+    resplit = HoeffdingTreeClassifier(s2.schema, StrategyConfig(used_attribute_policy="resplit"))
     for _ in range(100_000):
         i1, i2 = s1.next_instance(), s2.next_instance()
         assert plain.predict_label(i1) == resplit.predict_label(i2)
