@@ -2,8 +2,9 @@
 
 The detector interface the adaptive tree uses is three methods:
 ``add_element``, ``estimate`` and the ``width`` property. ``AdwinDetector``
-is the one implementation. A detector is never reset: the adaptive tree
-builds a new one.
+is the one implementation. Its window is an exponential histogram that
+keeps at most 5 buckets per capacity. A detector is never reset: the
+adaptive tree builds a new one.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ class AdwinDetector:
     """Adaptive window backed by an exponential histogram.
 
     Elements are kept in buckets whose capacities are powers of two, with at
-    most ``max_buckets`` buckets per capacity class. At each check the window
-    is repeatedly cut at the oldest bucket boundary where the two sub-window
-    means differ by at least
+    most ``MAX_BUCKETS`` buckets per capacity class, the M of Bifet and
+    Gavaldà's ADWIN. At each check the window is repeatedly cut at the
+    oldest bucket boundary where the two sub-window means differ by at least
 
         eps_cut = sqrt((1 / (2 m)) * ln(4 / delta'))
 
@@ -28,20 +29,21 @@ class AdwinDetector:
 
     Row 0 takes insertions; a check merges over-full rows. ``check_interval``
     > 1 runs the check only every that many insertions, so row 0 may grow
-    past ``max_buckets`` in between. A row always merges its two oldest
+    past ``MAX_BUCKETS`` in between. A row always merges its two oldest
     buckets, so merging a batch builds exactly the buckets that compressing
     after every insertion would, and every cut, sum and width is the same.
     """
 
-    __slots__ = ("delta", "max_buckets", "check_interval", "_rows", "total_count", "total_sum", "_ticks")
+    MAX_BUCKETS = 5
 
-    def __init__(self, delta: float = 0.002, max_buckets: int = 5, check_interval: int = 1):
+    __slots__ = ("delta", "check_interval", "_rows", "total_count", "total_sum", "_ticks")
+
+    def __init__(self, delta: float = 0.002, check_interval: int = 1):
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
-        if max_buckets < 1 or check_interval < 1:
-            raise ValueError("max_buckets and check_interval must be >= 1")
+        if check_interval < 1:
+            raise ValueError("check_interval must be >= 1")
         self.delta = delta
-        self.max_buckets = max_buckets
         self.check_interval = check_interval
         # _rows[i] holds the sums of buckets of exactly 2**i elements, oldest first
         self._rows: list[list[float]] = [[]]
@@ -74,9 +76,9 @@ class AdwinDetector:
 
     def _fold(self) -> None:
         """Merge each over-full row's oldest pairs into the row above until
-        no row exceeds max_buckets."""
+        no row exceeds MAX_BUCKETS."""
         rows = self._rows
-        max_buckets = self.max_buckets
+        max_buckets = self.MAX_BUCKETS
         # a merge may append a new top row, which this loop then also visits
         for level, row in enumerate(rows):
             if len(row) <= max_buckets:
@@ -148,5 +150,3 @@ class AdwinDetector:
                 break
         while len(rows) > 1 and not rows[-1]:
             rows.pop()
-        if self.total_count == 0:
-            self.total_sum = 0.0

@@ -1,10 +1,10 @@
 """Prequential evaluation and the win/loss statistics used in comparison tables.
 
 The two statistics attached to every comparison are an exact one-tailed
-binomial test on the win counts and a one-sided Clopper-Pearson lower
+binomial test on the win counts and a one-sided 95% Clopper-Pearson lower
 confidence bound on the win proportion, both computed over non-tied rows.
 The bound is found by bisection on the binomial tail: it is the p at which
-P(Binomial(wins + losses, p) >= wins) reaches alpha.
+P(Binomial(wins + losses, p) >= wins) reaches ``ALPHA`` = 0.05.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ def binomial_test(wins: int, losses: int) -> float:
 # one-sided Clopper-Pearson lower bound
 # --------------------------------------------------------------------------
 
+ALPHA = 0.05  # the tables print a 95% lower bound
+
+
 def _binomial_tail(n: int, k: int, p: float) -> float:
     """P(X >= k) for X ~ Binomial(n, p), 0 < p < 1; terms come from log space to stay finite."""
     log_p, log_q = math.log(p), math.log1p(-p)
@@ -47,10 +50,10 @@ def _binomial_tail(n: int, k: int, p: float) -> float:
     )
 
 
-def ci_lower(wins: int, losses: int, alpha: float = 0.05) -> float:
-    """One-sided (1 - alpha) Clopper-Pearson lower bound on the win proportion.
+def ci_lower(wins: int, losses: int) -> float:
+    """One-sided (1 - ALPHA) Clopper-Pearson lower bound on the win proportion.
 
-    This is the alpha-quantile of Beta(wins, losses + 1); zero when wins == 0.
+    This is the ALPHA-quantile of Beta(wins, losses + 1); zero when wins == 0.
     Its CDF at p is P(Binomial(wins + losses, p) >= wins), the tail that
     ``binomial_test`` sums at p = 1/2, so the bound bisects on that tail.
     """
@@ -62,11 +65,11 @@ def ci_lower(wins: int, losses: int, alpha: float = 0.05) -> float:
     if wins == 0:
         return 0.0
     if losses == 0:
-        return alpha ** (1.0 / n)
+        return ALPHA ** (1.0 / n)
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _binomial_tail(n, wins, mid) < alpha:
+        if _binomial_tail(n, wins, mid) < ALPHA:
             lo = mid
         else:
             hi = mid
@@ -83,7 +86,6 @@ def ci_lower(wins: int, losses: int, alpha: float = 0.05) -> float:
 class PrequentialResult:
     final_error: float
     error_series: list[tuple[int, float]]
-    instances_processed: int
     wall_time: float
 
 
@@ -118,7 +120,7 @@ def prequential_run(learner, stream, n_instances: int, snapshot_every: int = 0) 
                 series.append((i, window_errors / snapshot_every))
                 window_errors = 0
     wall = time.perf_counter() - t0
-    return PrequentialResult(errors / n_instances, series, n_instances, wall)
+    return PrequentialResult(errors / n_instances, series, wall)
 
 
 def averaged_series(series_list: list[list[tuple[int, float]]]) -> list[tuple[int, float]]:

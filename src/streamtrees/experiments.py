@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ConfigError("jobs: must be >= 1")
         if self.snapshot_every < 0:
             raise ConfigError("snapshot-every: must be >= 0")
+        if not self.output_dir:
+            raise ConfigError("out: must not be empty")
         names = [lrn.name for lrn in self.learners]
         if len(set(names)) != len(names):
             raise ConfigError("learners: names must be unique")
@@ -359,7 +361,7 @@ def run_experiment(config: ExperimentConfig) -> None:
     lines = ["stream,learner,seed,instances,final_error,wall_seconds"]
     for (lname, stream_text, variant), res in results.items():
         lines.append(
-            f'"{stream_text}",{lname},{variant},{res.instances_processed},'
+            f'"{stream_text}",{lname},{variant},{config.n_instances},'
             f"{res.final_error:.5f},{res.wall_time:.3f}"
         )
     with open(os.path.join(config.output_dir, "results.csv"), "w", encoding="utf-8") as fh:

@@ -2,10 +2,11 @@
 
 A node whose detector fires starts a fresh alternate subtree that trains in
 parallel on the same instances. The alternate replaces the mainline once its
-windowed error is lower with non-overlapping confidence bounds (checked every
-``replacement_check_interval`` instances), and is discarded if it proves
-significantly worse. Every contested behavior is a flag on
-:class:`HatConfig`:
+windowed error is lower with non-overlapping confidence bounds, and is
+discarded if it proves significantly worse. ``train`` runs that test itself,
+every ``replacement_check_interval`` instances the alternate trains on; no
+public call promotes. ``dump`` shows each node's detector width and estimate.
+Every contested behavior is a flag on :class:`HatConfig`:
 
 - ``alternate_depth_cap``: how many alternate edges a path may hold, i.e.
   whether alternates nest. A node sprouts an alternate only while it hangs
@@ -114,10 +115,11 @@ class HoeffdingAdaptiveTreeClassifier:
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self._poisson_buf: list[float] = []
         self._root = self._new_node()
-        # (instance, path): the instance predict routed last and the mainline
-        # path it walked from the root; the next train of that same object
-        # reuses the path
-        self._routed: tuple | None = None
+        # the instance predict routed last, and the mainline path of
+        # _HatNodes it walked from the root; the next train of that same
+        # object reuses the path
+        self._routed: Instance | None = None
+        self._path: list | None = None
         self._n_sprouts = 0
 
     # -- construction helpers ------------------------------------------------
@@ -144,7 +146,7 @@ class HoeffdingAdaptiveTreeClassifier:
     def train(self, instance: Instance) -> None:
         routed, self._routed = self._routed, None
         check_shape(self.schema, instance)
-        path = routed[1] if routed is not None and routed[0] is instance else None
+        path = self._path if routed is instance else None
         self._train_subtree(self._root, instance, 0, path)
 
     def _route(self, hnode: _HatNode, values):
@@ -176,10 +178,11 @@ class HoeffdingAdaptiveTreeClassifier:
         for nd in path:
             if nd.detector.add_element(bit) and depth < cfg.alternate_depth_cap:
                 # sprout an alternate, or restart one the change invalidates
-                # because it is not already tracking better than the mainline
+                # because it is not already tracking better than the mainline;
+                # a detector that just fired keeps a non-empty window
                 alt = nd.alternate
                 if alt is None or (
-                    alt.detector.width > 0 and nd.detector.width > 0
+                    alt.detector.width > 0
                     and alt.detector.estimate() >= nd.detector.estimate()
                 ):
                     nd.alternate = self._new_node()
@@ -199,7 +202,7 @@ class HoeffdingAdaptiveTreeClassifier:
             if promote_on_split and alt.mainline.__class__ is SplitNode:
                 self._promote(nd)
                 return
-            if nd.alt_instances % cfg.replacement_check_interval == 0 and self.maybe_replace(nd):
+            if nd.alt_instances % cfg.replacement_check_interval == 0 and self._maybe_replace(nd):
                 return
         values, label, weight = instance
         if cfg.poisson_weighting:
@@ -213,18 +216,17 @@ class HoeffdingAdaptiveTreeClassifier:
 
     # -- replacement -----------------------------------------------------------
 
-    def maybe_replace(self, nd: _HatNode) -> bool:
-        """Promote the alternate when its error is lower beyond both bounds.
+    def _maybe_replace(self, nd: _HatNode) -> bool:
+        """Promote nd's alternate when its error is lower beyond both bounds.
 
         A significantly worse alternate is discarded instead, freeing the
-        slot for a future detection.
+        slot for a future detection. nd's detector has just taken this
+        instance, so its window is never empty; the alternate's is empty
+        right after the alternate promoted its own alternate.
         """
-        self._routed = None  # a promotion changes the paths predict walked
         alt = nd.alternate
-        if alt is None:
-            return False
         wm, wa = nd.detector.width, alt.detector.width
-        if wm <= 0 or wa <= 0:
+        if wa <= 0:
             return False
         em, ea = nd.detector.estimate(), alt.detector.estimate()
         delta = self.config.replacement_delta
@@ -272,8 +274,8 @@ class HoeffdingAdaptiveTreeClassifier:
         """The voted class distribution: the mainline leaf's own ``class_dist``,
         not a copy, when no alternate votes."""
         values = instance.values
-        path = self._route(self._root, values)
-        self._routed = (instance, path)
+        self._path = path = self._route(self._root, values)
+        self._routed = instance
         mainline = path[-1].mainline.class_dist
         contributions: list = []
         self._alternate_votes(path, values, contributions)
@@ -294,22 +296,20 @@ class HoeffdingAdaptiveTreeClassifier:
 
     # -- introspection -----------------------------------------------------------
 
-    def dump(self, include_detectors: bool = True) -> str:
+    def dump(self) -> str:
         lines: list[str] = []
-        self._dump_node(self._root, 0, lines, [0], include_detectors, "")
+        self._dump_node(self._root, 0, lines, [0], "")
         return "\n".join(lines) + "\n"
 
-    def _dump_node(self, hnode: _HatNode, depth: int, lines, counter, include_detectors, marker):
-        det = ""
-        if include_detectors:
-            width = hnode.detector.width
-            est = f"{hnode.detector.estimate():.4f}" if width > 0 else "-"
-            det = f" det_width={width} det_est={est}"
+    def _dump_node(self, hnode: _HatNode, depth: int, lines, counter, marker):
+        width = hnode.detector.width
+        est = f"{hnode.detector.estimate():.4f}" if width > 0 else "-"
         m = hnode.mainline
-        lines.append(f"{'  ' * depth}[{counter[0]}]{marker} {describe(m)}{det}")
+        det = f"det_width={width} det_est={est}"
+        lines.append(f"{'  ' * depth}[{counter[0]}]{marker} {describe(m)} {det}")
         counter[0] += 1
         if m.__class__ is SplitNode:
             for child in m.children:
-                self._dump_node(child, depth + 1, lines, counter, include_detectors, "")
+                self._dump_node(child, depth + 1, lines, counter, "")
         if hnode.alternate is not None:
-            self._dump_node(hnode.alternate, depth + 1, lines, counter, include_detectors, " ALT-root")
+            self._dump_node(hnode.alternate, depth + 1, lines, counter, " ALT-root")

@@ -18,8 +18,7 @@ class NominalAttribute:
 
 @dataclass(frozen=True)
 class NumericAttribute:
-    low: float = 0.0
-    high: float = 1.0
+    """A real-valued attribute; learners read no range off it."""
 
 
 Attribute = NominalAttribute | NumericAttribute
@@ -55,8 +54,9 @@ class Schema:
         return Schema(tuple(NominalAttribute(n_values) for _ in range(n_attributes)), class_count)
 
     @staticmethod
-    def unit_numeric(n_attributes: int, class_count: int = 2) -> "Schema":
-        return Schema(tuple(NumericAttribute(0.0, 1.0) for _ in range(n_attributes)), class_count)
+    def unit_numeric(n_attributes: int) -> "Schema":
+        """Numeric attributes in [0, 1] and two classes."""
+        return Schema(tuple(NumericAttribute() for _ in range(n_attributes)), 2)
 
 
 class Instance(NamedTuple):

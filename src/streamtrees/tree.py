@@ -87,12 +87,9 @@ class StrategyConfig:
 # merit primitives
 # --------------------------------------------------------------------------
 
-def entropy(mass, total: float | None = None) -> float:
-    """Base-2 entropy of a non-negative mass vector; zero mass gives 0."""
-    if total is None:
-        total = 0.0
-        for m in mass:
-            total += m
+def entropy(mass, total: float) -> float:
+    """Base-2 entropy of a non-negative mass vector whose sum is ``total``;
+    zero mass gives 0."""
     if total <= 0.0:
         return 0.0
     h = 0.0
@@ -186,8 +183,7 @@ def _gain_with_split(stats, parent_entropy, attribute):
     if counts is not None:
         totals = [sum(row) for row in counts]
         total = sum(totals)
-        if total <= 0.0:
-            return 0.0, None
+        # masses are non-negative, so a zero total has no positive row either
         if sum(1 for t in totals if t > 0.0) <= 1:
             return 0.0, None
         weighted = 0.0
@@ -356,43 +352,38 @@ def _leaf_counter(leaf: LearningLeaf, config: StrategyConfig) -> float:
     return leaf.node_time if config.counter_mode == NODE_TIME else leaf.total_weight
 
 
-def evaluate_split(leaf: LearningLeaf, config: StrategyConfig, class_count: int) -> SplitDecision:
+def evaluate_split(leaf: LearningLeaf, config: StrategyConfig) -> SplitDecision:
     """Score all candidate attributes against the null split.
 
     Attributes used on the leaf's path (nominal only) are candidates unless
     ``used_attribute_policy`` is ``exclude``, and the action when one wins is
     the policy's level; the null split carries merit 0 and loses merit ties
-    to real attributes.
+    to real attributes. One pass over the attributes scores each and keeps
+    the best and the runner-up; of equal merits the earlier attribute ranks
+    first.
     """
-    schema = leaf.stats.schema
+    stats = leaf.stats
+    schema = stats.schema
     policy = config.used_attribute_policy
     used = leaf.used_attributes
     parent_entropy = entropy(leaf.class_dist, leaf.total_weight)
-    raw = []  # (attr, gain, split_info)
+    leaf.eval_count += 1
+    averaged = config.infogain_mode == AVERAGED
+    sums = leaf.gain_sums
+    best = second = None  # (attr, merit, split_info)
     for attr in range(schema.n_attributes):
         if policy == EXCLUDE and attr in used:
             continue
-        gain, split_info = _gain_with_split(leaf.stats, parent_entropy, attr)
-        raw.append((attr, gain, split_info))
-
-    leaf.eval_count += 1
-    if config.infogain_mode == AVERAGED:
-        sums = leaf.gain_sums
-        for attr, gain, _ in raw:
-            sums[attr] += gain
-        merits = [(attr, sums[attr] / leaf.eval_count, info) for attr, gain, info in raw]
-        n = leaf.eval_count
-    else:
-        merits = raw
-        n = _leaf_counter(leaf, config)
-
-    best = second = None
-    for cand in merits:
-        if best is None or cand[1] > best[1]:
-            best, second = cand, best
-        elif second is None or cand[1] > second[1]:
-            second = cand
-    eps = hoeffding_bound(math.log2(class_count), config.delta, n)
+        merit, split_info = _gain_with_split(stats, parent_entropy, attr)
+        if averaged:
+            sums[attr] += merit
+            merit = sums[attr] / leaf.eval_count
+        if best is None or merit > best[1]:
+            best, second = (attr, merit, split_info), best
+        elif second is None or merit > second[1]:
+            second = (attr, merit, split_info)
+    n = leaf.eval_count if averaged else _leaf_counter(leaf, config)
+    eps = hoeffding_bound(math.log2(schema.class_count), config.delta, n)
 
     if best is None or best[1] < 0.0:
         # the null split outranks every attribute
@@ -459,7 +450,7 @@ def learn_at_leaf(leaf: LearningLeaf, values, label: int, weight: float, config:
     leaf.counter_at_last_eval = counter
     if leaf.is_pure():
         return None
-    decision = evaluate_split(leaf, config, leaf.stats.schema.class_count)
+    decision = evaluate_split(leaf, config)
     if decision.action == NO_SPLIT:
         return None
     return perform_split(leaf, decision, config)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamtrees.detectors import AdwinDetector
 
@@ -36,9 +37,10 @@ class ReferenceAdwin:
     arithmetic as ``AdwinDetector``'s, so the two must agree bit for bit.
     """
 
-    def __init__(self, delta=0.002, max_buckets=5, check_interval=1):
+    max_buckets = 5
+
+    def __init__(self, delta=0.002, check_interval=1):
         self.delta = delta
-        self.max_buckets = max_buckets
         self.check_interval = check_interval
         self._rows = [[]]
         self.total_count = 0
@@ -134,10 +136,10 @@ class ReferenceAdwin:
         return [[bsum for bsum, _ in row] for row in self._rows]
 
 
-def assert_matches_reference(xs, delta=0.002, max_buckets=5, check_interval=1):
+def assert_matches_reference(xs, delta=0.002, check_interval=1):
     """Feed xs to both detectors; every observable must be exactly equal."""
-    det = AdwinDetector(delta, max_buckets, check_interval)
-    ref = ReferenceAdwin(delta, max_buckets, check_interval)
+    det = AdwinDetector(delta, check_interval)
+    ref = ReferenceAdwin(delta, check_interval)
     for i, x in enumerate(xs, 1):
         assert det.add_element(x) == ref.add_element(x), i
         assert det.width == ref.width and det.total_sum == ref.total_sum, i
@@ -218,10 +220,25 @@ def test_window_mean_matches_suffix_oracle():
 
 
 @pytest.mark.parametrize("check_interval", [1, 5, 7, 32, 64])
-@pytest.mark.parametrize("max_buckets", [1, 2, 3, 5])
-def test_matches_per_insert_reference(max_buckets, check_interval):
-    xs = phased_stream(max_buckets * 100 + check_interval)
-    assert_matches_reference(xs, 0.002, max_buckets, check_interval)
+@pytest.mark.parametrize("seed", [100, 200, 300, 500])
+def test_matches_per_insert_reference(seed, check_interval):
+    xs = phased_stream(seed + check_interval)
+    assert_matches_reference(xs, 0.002, check_interval)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bits=st.lists(st.booleans(), max_size=3000),
+    check_interval=st.integers(min_value=1, max_value=70),
+)
+def test_a_detector_that_fires_keeps_a_nonempty_window(bits, check_interval):
+    """A cut leaves a non-empty tail, so ``width >= 1`` whenever ``add_element``
+    returns True: the adaptive tree compares a detector that just fired
+    without checking its width."""
+    det = AdwinDetector(0.002, check_interval)
+    for bit in bits:
+        if det.add_element(float(bit)):
+            assert det.width >= 1
 
 
 def sparse_error_stream(seed):
@@ -232,12 +249,12 @@ def sparse_error_stream(seed):
     return [float(x) for x in np.concatenate(parts)]
 
 
-@pytest.mark.parametrize("max_buckets, check_interval", [(5, 1), (5, 7), (2, 7), (1, 64)])
-def test_matches_reference_on_sparse_error_streams(max_buckets, check_interval):
-    xs = sparse_error_stream(max_buckets * 100 + check_interval)
-    assert_matches_reference(xs, 0.002, max_buckets, check_interval)
+@pytest.mark.parametrize("seed, check_interval", [(501, 1), (507, 7), (207, 7)])
+def test_matches_reference_on_sparse_error_streams(seed, check_interval):
+    xs = sparse_error_stream(seed)
+    assert_matches_reference(xs, 0.002, check_interval)
     # the all-zero windows that skip the cut scan occur both before and after a cut
-    det = AdwinDetector(0.002, max_buckets, check_interval)
+    det = AdwinDetector(0.002, check_interval)
     cut = zero_before_cut = zero_after_cut = False
     for i, x in enumerate(xs, 1):
         cut |= det.add_element(x)
@@ -247,11 +264,11 @@ def test_matches_reference_on_sparse_error_streams(max_buckets, check_interval):
     assert zero_before_cut and zero_after_cut
 
 
-@pytest.mark.parametrize("max_buckets, check_interval", [(1, 5), (3, 64), (5, 32), (2, 7)])
-def test_reading_between_checks_changes_nothing(max_buckets, check_interval):
+@pytest.mark.parametrize("check_interval", [5, 64, 32, 7])
+def test_reading_between_checks_changes_nothing(check_interval):
     xs = phased_stream(11, phase_length=1000)
-    read = AdwinDetector(0.002, max_buckets, check_interval)
-    unread = AdwinDetector(0.002, max_buckets, check_interval)
+    read = AdwinDetector(0.002, check_interval)
+    unread = AdwinDetector(0.002, check_interval)
     for x in xs:
         assert read.add_element(x) == unread.add_element(x)
         read._fold()  # merging between checks builds the buckets a check would
@@ -329,7 +346,7 @@ def test_never_fire_stub_interface():
 def test_detectors_share_three_method_interface():
     public = {"add_element", "estimate", "width"}
     assert {n for n in dir(NeverFireDetector) if not n.startswith("_")} == public
-    state = {"delta", "max_buckets", "check_interval", "total_count", "total_sum"}
+    state = {"MAX_BUCKETS", "delta", "check_interval", "total_count", "total_sum"}
     assert {n for n in dir(AdwinDetector) if not n.startswith("_")} == public | state
 
 
@@ -339,4 +356,4 @@ def test_bad_construction_rejected():
     with pytest.raises(ValueError):
         AdwinDetector(delta=1.0)
     with pytest.raises(ValueError):
-        AdwinDetector(max_buckets=0)
+        AdwinDetector(check_interval=0)

@@ -400,7 +400,7 @@ def test_parallel_grid_starts_at_most_one_worker_per_cell(tmp_path, monkeypatch)
     wide = experiments.run_grid(dataclasses.replace(cfg, parallelism=64))
     serial = experiments.run_grid(dataclasses.replace(cfg, parallelism=1))
     assert sizes == [2]
-    outputs = lambda results: {key: (res.instances_processed, res.final_error, res.error_series)
+    outputs = lambda results: {key: (res.final_error, res.error_series)
                                for key, res in results.items()}
     assert outputs(wide) == outputs(serial)
 
@@ -461,6 +461,16 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys, body, fragment):
     assert main(["--config", str(conf), "--out", str(out)]) == 2
     assert fragment in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_empty_out_names_its_field(tmp_path, capsys, monkeypatch):
+    # no --out here: it would override the file's empty value
+    conf = tmp_path / "empty-out.conf"
+    conf.write_text("learner = a vfdt\nstream = STAGGERGenerator -i 1 -f 1\nout =\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", str(conf)]) == 2
+    assert "error: out: must not be empty" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty-out.conf"]
 
 
 @pytest.mark.parametrize(

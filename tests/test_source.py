@@ -74,6 +74,82 @@ def test_src_holds_no_code_that_only_tests_use():
     assert sorted(methods - attributes) == []
 
 
+def _defaulted_parameters(path: Path):
+    """``(callee name, parameter, position)`` for each defaulted parameter of
+    each def in a module. A method is called by its own name, minus ``self``;
+    an ``__init__`` by its class's name. Keyword-only parameters have no
+    position."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = {
+        node: cls
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+    }
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        cls = owner.get(func)
+        name = cls.name if cls is not None and func.name == "__init__" else func.name
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in func.decorator_list)
+        bound = cls is not None and not static
+        positional = func.args.posonlyargs + func.args.args
+        for k in range(len(positional) - len(func.args.defaults), len(positional)):
+            yield name, positional[k].arg, k - bound
+        for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None
+
+
+def _calls(tree: ast.AST):
+    """``(callee name, positional count, keyword names)`` for each call; a call
+    with ``*args`` or ``**kwargs`` passes every parameter (count and names None)."""
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+            yield name, None, None
+        else:
+            yield name, len(call.args), {k.arg for k in call.keywords}
+
+
+def _aliases(tree: ast.AST):
+    """``(name, alias)`` for each keyword argument ``alias=name``: a flag table
+    stores a class as ``cls=SeaGenerator`` and calls it as ``info.cls(...)``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg and isinstance(node.value, ast.Name):
+            yield node.value.id, node.arg
+
+
+def test_every_parameter_is_passed_by_program_code():
+    """Each defaulted parameter of a def in src is passed, by keyword or by
+    position, by some call in src, the benchmark or README's Python blocks
+    to a callee of that name: a parameter only tests pass is a knob the
+    program never turns. ``cli.main``'s ``argv`` is the one entry point
+    that only tests give an argument."""
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))]
+    sources += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+    calls: dict[str, list] = {}
+    aliases: dict[str, set[str]] = {}
+    for tree in map(ast.parse, sources):
+        for name, count, keywords in _calls(tree):
+            calls.setdefault(name, []).append((count, keywords))
+        for name, alias in _aliases(tree):
+            aliases.setdefault(name, set()).add(alias)
+    unpassed = []
+    for path in sorted(SRC.glob("*.py")):
+        for name, param, position in _defaulted_parameters(path):
+            if (path.name, name, param) == ("cli.py", "main", "argv"):
+                continue
+            if not any(count is None or param in keywords or (position is not None and count > position)
+                       for callee in {name} | aliases.get(name, set())
+                       for count, keywords in calls.get(callee, ())):
+                unpassed.append(f"{path.name}:{name}({param})")
+    assert unpassed == []
+
+
 def _config_readers() -> dict[str, set[str]]:
     """For each learner setting, the functions in src that read it off a
     config (``config.x``, ``cfg.x`` or ``self.config.x``); ``__post_init__``

@@ -42,7 +42,7 @@ def weighted_entropy_oracle(rows):
 
 def info_gain(stats, class_dist, attribute):
     """Information gain of splitting on one attribute, parent entropy from class_dist."""
-    return _gain_with_split(stats, entropy(class_dist), attribute)[0]
+    return _gain_with_split(stats, entropy(class_dist, sum(class_dist)), attribute)[0]
 
 
 def observed_mass(stats, attr):
@@ -70,11 +70,11 @@ def fill_leaf(schema, pairs):
 # --------------------------------------------------------------------------
 
 def test_entropy_values():
-    assert entropy([0.5, 0.5]) == 1.0
-    assert entropy([1.0, 0.0]) == 0.0
-    assert entropy([0.5, 0.25, 0.25]) == pytest.approx(1.5, abs=1e-12)
-    assert entropy([0.0, 0.0]) == 0.0
-    assert entropy([]) == 0.0
+    assert entropy([0.5, 0.5], 1.0) == 1.0
+    assert entropy([1.0, 0.0], 1.0) == 0.0
+    assert entropy([0.5, 0.25, 0.25], 1.0) == pytest.approx(1.5, abs=1e-12)
+    assert entropy([0.0, 0.0], 0.0) == 0.0
+    assert entropy([], 0.0) == 0.0
 
 
 def test_hoeffding_bound_values():
@@ -239,7 +239,7 @@ def _two_attr_leaf(separator_strength):
 
 def test_clear_gap_splits():
     leaf = _two_attr_leaf(100)  # attribute 0 is perfect
-    decision = evaluate_split(leaf, StrategyConfig(), 2)
+    decision = evaluate_split(leaf, StrategyConfig())
     assert decision.action == SPLIT
     assert decision.best_attribute == 0
     assert decision.best_merit >= decision.second_merit
@@ -254,7 +254,7 @@ def test_small_gap_with_large_epsilon_does_not_split():
         v0 = label if i % 10 < 6 else 1 - label
         pairs.append(((v0, (i // 2) % 2), label))
     leaf = fill_leaf(schema, pairs)
-    decision = evaluate_split(leaf, StrategyConfig(counter_mode=NODE_TIME, tau=0.0), 2)
+    decision = evaluate_split(leaf, StrategyConfig(counter_mode=NODE_TIME, tau=0.0))
     assert decision.epsilon > decision.best_merit - decision.second_merit
     assert decision.action == NO_SPLIT
 
@@ -264,7 +264,7 @@ def test_tie_split_when_epsilon_below_tau():
     # two identical perfect separators: zero gap, splits only via the tie rule
     pairs = [((0, 0), 0)] * 5000 + [((1, 1), 1)] * 5000
     leaf = fill_leaf(schema, pairs)
-    decision = evaluate_split(leaf, StrategyConfig(), 2)
+    decision = evaluate_split(leaf, StrategyConfig())
     assert decision.epsilon < StrategyConfig().tau
     assert decision.action == SPLIT
     assert decision.best_attribute == 0  # lowest index wins the tie
@@ -275,7 +275,7 @@ def test_null_split_wins_when_all_gains_negative():
     leaf = LearningLeaf(schema, class_dist=[5000.0, 0.0])
     for values, label in [((0,), 0), ((0,), 1), ((1,), 0), ((1,), 1)] * 500:
         leaf.learn(values, label, 1.0)
-    decision = evaluate_split(leaf, StrategyConfig(), 2)
+    decision = evaluate_split(leaf, StrategyConfig())
     assert decision.best_attribute is None
     assert decision.action == NO_SPLIT
 
@@ -289,14 +289,14 @@ def test_used_attribute_wins_at_zero_gain_under_drift():
     for values, label in [((1, 0), 0), ((1, 1), 1), ((1, 0), 1), ((1, 1), 0)] * 1000:
         leaf.learn(values, label, 1.0)
     assert info_gain(leaf.stats, leaf.class_dist, 1) < 0.0
-    resplit_decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="resplit"), 2)
+    resplit_decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="resplit"))
     assert resplit_decision.action == RESPLIT
     assert resplit_decision.best_attribute == 0
     assert resplit_decision.best_merit == 0.0
-    evisc_decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="eviscerate"), 2)
+    evisc_decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="eviscerate"))
     assert evisc_decision.action == EVISCERATE
     # under the default policy the used attribute is no candidate at all
-    plain = evaluate_split(leaf, StrategyConfig(), 2)
+    plain = evaluate_split(leaf, StrategyConfig())
     assert plain.action == NO_SPLIT
 
 
@@ -308,7 +308,7 @@ def test_amnesiac_children_start_with_zero_statistics():
     schema = Schema.uniform_nominal(2, 2, 2)
     pairs = [((0, i % 2), 0) for i in range(300)] + [((1, i % 2), 1) for i in range(300)]
     leaf = fill_leaf(schema, pairs)
-    decision = evaluate_split(leaf, StrategyConfig(), 2)
+    decision = evaluate_split(leaf, StrategyConfig())
     node = perform_split(leaf, decision, StrategyConfig())
     assert isinstance(node, SplitNode)
     assert len(node.children) == 2
@@ -339,7 +339,7 @@ def assert_children_match_replay_recount(class_count, label_of):
         assert learn_at_leaf(leaf, *inst, fill) is None
     assert leaf.node_time == 900
     assert 0.0 not in [weight for _, _, weight in leaf.buffered()]
-    decision = evaluate_split(leaf, config, class_count)
+    decision = evaluate_split(leaf, config)
     assert decision.action == SPLIT
     node = perform_split(leaf, decision, config)
     attr = decision.best_attribute
@@ -419,7 +419,7 @@ def test_resplit_routes_all_traffic_to_the_path_child():
     leaf = LearningLeaf(schema, class_dist=[3000.0, 0.0], used_attributes={0})
     for i in range(4000):
         leaf.learn((1, i % 3), i % 2, 1.0)
-    decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="resplit"), 2)
+    decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="resplit"))
     assert decision.action == RESPLIT
     node = perform_split(leaf, decision, StrategyConfig(used_attribute_policy="resplit"))
     assert len(node.children) == 3
@@ -437,7 +437,7 @@ def test_eviscerate_clears_everything_in_place():
     leaf = LearningLeaf(schema, class_dist=[5000.0, 100.0], used_attributes={0})
     for i in range(1000):
         leaf.learn((1, (i // 2) % 2), i % 2, 1.0)
-    decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="eviscerate"), 2)
+    decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="eviscerate"))
     assert decision.action == EVISCERATE
     result = perform_split(leaf, decision, StrategyConfig(used_attribute_policy="eviscerate"))
     assert result is None
