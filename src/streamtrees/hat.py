@@ -23,10 +23,11 @@ Every contested behavior is a flag on :class:`HatConfig`:
 ``HatConfig`` is a ``StrategyConfig`` plus these flags, and leaves learn and
 split through the base tree's ``learn_at_leaf`` with that config, so every
 base-tree flag, ``counter_mode`` included, acts exactly as it does in the
-base tree. Every node's detector is an ``AdwinDetector`` built by
-``_new_detector`` from ``detector_delta`` and ``detector_check_interval``; a
-subclass whose ``_new_detector`` returns a detector that never fires learns
-exactly what the base tree learns.
+base tree, on the same one-object leaves. Every node's detector is an
+``AdwinDetector`` built by ``_new_detector``; its two parameters and the
+replacement test's confidence are fixed constants, not flags. A subclass
+whose ``_new_detector`` returns a detector that never fires learns exactly
+what the base tree learns.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ VOTE_MULTI_NO_SINGLE_LEAVES = "multiple_excluding_single_leaves"
 
 _VOTE_MODES = (VOTE_NONE, VOTE_SINGLE, VOTE_MULTI, VOTE_MULTI_NO_SINGLE_LEAVES)
 
+# ADWIN's confidence and cut-check interval (Bifet & Gavaldà, SDM 2007), and
+# the alternate-replacement test's confidence (Bifet & Gavaldà, IDA 2009)
+DETECTOR_DELTA = 0.002
+DETECTOR_CHECK_INTERVAL = 32
+REPLACEMENT_DELTA = 0.05
+
 # one float per Poisson count, shared by every draw of that count, so an
 # eidetic buffer holds no weight float of its own
 _POISSON_WEIGHTS: dict[int, float] = {}
@@ -69,10 +76,7 @@ class HatConfig(StrategyConfig):
     replace_root_on_alternate_split: bool = False
     replace_subtree_on_alternate_split: bool = False
     replacement_check_interval: int = 300
-    replacement_delta: float = 0.05
     alternate_depth_cap: int = 1
-    detector_delta: float = 0.002
-    detector_check_interval: int = 32
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -80,14 +84,8 @@ class HatConfig(StrategyConfig):
             raise ValueError(f"bad voting_mode {self.voting_mode!r}")
         if self.replacement_check_interval < 1:
             raise ValueError("replacement_check_interval must be >= 1")
-        if not 0.0 < self.replacement_delta < 1.0:
-            raise ValueError("replacement_delta must be in (0, 1)")
         if self.alternate_depth_cap < 1:
             raise ValueError("alternate_depth_cap must be >= 1")
-        if self.detector_check_interval < 1:
-            raise ValueError("detector_check_interval must be >= 1")
-        if not 0.0 < self.detector_delta < 1.0:
-            raise ValueError("detector_delta must be in (0, 1)")
 
 
 class _HatNode:
@@ -126,10 +124,7 @@ class HoeffdingAdaptiveTreeClassifier:
 
     def _new_detector(self):
         """The one place a node's detector is built."""
-        return AdwinDetector(
-            delta=self.config.detector_delta,
-            check_interval=self.config.detector_check_interval,
-        )
+        return AdwinDetector(delta=DETECTOR_DELTA, check_interval=DETECTOR_CHECK_INTERVAL)
 
     def _new_node(self) -> _HatNode:
         leaf = LearningLeaf(self.schema, eidetic=self.config.eidetic)
@@ -229,9 +224,8 @@ class HoeffdingAdaptiveTreeClassifier:
         if wa <= 0:
             return False
         em, ea = nd.detector.estimate(), alt.detector.estimate()
-        delta = self.config.replacement_delta
-        bm = hoeffding_bound(1.0, delta, wm)
-        ba = hoeffding_bound(1.0, delta, wa)
+        bm = hoeffding_bound(1.0, REPLACEMENT_DELTA, wm)
+        ba = hoeffding_bound(1.0, REPLACEMENT_DELTA, wa)
         if ea + ba < em - bm:
             self._promote(nd)
             return True

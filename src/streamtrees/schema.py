@@ -26,28 +26,34 @@ Attribute = NominalAttribute | NumericAttribute
 
 @dataclass(frozen=True)
 class Schema:
-    """Ordered attribute descriptors plus the class count."""
+    """Ordered attribute descriptors plus the class count, and the attribute
+    layout every leaf on the schema shares: the indices of each kind, and
+    ``numeric_column[i]``, attribute ``i``'s place in ``numeric_attrs``
+    (None for a nominal one), which is its column in a leaf's statistics."""
 
     attributes: tuple[Attribute, ...]
     class_count: int
-    # stored, not a property: check_shape reads it on every train
+    # stored once, not properties: check_shape reads n_attributes on every train,
+    # and every leaf on the schema holds the layout tuples
     n_attributes: int = field(init=False, compare=False, repr=False)
+    nominal_attrs: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    numeric_attrs: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    numeric_column: tuple[int | None, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.attributes:
             raise ValueError("schema needs at least one attribute")
         if self.class_count < 2:
             raise ValueError(f"class_count must be >= 2, got {self.class_count}")
-        object.__setattr__(self, "n_attributes", len(self.attributes))
-
-    def is_nominal(self, index: int) -> bool:
-        return isinstance(self.attributes[index], NominalAttribute)
-
-    def n_values(self, index: int) -> int:
-        attr = self.attributes[index]
-        if not isinstance(attr, NominalAttribute):
-            raise ValueError(f"attribute {index} is numeric")
-        return attr.n_values
+        n = len(self.attributes)
+        kinds = [isinstance(attr, NominalAttribute) for attr in self.attributes]
+        nominal = tuple(i for i in range(n) if kinds[i])
+        numeric = tuple(i for i in range(n) if not kinds[i])
+        column = dict(zip(numeric, range(n)))
+        object.__setattr__(self, "n_attributes", n)
+        object.__setattr__(self, "nominal_attrs", nominal)
+        object.__setattr__(self, "numeric_attrs", numeric)
+        object.__setattr__(self, "numeric_column", tuple(map(column.get, range(n))))
 
     @staticmethod
     def uniform_nominal(n_attributes: int, n_values: int, class_count: int) -> "Schema":

@@ -150,7 +150,7 @@ class _InstanceCache(dict):
     def __init__(self, schema: Schema):
         super().__init__()
         self._class_count = schema.class_count
-        self._sizes = [schema.n_values(i) for i in reversed(range(schema.n_attributes))]
+        self._sizes = [attr.n_values for attr in reversed(schema.attributes)]
 
     def __missing__(self, key: int) -> Instance:
         cell, label = divmod(key, self._class_count)

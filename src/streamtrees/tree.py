@@ -1,8 +1,9 @@
 """Incremental decision tree driven by the Hoeffding split test.
 
-Leaves keep attribute-value-class counts (``n[attr][value][class]``) and
-per-class Gaussian columns with one count per class, not instances, and are
-evaluated for a split whenever their counter has advanced by a grace period.
+A leaf is one object, a ``NodeStatistics`` on its schema's shared attribute
+layout: it keeps attribute-value-class counts (``n[attr][value][class]``) and
+per-class Gaussian columns with one count per class, not instances, and is
+evaluated for a split whenever its counter has advanced by a grace period.
 Each behavior the base algorithm leaves open is a flag on :class:`StrategyConfig`:
 
 - ``eidetic``: keep a replay buffer so fresh children start from exact
@@ -113,29 +114,26 @@ def hoeffding_bound(value_range: float, delta: float, n: float) -> float:
 
 
 class NodeStatistics:
-    """Per-leaf attribute observers: nominal counts and per-class Gaussians.
-
-    Numeric attribute ``i`` is column ``j = slot[i]``, its place in
-    ``numeric_attrs``: class ``c`` has Welford's ``means[c][j]`` and ``m2s[c][j]``,
-    and ``lo[j]``/``hi[j]`` bound the values seen. Every numeric attribute sees
-    the same weights, so ``counts[c]`` is one count per class, shared by all.
+    """A leaf's attribute observers, which only ``observe`` updates: nominal
+    counts and per-class Gaussians, on the schema's own ``nominal_attrs`` and
+    ``numeric_attrs``. Numeric attribute ``i`` is column ``j =
+    schema.numeric_column[i]``: class ``c`` has Welford's ``means[c][j]`` and
+    ``m2s[c][j]``, and ``lo[j]``/``hi[j]`` bound the values seen. Every numeric
+    attribute sees the same weights, so ``counts[c]`` is one count per class.
     """
 
-    __slots__ = ("schema", "nominal", "nominal_attrs", "numeric_attrs", "slot",
+    __slots__ = ("schema", "nominal", "nominal_attrs", "numeric_attrs",
                  "counts", "means", "m2s", "lo", "hi")
 
     def __init__(self, schema: Schema):
         self.schema = schema
+        self.nominal_attrs = schema.nominal_attrs
+        self.numeric_attrs = schema.numeric_attrs
         c = schema.class_count
-        self.nominal = [
-            [[0.0] * c for _ in range(attr.n_values)] if schema.is_nominal(i) else None
-            for i, attr in enumerate(schema.attributes)
-        ]
-        # the attribute indices of each kind, so observe never branches on it
-        self.nominal_attrs = [i for i, table in enumerate(self.nominal) if table is not None]
-        self.numeric_attrs = [i for i, table in enumerate(self.nominal) if table is None]
-        self.slot = {i: j for j, i in enumerate(self.numeric_attrs)}
-        m = len(self.numeric_attrs)
+        self.nominal = nominal = [None] * schema.n_attributes
+        for i in schema.nominal_attrs:
+            nominal[i] = [[0.0] * c for _ in range(schema.attributes[i].n_values)]
+        m = len(schema.numeric_attrs)
         if not m:  # observe returns before the columns and no split reads them
             self.counts = self.means = self.m2s = self.lo = self.hi = ()
             return
@@ -171,7 +169,7 @@ class NodeStatistics:
                 hi[j] = v
 
 
-def _gain_with_split(stats, parent_entropy, attribute):
+def _gain_with_split(leaf, parent_entropy, attribute):
     """Information gain of splitting on one attribute, and the best numeric cut.
 
     The parent entropy comes from the leaf's class distribution (parent-derived
@@ -179,7 +177,7 @@ def _gain_with_split(stats, parent_entropy, attribute):
     gains can go negative after a drift. Attributes with no observed weight,
     or with all observed mass on a single value, gain exactly 0.
     """
-    counts = stats.nominal[attribute]
+    counts = leaf.nominal[attribute]
     if counts is not None:
         totals = [sum(row) for row in counts]
         total = sum(totals)
@@ -192,16 +190,16 @@ def _gain_with_split(stats, parent_entropy, attribute):
                 weighted += t * entropy(row, t)
         return parent_entropy - weighted / total, None
 
-    j = stats.slot[attribute]
-    lo, hi = stats.lo[j], stats.hi[j]
-    counts = stats.counts
+    j = leaf.schema.numeric_column[attribute]
+    lo, hi = leaf.lo[j], leaf.hi[j]
+    counts = leaf.counts
     total = sum(counts)
     if total <= 0.0 or hi <= lo:
         return 0.0, None
     # each class's (count, mean, sd): sd is 0.0 with no spread, and a class with
     # no mass gets mean +inf, so its left mass is 0.0 at every cut
     gaussians = []
-    for count, means, m2s in zip(counts, stats.means, stats.m2s):
+    for count, means, m2s in zip(counts, leaf.means, leaf.m2s):
         if count <= 0.0:
             gaussians.append((count, math.inf, 0.0))
             continue
@@ -253,11 +251,11 @@ class SplitNode:
         return 0 if values[self.attr] <= self.threshold else 1
 
 
-class LearningLeaf:
-    """Leaf accumulating statistics; the only place learning happens."""
+class LearningLeaf(NodeStatistics):
+    """Leaf accumulating statistics; the only place learning happens. It is
+    its own ``NodeStatistics``, updated through the inherited ``observe``."""
 
     __slots__ = (
-        "stats",
         "class_dist",
         "total_weight",
         "node_time",
@@ -272,7 +270,7 @@ class LearningLeaf:
     )
 
     def __init__(self, schema: Schema, class_dist=None, used_attributes=frozenset(), eidetic=False):
-        self.stats = NodeStatistics(schema)
+        super().__init__(schema)
         self.class_dist = list(class_dist) if class_dist is not None else [0.0] * schema.class_count
         self.total_weight = sum(self.class_dist)
         self.node_time = 0
@@ -298,7 +296,7 @@ class LearningLeaf:
         """
         if weight <= 0.0:
             return
-        self.stats.observe(values, label, weight)
+        self.observe(values, label, weight)
         self.class_dist[label] += weight
         self.total_weight += weight
         buffer = self.buffer
@@ -333,7 +331,7 @@ class LearningLeaf:
         The leaf becomes a fresh leaf on the same path: it keeps only its used
         attributes and whether it buffers instances.
         """
-        self.__init__(self.stats.schema, None, self.used_attributes, self.buffer is not None)
+        self.__init__(self.schema, None, self.used_attributes, self.buffer is not None)
 
 
 @dataclass
@@ -362,8 +360,7 @@ def evaluate_split(leaf: LearningLeaf, config: StrategyConfig) -> SplitDecision:
     the best and the runner-up; of equal merits the earlier attribute ranks
     first.
     """
-    stats = leaf.stats
-    schema = stats.schema
+    schema = leaf.schema
     policy = config.used_attribute_policy
     used = leaf.used_attributes
     parent_entropy = entropy(leaf.class_dist, leaf.total_weight)
@@ -374,7 +371,7 @@ def evaluate_split(leaf: LearningLeaf, config: StrategyConfig) -> SplitDecision:
     for attr in range(schema.n_attributes):
         if policy == EXCLUDE and attr in used:
             continue
-        merit, split_info = _gain_with_split(stats, parent_entropy, attr)
+        merit, split_info = _gain_with_split(leaf, parent_entropy, attr)
         if averaged:
             sums[attr] += merit
             merit = sums[attr] / leaf.eval_count
@@ -418,15 +415,14 @@ def perform_split(leaf: LearningLeaf, decision: SplitDecision, config: StrategyC
         leaf.eviscerate()
         return None
 
-    schema = leaf.stats.schema
     attr = decision.best_attribute
-    if leaf.stats.nominal[attr] is not None:
-        dists, used, threshold = leaf.stats.nominal[attr], leaf.used_attributes | {attr}, None
+    if leaf.nominal[attr] is not None:
+        dists, used, threshold = leaf.nominal[attr], leaf.used_attributes | {attr}, None
     else:
         dists, used, threshold = decision.child_dists, leaf.used_attributes, decision.threshold
     eidetic = leaf.buffer is not None
     # LearningLeaf copies the distribution it starts from
-    children = [LearningLeaf(schema, None if eidetic else dist, used, eidetic) for dist in dists]
+    children = [LearningLeaf(leaf.schema, None if eidetic else dist, used, eidetic) for dist in dists]
     node = SplitNode(attr, threshold, children)
     if eidetic:
         for values, label, weight in leaf.buffered():

@@ -116,9 +116,9 @@ def test_criterion_2_oracle_suites():
             for inst in routed:
                 fresh.observe(inst.values, inst.class_label, inst.weight)
                 dist[inst.class_label] += inst.weight
-            assert leaf.stats.nominal == fresh.nominal
+            assert leaf.nominal == fresh.nominal
             for field in ("counts", "means", "m2s", "lo", "hi"):
-                assert getattr(leaf.stats, field) == getattr(fresh, field), field
+                assert getattr(leaf, field) == getattr(fresh, field), field
             assert leaf.class_dist == dist
             checked += 1
         assert checked >= 2

@@ -90,9 +90,7 @@ FLAG_TEXT = {
     "grace_period": "50", "delta": "0.001", "tau": "1",
     "voting_mode": "single_alternate", "poisson_weighting": "true",
     "replace_root_on_alternate_split": "true", "replace_subtree_on_alternate_split": "true",
-    "replacement_check_interval": "10", "replacement_delta": "0.1",
-    "alternate_depth_cap": "3", "detector_delta": "0.01",
-    "detector_check_interval": "16",
+    "replacement_check_interval": "10", "alternate_depth_cap": "3",
 }
 BASE_FIELDS = {f.name for f in dataclasses.fields(StrategyConfig)}
 
@@ -124,9 +122,6 @@ def test_flag_table_types_every_field_alike_on_vfdt_and_hat_lines(field):
         ("x hat poisson_weighting=no_thanks", "poisson_weighting"),
         ("x vfdt grace_period=abc", "grace_period"),
         ("x vfdt grace_period=1.5", "grace_period"),
-        ("x hat detector_check_interval=abc", "detector_check_interval"),
-        ("x hat detector_check_interval=0", "detector_check_interval"),
-        ("x hat detector_delta=1.5", "detector_delta"),
         ("x vfdt tau=nan", "tau"),
         # a repeated flag is an error, not a silent override by the last one
         ("x vfdt tau=0.1 tau=0.3", "flag 'tau' given twice"),
@@ -452,6 +447,14 @@ def test_cli_runs_config_file(tmp_path, capsys):
          "line 1: learner flags: unknown hat option 'eviscerate_on_used_best'"),
         ("learner = a vfdt used_attribute_policy=reuse\nstream = STAGGERGenerator -i 1 -f 1\n",
          "line 1: learner flags: bad used_attribute_policy 'reuse'"),
+        # the adaptive tree's detector and replacement confidences are fixed
+        # values, not settings
+        ("learner = a hat detector_delta=0.01\nstream = STAGGERGenerator -i 1 -f 1\n",
+         "line 1: learner flags: unknown hat option 'detector_delta'"),
+        ("learner = a hat detector_check_interval=16\nstream = STAGGERGenerator -i 1 -f 1\n",
+         "line 1: learner flags: unknown hat option 'detector_check_interval'"),
+        ("learner = a hat replacement_delta=0.1\nstream = STAGGERGenerator -i 1 -f 1\n",
+         "line 1: learner flags: unknown hat option 'replacement_delta'"),
     ],
 )
 def test_cli_invalid_config_exits_2(tmp_path, capsys, body, fragment):

@@ -20,6 +20,7 @@ from streamtrees.tree import (
     NODE_TIME,
     HoeffdingTreeClassifier,
     LearningLeaf,
+    NodeStatistics,
     SplitNode,
     StrategyConfig,
 )
@@ -439,6 +440,59 @@ def test_forest_has_no_shared_nodes():
 
 
 # --------------------------------------------------------------------------
+# leaves
+# --------------------------------------------------------------------------
+
+def _every_leaf(learner):
+    """A tree's leaves, or an adaptive tree's mainline and alternate leaves."""
+    if isinstance(learner, HoeffdingTreeClassifier):
+        return learner.leaves()
+    leaves, stack = [], [learner._root]
+    while stack:
+        node = stack.pop()
+        if node.alternate is not None:
+            stack.append(node.alternate)
+        if isinstance(node.mainline, SplitNode):
+            stack.extend(node.mainline.children)
+        else:
+            leaves.append(node.mainline)
+    return leaves
+
+
+@pytest.mark.parametrize("eidetic", [False, True], ids=["amnesiac", "eidetic"])
+@pytest.mark.parametrize(
+    "row",
+    [
+        "RecurrentConceptDriftStream -x 3000 -y 3000 -z 100 -s (STAGGERGenerator -i 2 -f 2) -d (STAGGERGenerator -i 3 -f 3)",
+        "HyperplaneGenerator -k 10 -t 0.001 -i 2",
+    ],
+    ids=["nominal", "numeric"],
+)
+@pytest.mark.parametrize("algorithm", ["vfdt", "hat"])
+def test_each_leaf_is_one_object_on_its_schemas_layout(algorithm, row, eidetic):
+    """A grown tree's every leaf is its own statistics, and holds the schema's
+    attribute layout rather than a copy of it."""
+    stream = build_stream(row)
+    schema = stream.schema
+    if algorithm == "vfdt":
+        learner = HoeffdingTreeClassifier(schema, StrategyConfig(eidetic=eidetic))
+    else:
+        learner = HoeffdingAdaptiveTreeClassifier(schema, HatConfig(eidetic=eidetic))
+    for inst in take(stream, 8000):
+        learner.predict_label(inst)
+        learner.train(inst)
+    leaves = _every_leaf(learner)
+    assert len(leaves) > 1
+    for leaf in leaves:
+        assert type(leaf) is LearningLeaf and isinstance(leaf, NodeStatistics)
+        assert not hasattr(leaf, "stats") and not hasattr(leaf, "__dict__")
+        assert leaf.schema is schema
+        assert leaf.nominal_attrs is schema.nominal_attrs
+        assert leaf.numeric_attrs is schema.numeric_attrs
+        assert (leaf.buffer is not None) == eidetic
+
+
+# --------------------------------------------------------------------------
 # weighting
 # --------------------------------------------------------------------------
 
@@ -536,14 +590,9 @@ def test_config_validation():
         HatConfig(voting_mode="everything")
     with pytest.raises(ValueError):
         HatConfig(replacement_check_interval=0)
-    with pytest.raises(ValueError, match="detector_check_interval"):
-        HatConfig(detector_check_interval=0)
     for cap in (0, -1):
         with pytest.raises(ValueError, match="alternate_depth_cap"):
             HatConfig(alternate_depth_cap=cap)
-    for delta in (0.0, 1.0, float("nan")):
-        with pytest.raises(ValueError, match="detector_delta"):
-            HatConfig(detector_delta=delta)
 
 
 def test_hat_with_resplitting_flag_keeps_adapting():

@@ -64,7 +64,7 @@ def test_abrupt_row_parses_to_expected_fields():
     )
     gen = build_generator(spec)
     assert gen.schema.n_attributes == 3
-    assert gen.schema.n_values(0) == 3
+    assert gen.schema.attributes[0].n_values == 3
     assert gen.schema.class_count == 5
     assert gen.magnitude == 1.0
     assert gen.drift_point == 200_000

@@ -33,9 +33,9 @@ from test_tree import observed_mass
 CASES = settings(max_examples=1000, deadline=None)
 
 
-def info_gain(stats, class_dist, attribute):
+def info_gain(leaf, class_dist, attribute):
     """Information gain of splitting on one attribute, parent entropy from class_dist."""
-    return _gain_with_split(stats, entropy(class_dist, sum(class_dist)), attribute)[0]
+    return _gain_with_split(leaf, entropy(class_dist, sum(class_dist)), attribute)[0]
 
 
 def _rng(seed):
@@ -78,7 +78,7 @@ def test_constant_attribute_gain_is_exactly_zero(seed, n_attrs, n_values, classe
             fixed if a == attr else int(rng.integers(0, n_values)) for a in range(n_attrs)
         )
         leaf.learn(values, int(rng.integers(0, classes)), float(rng.random()) + 0.01)
-    assert info_gain(leaf.stats, leaf.class_dist, attr) == 0.0
+    assert info_gain(leaf, leaf.class_dist, attr) == 0.0
 
 
 @CASES
@@ -101,7 +101,7 @@ def test_count_conservation_across_attributes(seed, n_attrs, n_values, classes):
         leaf.learn(values, int(rng.integers(0, classes)), weight)
         total += weight
     for attr in range(n_attrs):
-        assert abs(observed_mass(leaf.stats, attr) - total) < 1e-9
+        assert abs(observed_mass(leaf, attr) - total) < 1e-9
     assert abs(sum(leaf.class_dist) - total) < 1e-9
 
 
@@ -116,8 +116,9 @@ class PerAttributeObserver:
     def __init__(self, schema):
         c = schema.class_count
         self.nominal = [
-            [[0.0] * c for _ in range(attr.n_values)] if schema.is_nominal(i) else None
-            for i, attr in enumerate(schema.attributes)
+            [[0.0] * c for _ in range(attr.n_values)] if isinstance(attr, NominalAttribute)
+            else None
+            for attr in schema.attributes
         ]
         self.numeric = [
             None if table is not None else [[0.0, 0.0, 0.0] for _ in range(c)]
@@ -227,11 +228,11 @@ def test_column_statistics_equal_per_attribute_oracle(seed, kinds, classes, n, i
             class_dist[label] += weight
 
     assert stats.nominal == oracle.nominal
-    numeric = [i for i, k in enumerate(kinds) if k is None]
+    numeric = tuple(i for i, k in enumerate(kinds) if k is None)
     assert stats.numeric_attrs == numeric
     parent_entropy = entropy(class_dist, sum(class_dist))
     for i in numeric:
-        j = stats.slot[i]
+        j = schema.numeric_column[i]
         for c in range(classes):
             count, mean, m2 = oracle.numeric[i][c]
             assert stats.counts[c] == count
@@ -331,8 +332,7 @@ def buffered_sequences(draw):
 
 def leaf_state(leaf):
     """Everything a leaf has learned, buffer included."""
-    stats = leaf.stats
-    return (stats.nominal, stats.counts, stats.means, stats.m2s, stats.lo, stats.hi,
+    return (leaf.nominal, leaf.counts, leaf.means, leaf.m2s, leaf.lo, leaf.hi,
             leaf.class_dist, leaf.total_weight, leaf.used_attributes, list(leaf.buffered()))
 
 
@@ -350,7 +350,7 @@ def test_buffered_replays_positive_weights_in_learn_order(case, data):
     # split on a drawn attribute: each child equals a fresh leaf fed the
     # entries routed to it directly
     attr = data.draw(st.integers(min_value=0, max_value=schema.n_attributes - 1))
-    threshold = None if schema.is_nominal(attr) else data.draw(st.sampled_from([0.3, 0.5]))
+    threshold = None if schema.numeric_column[attr] is None else data.draw(st.sampled_from([0.3, 0.5]))
     masses = ([0.0] * schema.class_count,) * 2  # unused by eidetic children
     decision = SplitDecision(attr, 1.0, 0.0, 0.0, SPLIT, threshold, masses)
     node = perform_split(leaf, decision, StrategyConfig(eidetic=True))

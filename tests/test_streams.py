@@ -54,7 +54,7 @@ def test_schema_invariants():
     with pytest.raises(ValueError):
         NominalAttribute(1)
     schema = Schema.uniform_nominal(3, 4, 5)
-    assert schema.n_attributes == 3 and schema.n_values(1) == 4 and schema.class_count == 5
+    assert schema.n_attributes == 3 and schema.attributes[1].n_values == 4 and schema.class_count == 5
 
 
 def test_check_instance():

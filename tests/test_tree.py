@@ -40,14 +40,14 @@ def weighted_entropy_oracle(rows):
     return h(parent) - children
 
 
-def info_gain(stats, class_dist, attribute):
+def info_gain(leaf, class_dist, attribute):
     """Information gain of splitting on one attribute, parent entropy from class_dist."""
-    return _gain_with_split(stats, entropy(class_dist, sum(class_dist)), attribute)[0]
+    return _gain_with_split(leaf, entropy(class_dist, sum(class_dist)), attribute)[0]
 
 
-def observed_mass(stats, attr):
+def observed_mass(leaf, attr):
     """Class weight a nominal attribute's observer has seen since leaf creation."""
-    return sum(sum(row) for row in stats.nominal[attr])
+    return sum(sum(row) for row in leaf.nominal[attr])
 
 
 def fill_leaf(schema, pairs):
@@ -98,19 +98,19 @@ def test_hoeffding_bound_preconditions():
 def test_info_gain_perfect_separator():
     schema = Schema.uniform_nominal(2, 2, 2)
     leaf = fill_leaf(schema, [((0, 0), 0)] * 50 + [((1, 1), 1)] * 50)
-    assert info_gain(leaf.stats, leaf.class_dist, 0) == pytest.approx(1.0, abs=1e-12)
+    assert info_gain(leaf, leaf.class_dist, 0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_info_gain_constant_attribute_is_exactly_zero():
     schema = Schema.uniform_nominal(2, 2, 2)
     leaf = fill_leaf(schema, [((0, 0), 0)] * 10 + [((0, 1), 1)] * 10)
-    assert info_gain(leaf.stats, leaf.class_dist, 0) == 0.0
+    assert info_gain(leaf, leaf.class_dist, 0) == 0.0
 
 
 def test_info_gain_unobserved_attribute_is_zero():
     schema = Schema.uniform_nominal(1, 3, 2)
     leaf = LearningLeaf(schema)
-    assert info_gain(leaf.stats, leaf.class_dist, 0) == 0.0
+    assert info_gain(leaf, leaf.class_dist, 0) == 0.0
 
 
 def test_info_gain_against_bruteforce_oracle():
@@ -120,7 +120,7 @@ def test_info_gain_against_bruteforce_oracle():
     for count, value, label in [(8, 0, 0), (2, 0, 1), (2, 1, 0), (8, 1, 1)]:
         pairs += [((value, 0), label)] * count
     leaf = fill_leaf(schema, pairs)
-    gain = info_gain(leaf.stats, leaf.class_dist, 0)
+    gain = info_gain(leaf, leaf.class_dist, 0)
     assert gain == pytest.approx(0.2781, abs=5e-5)
     assert gain == pytest.approx(weighted_entropy_oracle([[8, 2], [2, 8]]), abs=1e-12)
 
@@ -131,8 +131,8 @@ def test_info_gain_goes_negative_when_inherited_mass_is_purer():
     leaf = LearningLeaf(schema, class_dist=[1000.0, 0.0])
     for values, label in [((0, 0), 0), ((0, 1), 1), ((1, 0), 1), ((1, 1), 0)] * 50:
         leaf.learn(values, label, 1.0)
-    assert info_gain(leaf.stats, leaf.class_dist, 0) < 0.0
-    assert info_gain(leaf.stats, leaf.class_dist, 1) < 0.0
+    assert info_gain(leaf, leaf.class_dist, 0) < 0.0
+    assert info_gain(leaf, leaf.class_dist, 1) < 0.0
 
 
 def test_numeric_info_gain_threshold():
@@ -141,7 +141,7 @@ def test_numeric_info_gain_threshold():
     for i in range(200):
         x = i / 200.0
         leaf.learn((x,), int(x >= 0.5), 1.0)
-    gain = info_gain(leaf.stats, leaf.class_dist, 0)
+    gain = info_gain(leaf, leaf.class_dist, 0)
     assert gain > 0.5  # near-perfect split exists around 0.5
 
 
@@ -288,7 +288,7 @@ def test_used_attribute_wins_at_zero_gain_under_drift():
     # labels mixed, so the inherited-pure parent makes attr 1's gain negative
     for values, label in [((1, 0), 0), ((1, 1), 1), ((1, 0), 1), ((1, 1), 0)] * 1000:
         leaf.learn(values, label, 1.0)
-    assert info_gain(leaf.stats, leaf.class_dist, 1) < 0.0
+    assert info_gain(leaf, leaf.class_dist, 1) < 0.0
     resplit_decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="resplit"))
     assert resplit_decision.action == RESPLIT
     assert resplit_decision.best_attribute == 0
@@ -313,10 +313,10 @@ def test_amnesiac_children_start_with_zero_statistics():
     assert isinstance(node, SplitNode)
     assert len(node.children) == 2
     for j, child in enumerate(node.children):
-        assert observed_mass(child.stats, 0) == 0.0
-        assert observed_mass(child.stats, 1) == 0.0
+        assert observed_mass(child, 0) == 0.0
+        assert observed_mass(child, 1) == 0.0
         # class distribution derived from the parent's counts for this branch
-        assert child.class_dist == leaf.stats.nominal[decision.best_attribute][j]
+        assert child.class_dist == leaf.nominal[decision.best_attribute][j]
 
 
 def assert_children_match_replay_recount(class_count, label_of):
@@ -353,7 +353,7 @@ def assert_children_match_replay_recount(class_count, label_of):
                     for inst in routed:
                         if inst.values[a] == v and inst.class_label == c:
                             expected += inst.weight
-                    assert child.stats.nominal[a][v][c] == expected
+                    assert child.nominal[a][v][c] == expected
         mass = [0.0] * class_count
         for inst in routed:
             mass[inst.class_label] += inst.weight
@@ -444,7 +444,7 @@ def test_eviscerate_clears_everything_in_place():
     assert leaf.class_dist == [0.0, 0.0]
     assert leaf.total_weight == 0.0
     assert leaf.node_time == 0
-    assert observed_mass(leaf.stats, 1) == 0.0
+    assert observed_mass(leaf, 1) == 0.0
     # all-zero distribution falls back to class 0
     schema_tree = HoeffdingTreeClassifier(schema, StrategyConfig(used_attribute_policy="eviscerate"))
     schema_tree.root = leaf
@@ -573,7 +573,7 @@ def test_count_conservation_at_leaves():
     for _ in range(20_000):
         tree.train(stream.next_instance())
     for leaf in tree.leaves():
-        totals = {observed_mass(leaf.stats, a) for a in range(3)}
+        totals = {observed_mass(leaf, a) for a in range(3)}
         assert len(totals) == 1  # same observed mass on every nominal attribute
         observed = totals.pop()
         # class_dist = inherited + observed
