@@ -4,8 +4,9 @@ A node whose detector fires starts a fresh alternate subtree that trains in
 parallel on the same instances. The alternate replaces the mainline once its
 windowed error is lower with non-overlapping confidence bounds, and is
 discarded if it proves significantly worse. ``train`` runs that test itself,
-every ``replacement_check_interval`` instances the alternate trains on; no
-public call promotes. ``dump`` shows each node's detector width and estimate.
+every ``replacement_check_interval`` instances the alternate trains on, a
+count each alternate keeps itself; no public call promotes. ``dump`` shows
+each node's detector width and estimate.
 Every contested behavior is a flag on :class:`HatConfig`:
 
 - ``alternate_depth_cap``: how many alternate edges a path may hold, i.e.
@@ -22,8 +23,8 @@ Every contested behavior is a flag on :class:`HatConfig`:
 
 ``HatConfig`` is a ``StrategyConfig`` plus these flags, and leaves learn and
 split through the base tree's ``learn_at_leaf`` with that config, so every
-base-tree flag, ``counter_mode`` included, acts exactly as it does in the
-base tree, on the same one-object leaves. Every node's detector is an
+base-tree flag and constant acts exactly as it does in the base tree, on the
+same one-object leaves. Every node's detector is an
 ``AdwinDetector`` built by ``_new_detector``; its two parameters and the
 replacement test's confidence are fixed constants, not flags. A subclass
 whose ``_new_detector`` returns a detector that never fires learns exactly
@@ -95,13 +96,13 @@ class _HatNode:
     subtree's root detector plays the same role for the replacement test.
     """
 
-    __slots__ = ("mainline", "alternate", "detector", "alt_instances")
+    __slots__ = ("mainline", "alternate", "detector", "instances")
 
     def __init__(self, mainline, detector):
         self.mainline = mainline
         self.alternate: _HatNode | None = None
         self.detector = detector
-        self.alt_instances = 0
+        self.instances = 0  # the instances it has trained on as an alternate
 
 
 class HoeffdingAdaptiveTreeClassifier:
@@ -181,7 +182,6 @@ class HoeffdingAdaptiveTreeClassifier:
                     and alt.detector.estimate() >= nd.detector.estimate()
                 ):
                     nd.alternate = self._new_node()
-                    nd.alt_instances = 0
                     self._n_sprouts += 1
             alt = nd.alternate
             if alt is None:
@@ -191,13 +191,13 @@ class HoeffdingAdaptiveTreeClassifier:
                 cfg.replace_root_on_alternate_split if nd is self._root
                 else cfg.replace_subtree_on_alternate_split)
             self._train_subtree(alt, instance, depth + 1)
-            nd.alt_instances += 1
+            alt.instances += 1
             # after a promotion everything deeper on the old path is discarded,
             # and the promoted subtree already trained on this instance
             if promote_on_split and alt.mainline.__class__ is SplitNode:
                 self._promote(nd)
                 return
-            if nd.alt_instances % cfg.replacement_check_interval == 0 and self._maybe_replace(nd):
+            if alt.instances % cfg.replacement_check_interval == 0 and self._maybe_replace(nd):
                 return
         values, label, weight = instance
         if cfg.poisson_weighting:
@@ -231,16 +231,14 @@ class HoeffdingAdaptiveTreeClassifier:
             return True
         if em + bm < ea - ba:
             nd.alternate = None
-            nd.alt_instances = 0
         return False
 
     def _promote(self, nd: _HatNode) -> None:
-        """Install the alternate in place of the mainline subtree."""
+        """Install the alternate, with its own alternate, in place of the mainline subtree."""
         alt = nd.alternate
         nd.mainline = alt.mainline
         nd.alternate = alt.alternate
         nd.detector = self._new_detector()
-        nd.alt_instances = alt.alt_instances
 
     # -- prediction ------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 A leaf is one object, a ``NodeStatistics`` on its schema's shared attribute
 layout: it keeps attribute-value-class counts (``n[attr][value][class]``) and
 per-class Gaussian columns with one count per class, not instances, and is
-evaluated for a split whenever its counter has advanced by a grace period.
+evaluated for a split whenever its counter has advanced by ``GRACE_PERIOD``.
 Each behavior the base algorithm leaves open is a flag on :class:`StrategyConfig`:
 
 - ``eidetic``: keep a replay buffer so fresh children start from exact
@@ -58,6 +58,12 @@ EXCLUDE = "exclude"
 _NUMERIC_SPLIT_POINTS = 10
 _SQRT2 = math.sqrt(2.0)
 
+# n_min and the split confidence of Domingos & Hulten, "Mining high-speed data
+# streams" (KDD 2000): fixed values, while tau, which a preset varies, is a
+# flag. Read at call time, so a test may patch them.
+GRACE_PERIOD = 200
+SPLIT_DELTA = 1e-7
+
 
 @dataclass(frozen=True)
 class StrategyConfig:
@@ -65,8 +71,6 @@ class StrategyConfig:
     used_attribute_policy: str = EXCLUDE
     infogain_mode: str = INSTANTANEOUS
     counter_mode: str = WEIGHT_SEEN
-    grace_period: int = 200
-    delta: float = 1e-7
     tau: float = 0.05
 
     def __post_init__(self) -> None:
@@ -76,10 +80,6 @@ class StrategyConfig:
             raise ValueError(f"bad infogain_mode {self.infogain_mode!r}")
         if self.counter_mode not in (NODE_TIME, WEIGHT_SEEN):
             raise ValueError(f"bad counter_mode {self.counter_mode!r}")
-        if self.grace_period < 1:
-            raise ValueError("grace_period must be >= 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
         if not self.tau >= 0.0:  # also rejects NaN, which would disable tie-breaking
             raise ValueError("tau must be >= 0")
 
@@ -380,7 +380,7 @@ def evaluate_split(leaf: LearningLeaf, config: StrategyConfig) -> SplitDecision:
         elif second is None or merit > second[1]:
             second = (attr, merit, split_info)
     n = leaf.eval_count if averaged else _leaf_counter(leaf, config)
-    eps = hoeffding_bound(math.log2(schema.class_count), config.delta, n)
+    eps = hoeffding_bound(math.log2(schema.class_count), SPLIT_DELTA, n)
 
     if best is None or best[1] < 0.0:
         # the null split outranks every attribute
@@ -441,7 +441,7 @@ def learn_at_leaf(leaf: LearningLeaf, values, label: int, weight: float, config:
     leaf.node_time += 1
     leaf.learn(values, label, weight)
     counter = _leaf_counter(leaf, config)
-    if counter - leaf.counter_at_last_eval < config.grace_period:
+    if counter - leaf.counter_at_last_eval < GRACE_PERIOD:
         return None
     leaf.counter_at_last_eval = counter
     if leaf.is_pure():

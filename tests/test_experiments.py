@@ -54,20 +54,21 @@ def small_config(tmp_path, **kwargs):
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "flags,expected",
+    "algorithm,flags,expected",
     [
-        ("used_attribute_policy=resplit grace_period=100",
-         {"used_attribute_policy": "resplit", "grace_period": 100}),
-        ("eidetic=YES used_attribute_policy=exclude",
+        ("vfdt", "used_attribute_policy=resplit tau=0.1",
+         {"used_attribute_policy": "resplit", "tau": 0.1}),
+        ("vfdt", "eidetic=YES used_attribute_policy=exclude",
          {"eidetic": True, "used_attribute_policy": "exclude"}),
-        # each value takes the type of its field, not a type guessed from the text
-        ("grace_period=1", {"grace_period": 1}),
-        ("tau=1", {"tau": 1.0}),
+        # each value takes the type of its field, not a type guessed from the
+        # text; the int flags are the adaptive tree's
+        ("hat", "replacement_check_interval=1", {"replacement_check_interval": 1}),
+        ("vfdt", "tau=1", {"tau": 1.0}),
     ],
 )
-def test_parse_learner_line(flags, expected):
-    spec = parse_learner_line(f"combined vfdt {flags}")
-    assert spec.name == "combined" and spec.algorithm == "vfdt"
+def test_parse_learner_line(algorithm, flags, expected):
+    spec = parse_learner_line(f"combined {algorithm} {flags}")
+    assert spec.name == "combined" and spec.algorithm == algorithm
     cfg = spec.config()
     for key, value in expected.items():
         assert getattr(cfg, key) == value and type(getattr(cfg, key)) is type(value)
@@ -87,7 +88,7 @@ def test_parse_hat_learner_with_base_flags():
 FLAG_TEXT = {
     "eidetic": "true", "used_attribute_policy": "eviscerate",
     "infogain_mode": "averaged_over_evaluations", "counter_mode": "node_time",
-    "grace_period": "50", "delta": "0.001", "tau": "1",
+    "tau": "1",
     "voting_mode": "single_alternate", "poisson_weighting": "true",
     "replace_root_on_alternate_split": "true", "replace_subtree_on_alternate_split": "true",
     "replacement_check_interval": "10", "alternate_depth_cap": "3",
@@ -120,8 +121,11 @@ def test_flag_table_types_every_field_alike_on_vfdt_and_hat_lines(field):
         ("x vfdt used_attribute_policy=resplt", "bad used_attribute_policy 'resplt'"),
         ("x vfdt eidetic=flase", "eidetic"),
         ("x hat poisson_weighting=no_thanks", "poisson_weighting"),
-        ("x vfdt grace_period=abc", "grace_period"),
-        ("x vfdt grace_period=1.5", "grace_period"),
+        ("x hat replacement_check_interval=abc", "replacement_check_interval"),
+        ("x hat alternate_depth_cap=1.5", "alternate_depth_cap"),
+        # the grace period and split confidence are fixed values, not flags
+        ("x vfdt grace_period=100", "unknown vfdt option 'grace_period'"),
+        ("x hat delta=0.001", "unknown hat option 'delta'"),
         ("x vfdt tau=nan", "tau"),
         # a repeated flag is an error, not a silent override by the last one
         ("x vfdt tau=0.1 tau=0.3", "flag 'tau' given twice"),
@@ -455,6 +459,11 @@ def test_cli_runs_config_file(tmp_path, capsys):
          "line 1: learner flags: unknown hat option 'detector_check_interval'"),
         ("learner = a hat replacement_delta=0.1\nstream = STAGGERGenerator -i 1 -f 1\n",
          "line 1: learner flags: unknown hat option 'replacement_delta'"),
+        # and so are the base tree's grace period and split confidence
+        ("learner = a vfdt grace_period=100\nstream = STAGGERGenerator -i 1 -f 1\n",
+         "line 1: learner flags: unknown vfdt option 'grace_period'"),
+        ("learner = a hat delta=0.001\nstream = STAGGERGenerator -i 1 -f 1\n",
+         "line 1: learner flags: unknown hat option 'delta'"),
     ],
 )
 def test_cli_invalid_config_exits_2(tmp_path, capsys, body, fragment):

@@ -259,6 +259,51 @@ def test_maybe_replace_waits_for_an_alternate_window():
     assert hat.promotions == 0
 
 
+class _CadenceHat(HoeffdingAdaptiveTreeClassifier):
+    """Counts the instances each node object trains on, and checks that every
+    replacement test falls on a multiple of the interval of its alternate's count."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.trained = {}  # node object -> calls of _train_subtree on it
+        self.inherited = set()  # alternates a promotion handed down to a new parent
+        self.checks = self.inherited_checks = self.nested_promotions = 0
+
+    def _train_subtree(self, hnode, instance, depth, path=None):
+        self.trained[hnode] = self.trained.get(hnode, 0) + 1
+        super()._train_subtree(hnode, instance, depth, path)
+
+    def _maybe_replace(self, nd):
+        assert self.trained[nd.alternate] % self.config.replacement_check_interval == 0
+        self.checks += 1
+        self.inherited_checks += nd.alternate in self.inherited
+        return super()._maybe_replace(nd)
+
+    def _promote(self, nd):
+        grand = nd.alternate.alternate
+        if grand is not None:
+            self.nested_promotions += 1
+            self.inherited.add(grand)
+        super()._promote(nd)
+
+
+def test_replacement_test_runs_every_interval_of_the_alternates_own_instances():
+    stream = build_stream(
+        "RecurrentConceptDriftStream -x 5000 -y 5000 -z 100 "
+        "-s (STAGGERGenerator -i 2 -f 2) -d (STAGGERGenerator -i 3 -f 3)"
+    )
+    config = HatConfig(voting_mode=VOTE_MULTI, alternate_depth_cap=10, replacement_check_interval=7)
+    hat = _CadenceHat(stream.schema, config)
+    for _ in range(30_000):
+        inst = stream.next_instance()
+        hat.predict_label(inst)
+        hat.train(inst)
+    assert hat.checks > 0
+    # a promoted alternate that had its own hands it down with its count
+    assert hat.nested_promotions > 0
+    assert hat.inherited_checks > 0
+
+
 def test_promotion_preserves_subtree_structure():
     """The promoted subtree is identical to the alternate just before."""
     stream = build_stream("STAGGERGenerator -i 4 -f 3")
@@ -505,11 +550,9 @@ def test_poisson_zero_fraction_matches_exp_minus_one():
     assert abs(mean - 1.0) < 0.02
 
 
-def test_poisson_weighting_keeps_node_time_on_instances():
-    config = HatConfig(
-        poisson_weighting=True,
-        grace_period=10_000,  # keep the root a leaf
-    )
+def test_poisson_weighting_keeps_node_time_on_instances(monkeypatch):
+    monkeypatch.setattr("streamtrees.tree.GRACE_PERIOD", 10_000)  # keep the root a leaf
+    config = HatConfig(poisson_weighting=True)
     hat = NeverFireHat(_schema(), config, seed=1)
     for i in range(1000):
         hat.train(Instance((i % 2, 0), i % 2))

@@ -72,9 +72,17 @@ class _CountingHat(HoeffdingAdaptiveTreeClassifier):
         return promoted
 
 
-# premature replacement at the root and below it, with alternates that split soon
+# premature replacement at the root and below it, with alternates that split
+# soon: a wide tie threshold here, and a grace period of 50 from the fixture below
 PREMATURE = dict(replace_root_on_alternate_split=True, replace_subtree_on_alternate_split=True,
-                 tau=0.2, grace_period=50, voting_mode=VOTE_MULTI, alternate_depth_cap=10)
+                 tau=0.2, voting_mode=VOTE_MULTI, alternate_depth_cap=10)
+
+
+@pytest.fixture(autouse=True)
+def _premature_grace_period(request, monkeypatch):
+    if "premature" in request.node.name:
+        monkeypatch.setattr("streamtrees.tree.GRACE_PERIOD", 50)
+
 
 HAT_CONFIGS = {
     **{

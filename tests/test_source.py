@@ -7,6 +7,7 @@ import re
 import tokenize
 from pathlib import Path
 
+from streamtrees.experiments import PRESET_NAMES, preset
 from streamtrees.hat import HatConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,16 +103,36 @@ def _defaulted_parameters(path: Path):
 
 def _calls(tree: ast.AST):
     """``(callee name, positional count, keyword names)`` for each call; a call
-    with ``*args`` or ``**kwargs`` passes every parameter (count and names None)."""
+    with ``*args`` or ``**kwargs`` passes every parameter (count and names None).
+    A call on a module the source binds with ``import``, such as ``json.dump``
+    or ``np.zeros``, calls that module's function, not one of the program's,
+    and is left out; ``from streamtrees import experiments`` binds the
+    program's own module, so ``experiments.run_grid`` counts."""
+    modules = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    }
     for call in ast.walk(tree):
         if not isinstance(call, ast.Call):
             continue
         func = call.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in modules:
+            continue
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
             yield name, None, None
         else:
             yield name, len(call.args), {k.arg for k in call.keywords}
+
+
+def test_calls_leave_out_calls_on_imported_modules():
+    tree = ast.parse(
+        "import json\nimport numpy as np\nfrom streamtrees import experiments\n"
+        "json.dump(obj, fh, indent=1)\nnp.zeros(3)\nexperiments.run_grid(config)\n"
+        "tracer.dump(path)\nwrite_outputs(config, results)\n"
+    )
+    assert sorted(name for name, _, _ in _calls(tree)) == ["dump", "run_grid", "write_outputs"]
 
 
 def _aliases(tree: ast.AST):
@@ -148,6 +169,22 @@ def test_every_parameter_is_passed_by_program_code():
                        for count, keywords in calls.get(callee, ())):
                 unpassed.append(f"{path.name}:{name}({param})")
     assert unpassed == []
+
+
+def test_every_learner_setting_is_set_by_program_code():
+    """Each learner setting is set by a learner line of some preset, by a
+    ``HatConfig`` or ``StrategyConfig`` call in the benchmark, or by README's
+    code: a setting that only tests set is a value the program never varies,
+    and belongs in a constant."""
+    settings = {f.name for f in dataclasses.fields(HatConfig)}
+    set_by = {key for name in PRESET_NAMES for spec in preset(name).learners for key, _ in spec.overrides}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) in ("HatConfig", "StrategyConfig"):
+                set_by |= {k.arg for k in call.keywords}
+    # learner flags on README's config lines and in its Python calls alike
+    set_by |= set(re.findall(r"(\w+)=", _readme_code((ROOT / "README.md").read_text(encoding="utf-8"))))
+    assert sorted(settings - set_by) == []
 
 
 def _config_readers() -> dict[str, set[str]]:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import streamtrees.tree as tree_module
 from streamtrees.hat import HatConfig, HoeffdingAdaptiveTreeClassifier
 from streamtrees.schema import Instance, NumericAttribute, Schema
 from streamtrees.specparse import build_stream
@@ -170,8 +171,9 @@ def test_weighted_instance_updates_mass_not_node_time():
 def test_split_evaluations_follow_grace_cadence():
     # in averaged mode eval_count counts evaluations directly
     schema = Schema.uniform_nominal(2, 2, 2)
-    config = StrategyConfig(infogain_mode=AVERAGED, counter_mode=NODE_TIME, grace_period=200)
+    config = StrategyConfig(infogain_mode=AVERAGED, counter_mode=NODE_TIME)
     tree = HoeffdingTreeClassifier(schema, config)
+    assert tree_module.GRACE_PERIOD == 200
     for i in range(399):
         tree.train(Instance((i % 2, (i // 2) % 2), i % 2))
     assert tree.root.eval_count == 1
@@ -179,9 +181,10 @@ def test_split_evaluations_follow_grace_cadence():
     assert tree.root.eval_count == 2
 
 
-def test_pure_leaf_never_evaluates():
+def test_pure_leaf_never_evaluates(monkeypatch):
+    monkeypatch.setattr(tree_module, "GRACE_PERIOD", 100)
     schema = Schema.uniform_nominal(2, 2, 2)
-    config = StrategyConfig(infogain_mode=AVERAGED, counter_mode=NODE_TIME, grace_period=100)
+    config = StrategyConfig(infogain_mode=AVERAGED, counter_mode=NODE_TIME)
     tree = HoeffdingTreeClassifier(schema, config)
     for i in range(1000):
         tree.train(Instance((i % 2, 0), 0))
@@ -328,15 +331,16 @@ def assert_children_match_replay_recount(class_count, label_of):
     schema = Schema.uniform_nominal(2, 3, class_count)
     config = StrategyConfig(eidetic=True)
     leaf = LearningLeaf(schema, eidetic=True)
-    # a grace period past the stream's end: the learn step buffers, never splits
-    fill = StrategyConfig(eidetic=True, grace_period=10_000)
     # zero, fractional and integer weights; dyadic, so every sum is exact
     weights = (0.0, 0.5, 1.0, 2.0, 0.25, 0.0, 3.0)
     instances = []
-    for i in range(900):
-        inst = Instance((i % 3, (i // 3) % 3), label_of[i % 3], weights[(i // 9) % len(weights)])
-        instances.append(inst)
-        assert learn_at_leaf(leaf, *inst, fill) is None
+    with pytest.MonkeyPatch.context() as mp:
+        # a grace period past the stream's end: the learn step buffers, never splits
+        mp.setattr(tree_module, "GRACE_PERIOD", 10_000)
+        for i in range(900):
+            inst = Instance((i % 3, (i // 3) % 3), label_of[i % 3], weights[(i // 9) % len(weights)])
+            instances.append(inst)
+            assert learn_at_leaf(leaf, *inst, config) is None
     assert leaf.node_time == 900
     assert 0.0 not in [weight for _, _, weight in leaf.buffered()]
     decision = evaluate_split(leaf, config)
@@ -531,8 +535,11 @@ def test_config_validation():
         StrategyConfig(used_attribute_policy="reuse")
     with pytest.raises(ValueError):
         StrategyConfig(infogain_mode="bogus")
-    with pytest.raises(ValueError):
+    # the grace period and split confidence are constants, not fields
+    with pytest.raises(TypeError, match="grace_period"):
         StrategyConfig(grace_period=0)
+    with pytest.raises(TypeError, match="delta"):
+        StrategyConfig(delta=0.001)
     with pytest.raises(ValueError):
         StrategyConfig(tau=-0.1)
     with pytest.raises(ValueError, match="tau"):
