@@ -24,27 +24,25 @@ class AdwinDetector:
         eps_cut = sqrt((1 / (2 m)) * ln(4 / delta'))
 
     with m = 1 / (1/n0 + 1/n1) (the harmonic-mean term of the sub-window
-    sizes) and delta' = delta / (number of cut points tested). Cuts only ever
-    drop a prefix of the window.
+    sizes) and delta' = ``DELTA`` / (number of cut points tested). Cuts
+    only ever drop a prefix of the window.
 
-    Row 0 takes insertions; a check merges over-full rows. ``check_interval``
-    > 1 runs the check only every that many insertions, so row 0 may grow
-    past ``MAX_BUCKETS`` in between. A row always merges its two oldest
+    Row 0 takes insertions; a check merges over-full rows. The check runs
+    only every ``CHECK_INTERVAL`` insertions, so row 0 may grow past
+    ``MAX_BUCKETS`` in between. A row always merges its two oldest
     buckets, so merging a batch builds exactly the buckets that compressing
     after every insertion would, and every cut, sum and width is the same.
     """
 
     MAX_BUCKETS = 5
+    # confidence and cut-check interval (Bifet & Gavaldà, SDM 2007), fixed
+    # values read at call time, so a test may patch them
+    DELTA = 0.002
+    CHECK_INTERVAL = 32
 
-    __slots__ = ("delta", "check_interval", "_rows", "total_count", "total_sum", "_ticks")
+    __slots__ = ("_rows", "total_count", "total_sum", "_ticks")
 
-    def __init__(self, delta: float = 0.002, check_interval: int = 1):
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {delta}")
-        if check_interval < 1:
-            raise ValueError("check_interval must be >= 1")
-        self.delta = delta
-        self.check_interval = check_interval
+    def __init__(self):
         # _rows[i] holds the sums of buckets of exactly 2**i elements, oldest first
         self._rows: list[list[float]] = [[]]
         self.total_count = 0
@@ -69,7 +67,7 @@ class AdwinDetector:
         self.total_count += 1
         self.total_sum += x
         self._ticks += 1
-        if self._ticks % self.check_interval != 0:
+        if self._ticks % self.CHECK_INTERVAL != 0:
             return False
         self._fold()
         return self._cut()
@@ -110,7 +108,7 @@ class AdwinDetector:
         differs from the rest's by at least eps_cut, or 0 for none."""
         sqrt = math.sqrt
         # delta' spreads the confidence over the boundaries tested in this scan
-        dprime = self.delta / max(n_buckets - 1, 1)
+        dprime = self.DELTA / max(n_buckets - 1, 1)
         log_term = math.log(4.0 / dprime)
         total = self.total_count
         total_sum = self.total_sum

@@ -24,11 +24,12 @@ Every contested behavior is a flag on :class:`HatConfig`:
 ``HatConfig`` is a ``StrategyConfig`` plus these flags, and leaves learn and
 split through the base tree's ``learn_at_leaf`` with that config, so every
 base-tree flag and constant acts exactly as it does in the base tree, on the
-same one-object leaves. Every node's detector is an
-``AdwinDetector`` built by ``_new_detector``; its two parameters and the
-replacement test's confidence are fixed constants, not flags. A subclass
-whose ``_new_detector`` returns a detector that never fires learns exactly
-what the base tree learns.
+same one-object leaves. Each node is a ``_HatNode``, a base-tree ``Position``
+that also holds a detector and an alternate, so both trees route through
+``tree.walk``. Every node's detector is an ``AdwinDetector`` built by
+``_new_detector``; its two parameters and the replacement test's confidence
+are fixed constants, not flags. A subclass whose ``_new_detector`` returns
+a detector that never fires learns exactly what the base tree learns.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .detectors import AdwinDetector
 from .schema import Instance, Schema
 from .tree import (
     LearningLeaf,
+    Position,
     SplitNode,
     StrategyConfig,
     argmax_label,
@@ -48,6 +50,7 @@ from .tree import (
     describe,
     hoeffding_bound,
     learn_at_leaf,
+    walk,
 )
 # perfbench/spans.py times splits by patching these names in this module too
 from .tree import evaluate_split, perform_split  # noqa: F401
@@ -59,10 +62,7 @@ VOTE_MULTI_NO_SINGLE_LEAVES = "multiple_excluding_single_leaves"
 
 _VOTE_MODES = (VOTE_NONE, VOTE_SINGLE, VOTE_MULTI, VOTE_MULTI_NO_SINGLE_LEAVES)
 
-# ADWIN's confidence and cut-check interval (Bifet & Gavaldà, SDM 2007), and
 # the alternate-replacement test's confidence (Bifet & Gavaldà, IDA 2009)
-DETECTOR_DELTA = 0.002
-DETECTOR_CHECK_INTERVAL = 32
 REPLACEMENT_DELTA = 0.05
 
 # one float per Poisson count, shared by every draw of that count, so an
@@ -89,17 +89,17 @@ class HatConfig(StrategyConfig):
             raise ValueError("alternate_depth_cap must be >= 1")
 
 
-class _HatNode:
-    """Mainline payload plus the drift detector and an optional alternate.
+class _HatNode(Position):
+    """A tree position that also holds the drift detector and an optional alternate.
 
     The detector doubles as the node's windowed error estimator; an alternate
     subtree's root detector plays the same role for the replacement test.
     """
 
-    __slots__ = ("mainline", "alternate", "detector", "instances")
+    __slots__ = ("alternate", "detector", "instances")
 
     def __init__(self, mainline, detector):
-        self.mainline = mainline
+        super().__init__(mainline)
         self.alternate: _HatNode | None = None
         self.detector = detector
         self.instances = 0  # the instances it has trained on as an alternate
@@ -125,11 +125,14 @@ class HoeffdingAdaptiveTreeClassifier:
 
     def _new_detector(self):
         """The one place a node's detector is built."""
-        return AdwinDetector(delta=DETECTOR_DELTA, check_interval=DETECTOR_CHECK_INTERVAL)
+        return AdwinDetector()
+
+    def _new_position(self, leaf) -> _HatNode:
+        """A new node holding ``leaf``: the root, an alternate, or a split's child."""
+        return _HatNode(leaf, self._new_detector())
 
     def _new_node(self) -> _HatNode:
-        leaf = LearningLeaf(self.schema, eidetic=self.config.eidetic)
-        return _HatNode(leaf, self._new_detector())
+        return self._new_position(LearningLeaf(self.schema, eidetic=self.config.eidetic))
 
     def _poisson_weight(self) -> float:
         if not self._poisson_buf:
@@ -145,20 +148,6 @@ class HoeffdingAdaptiveTreeClassifier:
         path = self._path if routed is instance else None
         self._train_subtree(self._root, instance, 0, path)
 
-    def _route(self, hnode: _HatNode, values):
-        """Mainline path of _HatNodes from hnode down to its leaf."""
-        path = [hnode]
-        m = hnode.mainline
-        while m.__class__ is SplitNode:
-            # SplitNode.branch inlined, as in tree._sort_to_leaf
-            if m.threshold is None:
-                hnode = m.children[values[m.attr]]
-            else:
-                hnode = m.children[0 if values[m.attr] <= m.threshold else 1]
-            path.append(hnode)
-            m = hnode.mainline
-        return path
-
     def _train_subtree(self, hnode: _HatNode, instance: Instance, depth: int,
                        path: list | None = None) -> None:
         """Train the subtree under hnode, which hangs ``depth`` alternate edges below the root.
@@ -167,7 +156,7 @@ class HoeffdingAdaptiveTreeClassifier:
         has already routed it.
         """
         if path is None:
-            path = self._route(hnode, instance.values)
+            path = walk(hnode, instance.values)
         leaf_node = path[-1]
         bit = 1.0 if argmax_label(leaf_node.mainline.class_dist) != instance.class_label else 0.0
         cfg = self.config
@@ -204,10 +193,7 @@ class HoeffdingAdaptiveTreeClassifier:
             draw = self._poisson_weight()
             # 1.0 * draw is draw bit for bit; keeping it keeps the shared float
             weight = draw if weight == 1.0 else weight * draw
-        new_node = learn_at_leaf(leaf_node.mainline, values, label, weight, cfg)
-        if new_node is not None:
-            new_node.children = [_HatNode(child, self._new_detector()) for child in new_node.children]
-            leaf_node.mainline = new_node
+        learn_at_leaf(leaf_node, values, label, weight, cfg, self._new_position)
 
     # -- replacement -----------------------------------------------------------
 
@@ -255,7 +241,7 @@ class HoeffdingAdaptiveTreeClassifier:
         for node in path:
             alt = node.alternate
             if alt is not None:
-                alt_path = self._route(alt, values)
+                alt_path = walk(alt, values)
                 if mode != VOTE_MULTI_NO_SINGLE_LEAVES or alt.mainline.__class__ is SplitNode:
                     out.append(alt_path[-1].mainline.class_dist)
                 if mode == VOTE_SINGLE:
@@ -266,7 +252,7 @@ class HoeffdingAdaptiveTreeClassifier:
         """The voted class distribution: the mainline leaf's own ``class_dist``,
         not a copy, when no alternate votes."""
         values = instance.values
-        self._path = path = self._route(self._root, values)
+        self._path = path = walk(self._root, values)
         self._routed = instance
         mainline = path[-1].mainline.class_dist
         contributions: list = []

@@ -235,6 +235,15 @@ def _gain_with_split(leaf, parent_entropy, attribute):
 # nodes
 # --------------------------------------------------------------------------
 
+class Position:
+    """One place in a tree, holding the node there: a root or a split's child."""
+
+    __slots__ = ("mainline",)
+
+    def __init__(self, mainline):
+        self.mainline = mainline
+
+
 class SplitNode:
     """Internal node: multiway on a nominal attribute or binary on a threshold."""
 
@@ -249,6 +258,21 @@ class SplitNode:
         if self.threshold is None:
             return values[self.attr]
         return 0 if values[self.attr] <= self.threshold else 1
+
+
+def walk(position: Position, values) -> list:
+    """The positions from ``position`` down to the leaf ``values`` reach."""
+    path = [position]
+    node = position.mainline
+    while node.__class__ is SplitNode:
+        # SplitNode.branch inlined: the call per level cost ~5% of VFDT throughput
+        if node.threshold is None:
+            position = node.children[values[node.attr]]
+        else:
+            position = node.children[0 if values[node.attr] <= node.threshold else 1]
+        path.append(position)
+        node = position.mainline
+    return path
 
 
 class LearningLeaf(NodeStatistics):
@@ -432,29 +456,34 @@ def perform_split(leaf: LearningLeaf, decision: SplitDecision, config: StrategyC
     return node
 
 
-def learn_at_leaf(leaf: LearningLeaf, values, label: int, weight: float, config: StrategyConfig):
-    """Learn one new instance at a leaf, then split it once the grace period is up.
-
-    This is the learn step of both trees. Returns the SplitNode that replaces
-    the leaf, or None when the leaf stays (an evisceration clears it in place).
-    """
+def learn_at_leaf(position: Position, values, label: int, weight: float, config: StrategyConfig,
+                  new_position) -> None:
+    """Learn one new instance at the leaf in ``position``, and split it once
+    the grace period is up: the learn step of both trees, and the one place a
+    split is installed. The SplitNode takes the leaf's place in ``position``,
+    each child leaf wrapped by ``new_position``; an evisceration clears the
+    leaf in place."""
+    leaf = position.mainline
     leaf.node_time += 1
     leaf.learn(values, label, weight)
     counter = _leaf_counter(leaf, config)
     if counter - leaf.counter_at_last_eval < GRACE_PERIOD:
-        return None
+        return
     leaf.counter_at_last_eval = counter
     if leaf.is_pure():
-        return None
+        return
     decision = evaluate_split(leaf, config)
     if decision.action == NO_SPLIT:
-        return None
-    return perform_split(leaf, decision, config)
+        return
+    node = perform_split(leaf, decision, config)
+    if node is not None:
+        node.children = [new_position(child) for child in node.children]
+        position.mainline = node
 
 
 def check_shape(schema: Schema, instance: Instance) -> None:
     """Raise ValueError when the value count or the label does not fit the schema,
-    the label is not an integer, or the weight is negative or NaN."""
+    the label is not an integer, or the weight is negative, infinite or NaN."""
     try:
         label = operator.index(instance.class_label)
     except TypeError:
@@ -464,8 +493,8 @@ def check_shape(schema: Schema, instance: Instance) -> None:
             f"instance does not match schema: {len(instance.values)} values, "
             f"label {instance.class_label!r}"
         )
-    if not instance.weight >= 0.0:
-        raise ValueError(f"instance weight must be >= 0, got {instance.weight!r}")
+    if not 0.0 <= instance.weight < math.inf:  # also rejects NaN
+        raise ValueError(f"instance weight must be finite and >= 0, got {instance.weight!r}")
 
 
 def argmax_label(dist) -> int:
@@ -483,56 +512,34 @@ class HoeffdingTreeClassifier:
     def __init__(self, schema: Schema, config: StrategyConfig | None = None):
         self.schema = schema
         self.config = config if config is not None else StrategyConfig()
-        self.root = LearningLeaf(schema, eidetic=self.config.eidetic)
-        # the instance predict_label routed last, and its (leaf, parent, slot);
+        self.root = Position(LearningLeaf(schema, eidetic=self.config.eidetic))
+        # the instance predict_label routed last, and its leaf's position;
         # the next train of that same object reuses the route
         self._routed: Instance | None = None
-        self._route = None
-
-    def _sort_to_leaf(self, values):
-        node = self.root
-        parent = None
-        slot = 0
-        while node.__class__ is SplitNode:
-            parent = node
-            # SplitNode.branch inlined: the call per level cost ~5% of VFDT throughput
-            if node.threshold is None:
-                slot = values[node.attr]
-            else:
-                slot = 0 if values[node.attr] <= node.threshold else 1
-            node = node.children[slot]
-        return node, parent, slot
+        self._position: Position | None = None
 
     def train(self, instance: Instance) -> None:
         routed, self._routed = self._routed, None
         check_shape(self.schema, instance)
         values, label, weight = instance
-        if routed is instance:
-            leaf, parent, slot = self._route
-        else:
-            leaf, parent, slot = self._sort_to_leaf(values)
-        new_node = learn_at_leaf(leaf, values, label, weight, self.config)
-        if new_node is not None:
-            if parent is None:
-                self.root = new_node
-            else:
-                parent.children[slot] = new_node
+        position = self._position if routed is instance else walk(self.root, values)[-1]
+        learn_at_leaf(position, values, label, weight, self.config, Position)
 
     def predict_label(self, instance: Instance) -> int:
-        self._route = route = self._sort_to_leaf(instance.values)
+        self._position = position = walk(self.root, instance.values)[-1]
         self._routed = instance
-        return argmax_label(route[0].class_dist)
+        return argmax_label(position.mainline.class_dist)
 
     def dump(self) -> str:
         lines: list[str] = []
-        _dump_node(self.root, 0, lines, [0])
+        _dump_node(self.root.mainline, 0, lines, [0])
         return "\n".join(lines) + "\n"
 
     def leaves(self):
         out = []
         stack = [self.root]
         while stack:
-            node = stack.pop()
+            node = stack.pop().mainline
             if node.__class__ is SplitNode:
                 stack.extend(node.children)
             else:
@@ -556,4 +563,4 @@ def _dump_node(node, depth: int, lines: list, counter: list) -> None:
     counter[0] += 1
     if node.__class__ is SplitNode:
         for child in node.children:
-            _dump_node(child, depth + 1, lines, counter)
+            _dump_node(child.mainline, depth + 1, lines, counter)

@@ -106,9 +106,9 @@ def test_criterion_2_oracle_suites():
         for leaf in tree.leaves():
             routed = []
             for inst in instances:
-                node = tree.root
+                node = tree.root.mainline
                 while isinstance(node, SplitNode):
-                    node = node.children[node.branch(inst.values)]
+                    node = node.children[node.branch(inst.values)].mainline
                 if node is leaf:
                     routed.append(inst)
             fresh = NodeStatistics(stream.schema)
@@ -130,13 +130,17 @@ def test_criterion_2_oracle_suites():
     for seed in (0, 1, 2):
         rng = np.random.Generator(np.random.PCG64(seed))
         xs = np.concatenate([(rng.random(1000) < 0.3), (rng.random(1000) < 0.7)]).astype(float)
-        det = AdwinDetector(delta=0.01)
-        window = []
-        for x in xs:
-            window.append(float(x))
-            det.add_element(float(x))
-            window = window[len(window) - det.width:]
-            assert abs(det.estimate() - sum(window) / len(window)) < 1e-6
+        with pytest.MonkeyPatch.context() as mp:
+            # a looser confidence than the fixed one, checked at every insertion
+            mp.setattr(AdwinDetector, "DELTA", 0.01)
+            mp.setattr(AdwinDetector, "CHECK_INTERVAL", 1)
+            det = AdwinDetector()
+            window = []
+            for x in xs:
+                window.append(float(x))
+                det.add_element(float(x))
+                window = window[len(window) - det.width:]
+                assert abs(det.estimate() - sum(window) / len(window)) < 1e-6
 
     report(2, True, f"enumeration, beta-bisection (worst {worst_ci:.1e}), eidetic replay, window oracles all exact")
 

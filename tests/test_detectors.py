@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -136,20 +137,32 @@ class ReferenceAdwin:
         return [[bsum for bsum, _ in row] for row in self._rows]
 
 
+@contextmanager
+def adwin_settings(delta, check_interval):
+    """Inside the block ``AdwinDetector`` reads these values for its constants.
+    A block, not the function-scoped ``monkeypatch`` fixture, so that a
+    hypothesis test patches once per example."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AdwinDetector, "DELTA", delta)
+        mp.setattr(AdwinDetector, "CHECK_INTERVAL", check_interval)
+        yield
+
+
 def assert_matches_reference(xs, delta=0.002, check_interval=1):
     """Feed xs to both detectors; every observable must be exactly equal."""
-    det = AdwinDetector(delta, check_interval)
-    ref = ReferenceAdwin(delta, check_interval)
-    for i, x in enumerate(xs, 1):
-        assert det.add_element(x) == ref.add_element(x), i
-        assert det.width == ref.width and det.total_sum == ref.total_sum, i
-        if i % check_interval == 0:
-            # a check tick has folded everything, so the rows are comparable
-            assert det._rows == ref.row_sums(), i
-            assert sum(map(len, det._rows)) == ref.n_buckets, i
-    det._fold()
-    assert sum(map(len, det._rows)) == ref.n_buckets
-    assert det._rows == ref.row_sums()
+    with adwin_settings(delta, check_interval):
+        det = AdwinDetector()
+        ref = ReferenceAdwin(delta, check_interval)
+        for i, x in enumerate(xs, 1):
+            assert det.add_element(x) == ref.add_element(x), i
+            assert det.width == ref.width and det.total_sum == ref.total_sum, i
+            if i % check_interval == 0:
+                # a check tick has folded everything, so the rows are comparable
+                assert det._rows == ref.row_sums(), i
+                assert sum(map(len, det._rows)) == ref.n_buckets, i
+        det._fold()
+        assert sum(map(len, det._rows)) == ref.n_buckets
+        assert det._rows == ref.row_sums()
 
 
 def phased_stream(seed, phase_length=600):
@@ -176,7 +189,8 @@ class SuffixOracle:
         return sum(self.values) / len(self.values)
 
 
-def test_constant_stream_never_flags():
+def test_constant_stream_never_flags(monkeypatch):
+    monkeypatch.setattr(AdwinDetector, "CHECK_INTERVAL", 1)
     det = AdwinDetector()
     assert not any(det.add_element(0.0) for _ in range(5000))
     assert det.estimate() == 0.0
@@ -203,14 +217,16 @@ def test_out_of_range_rejected():
         det.add_element(-0.1)
 
 
-def test_window_mean_matches_suffix_oracle():
+def test_window_mean_matches_suffix_oracle(monkeypatch):
     """Exhaustive check vs a list-backed oracle on 2000-element streams."""
+    monkeypatch.setattr(AdwinDetector, "DELTA", 0.01)
+    monkeypatch.setattr(AdwinDetector, "CHECK_INTERVAL", 1)
     for seed in (0, 1, 2):
         rng = np.random.Generator(np.random.PCG64(seed))
         xs = np.concatenate(
             [(rng.random(1000) < 0.3), (rng.random(1000) < 0.7)]
         ).astype(float)
-        det = AdwinDetector(delta=0.01)
+        det = AdwinDetector()
         oracle = SuffixOracle(det)
         for x in xs:
             oracle.add(float(x))
@@ -235,10 +251,11 @@ def test_a_detector_that_fires_keeps_a_nonempty_window(bits, check_interval):
     """A cut leaves a non-empty tail, so ``width >= 1`` whenever ``add_element``
     returns True: the adaptive tree compares a detector that just fired
     without checking its width."""
-    det = AdwinDetector(0.002, check_interval)
-    for bit in bits:
-        if det.add_element(float(bit)):
-            assert det.width >= 1
+    with adwin_settings(0.002, check_interval):
+        det = AdwinDetector()
+        for bit in bits:
+            if det.add_element(float(bit)):
+                assert det.width >= 1
 
 
 def sparse_error_stream(seed):
@@ -250,11 +267,12 @@ def sparse_error_stream(seed):
 
 
 @pytest.mark.parametrize("seed, check_interval", [(501, 1), (507, 7), (207, 7)])
-def test_matches_reference_on_sparse_error_streams(seed, check_interval):
+def test_matches_reference_on_sparse_error_streams(seed, check_interval, monkeypatch):
     xs = sparse_error_stream(seed)
     assert_matches_reference(xs, 0.002, check_interval)
     # the all-zero windows that skip the cut scan occur both before and after a cut
-    det = AdwinDetector(0.002, check_interval)
+    monkeypatch.setattr(AdwinDetector, "CHECK_INTERVAL", check_interval)
+    det = AdwinDetector()
     cut = zero_before_cut = zero_after_cut = False
     for i, x in enumerate(xs, 1):
         cut |= det.add_element(x)
@@ -265,10 +283,11 @@ def test_matches_reference_on_sparse_error_streams(seed, check_interval):
 
 
 @pytest.mark.parametrize("check_interval", [5, 64, 32, 7])
-def test_reading_between_checks_changes_nothing(check_interval):
+def test_reading_between_checks_changes_nothing(check_interval, monkeypatch):
+    monkeypatch.setattr(AdwinDetector, "CHECK_INTERVAL", check_interval)
     xs = phased_stream(11, phase_length=1000)
-    read = AdwinDetector(0.002, check_interval)
-    unread = AdwinDetector(0.002, check_interval)
+    read = AdwinDetector()
+    unread = AdwinDetector()
     for x in xs:
         assert read.add_element(x) == unread.add_element(x)
         read._fold()  # merging between checks builds the buckets a check would
@@ -280,15 +299,16 @@ def test_reading_between_checks_changes_nothing(check_interval):
     assert read._rows == unread._rows
 
 
-def test_detects_mean_shift_quickly_across_seeds():
+def test_detects_mean_shift_quickly_across_seeds(monkeypatch):
     """2000 draws at 0.2 then 2000 at 0.8 flag within 500 in >= 99/100 runs."""
+    monkeypatch.setattr(AdwinDetector, "CHECK_INTERVAL", 1)
     detected = 0
     for seed in range(100):
         rng = np.random.Generator(np.random.PCG64(seed))
         xs = np.concatenate(
             [(rng.random(2000) < 0.2), (rng.random(2000) < 0.8)]
         ).astype(float)
-        det = AdwinDetector(delta=0.002)
+        det = AdwinDetector()
         for i, x in enumerate(xs):
             if det.add_element(float(x)) and i >= 2000:
                 if i - 2000 <= 500:
@@ -297,20 +317,22 @@ def test_detects_mean_shift_quickly_across_seeds():
     assert detected >= 99
 
 
-def test_stationary_false_positives_rare():
+def test_stationary_false_positives_rare(monkeypatch):
     """Over 10,000 stationary Bernoulli(0.5) draws, <= 5/100 seeded runs fire."""
+    monkeypatch.setattr(AdwinDetector, "CHECK_INTERVAL", 1)
     fired_runs = 0
     for seed in range(100):
         rng = np.random.Generator(np.random.PCG64(1000 + seed))
         xs = (rng.random(10_000) < 0.5).astype(float)
-        det = AdwinDetector(delta=0.002)
+        det = AdwinDetector()
         if any(det.add_element(float(x)) for x in xs):
             fired_runs += 1
     assert fired_runs <= 5
 
 
 def test_bucket_count_logarithmic_at_1e6():
-    det = AdwinDetector(check_interval=32)
+    assert AdwinDetector.CHECK_INTERVAL == 32
+    det = AdwinDetector()
     rng = np.random.Generator(np.random.PCG64(7))
     for x in (rng.random(1_000_000) < 0.5).astype(float):
         det.add_element(float(x))
@@ -320,7 +342,8 @@ def test_bucket_count_logarithmic_at_1e6():
     assert det.width == 1_000_000
 
 
-def test_monotone_forgetting_only_drops_prefix():
+def test_monotone_forgetting_only_drops_prefix(monkeypatch):
+    monkeypatch.setattr(AdwinDetector, "CHECK_INTERVAL", 1)
     rng = np.random.Generator(np.random.PCG64(3))
     xs = np.concatenate([(rng.random(800) < 0.1), (rng.random(800) < 0.9)]).astype(float)
     det = AdwinDetector()
@@ -346,14 +369,6 @@ def test_never_fire_stub_interface():
 def test_detectors_share_three_method_interface():
     public = {"add_element", "estimate", "width"}
     assert {n for n in dir(NeverFireDetector) if not n.startswith("_")} == public
-    state = {"MAX_BUCKETS", "delta", "check_interval", "total_count", "total_sum"}
+    state = {"MAX_BUCKETS", "DELTA", "CHECK_INTERVAL", "total_count", "total_sum"}
     assert {n for n in dir(AdwinDetector) if not n.startswith("_")} == public | state
 
-
-def test_bad_construction_rejected():
-    with pytest.raises(ValueError):
-        AdwinDetector(delta=0.0)
-    with pytest.raises(ValueError):
-        AdwinDetector(delta=1.0)
-    with pytest.raises(ValueError):
-        AdwinDetector(check_interval=0)

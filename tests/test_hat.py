@@ -12,7 +12,6 @@ from streamtrees.hat import (
     VOTE_MULTI_NO_SINGLE_LEAVES,
     VOTE_NONE,
     VOTE_SINGLE,
-    _HatNode,
 )
 from streamtrees.schema import Instance, Schema
 from streamtrees.specparse import build_stream
@@ -375,10 +374,7 @@ def _hat_with_alternate(mode, mainline_dist, alt_dist, alt_split=False):
     if alt_split:
         left = LearningLeaf(schema, list(alt_dist))
         right = LearningLeaf(schema, list(alt_dist))
-        alt.mainline = SplitNode(0, None, [
-            _HatNode(left, hat._new_detector()),
-            _HatNode(right, hat._new_detector()),
-        ])
+        alt.mainline = SplitNode(0, None, [hat._new_position(left), hat._new_position(right)])
     hat._root.alternate = alt
     return hat
 

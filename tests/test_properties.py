@@ -2,12 +2,15 @@
 
 import math
 import operator
+from functools import cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from streamtrees.hat import HatConfig, HoeffdingAdaptiveTreeClassifier, VOTE_MULTI
 from streamtrees.schema import NominalAttribute, NumericAttribute, Schema
-from streamtrees.specparse import build_generator, parse_stream_spec
+from streamtrees.specparse import build_generator, build_stream, parse_stream_spec
 from streamtrees.streams import AbruptDriftGenerator
 from streamtrees.tree import (
     _NUMERIC_SPLIT_POINTS,
@@ -18,6 +21,7 @@ from streamtrees.tree import (
     LearningLeaf,
     NodeStatistics,
     SplitDecision,
+    SplitNode,
     StrategyConfig,
     _gain_with_split,
     argmax_label,
@@ -25,6 +29,7 @@ from streamtrees.tree import (
     evaluate_split,
     hoeffding_bound,
     perform_split,
+    walk,
 )
 from test_detectors import assert_matches_reference
 from test_streams import take
@@ -434,3 +439,70 @@ def test_adwin_matches_per_insert_reference(
         draws = rng.random(phase_length)
         xs.extend(float(x) for x in (draws * p if uniform else draws < p))
     assert_matches_reference(xs, delta, check_interval)
+
+
+# streams that grow trees of several levels, the STAGGER one with recurrent
+# drift so that the adaptive tree holds alternates
+GROWN_STREAMS = {
+    "stagger": "RecurrentConceptDriftStream -x 3000 -y 3000 -z 100 "
+               "-s (STAGGERGenerator -i 2 -f 2) -d (STAGGERGenerator -i 3 -f 3)",
+    "hyperplane": "HyperplaneGenerator -k 10 -t 0.001 -i 2",
+}
+
+
+@cache
+def grown_tree(learner, stream_name):
+    """``(schema, starts, thresholds)`` of a tree grown on 8,000 instances:
+    every position a walk may start from (the root, and for the adaptive
+    tree every alternate's root too) and every split threshold in it."""
+    stream = build_stream(GROWN_STREAMS[stream_name])
+    if learner == "vfdt":
+        tree = HoeffdingTreeClassifier(stream.schema, StrategyConfig(tau=0.2))
+    else:
+        tree = HoeffdingAdaptiveTreeClassifier(
+            stream.schema, HatConfig(tau=0.2, voting_mode=VOTE_MULTI, alternate_depth_cap=3))
+    for inst in take(stream, 8000):
+        tree.predict_label(inst)
+        tree.train(inst)
+    root = tree.root if learner == "vfdt" else tree._root
+    starts, thresholds, stack = [root], set(), [root]
+    while stack:
+        position = stack.pop()
+        alternate = getattr(position, "alternate", None)
+        if alternate is not None:
+            starts.append(alternate)
+            stack.append(alternate)
+        node = position.mainline
+        if node.__class__ is SplitNode:
+            stack.extend(node.children)
+            if node.threshold is not None:
+                thresholds.add(node.threshold)
+    return stream.schema, starts, sorted(thresholds)
+
+
+@pytest.mark.parametrize("stream_name", GROWN_STREAMS)
+@pytest.mark.parametrize("learner", ["vfdt", "hat"])
+@CASES
+@given(data=st.data())
+def test_walk_visits_the_positions_branch_picks(learner, stream_name, data):
+    """From every start, ``walk`` returns exactly the positions that following
+    ``children[branch(values)]`` visits, thresholds themselves included."""
+    schema, starts, thresholds = grown_tree(learner, stream_name)
+    assert len(starts[0].mainline.children) > 1
+    if learner == "hat" and stream_name == "stagger":
+        assert len(starts) > 1
+    numeric = st.floats(0.0, 1.0)
+    if thresholds:
+        numeric = st.one_of(numeric, st.sampled_from(thresholds))
+    values = tuple(
+        data.draw(st.integers(0, attr.n_values - 1) if isinstance(attr, NominalAttribute) else numeric)
+        for attr in schema.attributes
+    )
+    for start in starts:
+        visited = [start]
+        while visited[-1].mainline.__class__ is SplitNode:
+            node = visited[-1].mainline
+            visited.append(node.children[node.branch(values)])
+        path = walk(start, values)
+        assert len(path) == len(visited)
+        assert all(a is b for a, b in zip(path, visited))

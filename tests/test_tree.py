@@ -17,6 +17,7 @@ from streamtrees.tree import (
     SPLIT,
     HoeffdingTreeClassifier,
     LearningLeaf,
+    Position,
     SplitNode,
     StrategyConfig,
     entropy,
@@ -25,6 +26,7 @@ from streamtrees.tree import (
     hoeffding_bound,
     learn_at_leaf,
     perform_split,
+    walk,
 )
 
 
@@ -155,7 +157,7 @@ def test_pure_accumulation_counts():
     tree = HoeffdingTreeClassifier(schema)
     for _ in range(10):
         tree.train(Instance((0, 1), 0))
-    leaf = tree.root
+    leaf = tree.root.mainline
     assert leaf.class_dist == [10.0, 0.0, 0.0]
     assert leaf.node_time == 10
 
@@ -164,8 +166,8 @@ def test_weighted_instance_updates_mass_not_node_time():
     schema = Schema.uniform_nominal(1, 2, 2)
     tree = HoeffdingTreeClassifier(schema)
     tree.train(Instance((0,), 1, weight=3.0))
-    assert tree.root.total_weight == 3.0
-    assert tree.root.node_time == 1
+    assert tree.root.mainline.total_weight == 3.0
+    assert tree.root.mainline.node_time == 1
 
 
 def test_split_evaluations_follow_grace_cadence():
@@ -176,9 +178,9 @@ def test_split_evaluations_follow_grace_cadence():
     assert tree_module.GRACE_PERIOD == 200
     for i in range(399):
         tree.train(Instance((i % 2, (i // 2) % 2), i % 2))
-    assert tree.root.eval_count == 1
+    assert tree.root.mainline.eval_count == 1
     tree.train(Instance((1, 0), 0))
-    assert tree.root.eval_count == 2
+    assert tree.root.mainline.eval_count == 2
 
 
 def test_pure_leaf_never_evaluates(monkeypatch):
@@ -188,15 +190,15 @@ def test_pure_leaf_never_evaluates(monkeypatch):
     tree = HoeffdingTreeClassifier(schema, config)
     for i in range(1000):
         tree.train(Instance((i % 2, 0), 0))
-    assert tree.root.eval_count == 0
-    assert isinstance(tree.root, LearningLeaf)
+    assert tree.root.mainline.eval_count == 0
+    assert isinstance(tree.root.mainline, LearningLeaf)
 
 
 def test_predict_fresh_tree_falls_back_to_class_zero():
     schema = Schema.uniform_nominal(1, 2, 4)
     tree = HoeffdingTreeClassifier(schema)
     assert tree.predict_label(Instance((0,), 0)) == 0
-    assert tree._sort_to_leaf((1,))[0].class_dist == [0.0] * 4
+    assert walk(tree.root, (1,))[-1].mainline.class_dist == [0.0] * 4
 
 
 def test_predict_majority_and_routing():
@@ -209,9 +211,9 @@ def test_predict_majority_and_routing():
     for _ in range(5000):
         tree.train(Instance((0, 0), 0))
         tree.train(Instance((0, 1), 1))
-    assert isinstance(tree.root, SplitNode)
-    dist_left = tree._sort_to_leaf((0, 0))[0].class_dist
-    dist_right = tree._sort_to_leaf((0, 1))[0].class_dist
+    assert isinstance(tree.root.mainline, SplitNode)
+    dist_left = walk(tree.root, (0, 0))[-1].mainline.class_dist
+    dist_right = walk(tree.root, (0, 1))[-1].mainline.class_dist
     assert dist_left.index(max(dist_left)) == 0
     assert dist_right.index(max(dist_right)) == 1
 
@@ -331,6 +333,7 @@ def assert_children_match_replay_recount(class_count, label_of):
     schema = Schema.uniform_nominal(2, 3, class_count)
     config = StrategyConfig(eidetic=True)
     leaf = LearningLeaf(schema, eidetic=True)
+    position = Position(leaf)
     # zero, fractional and integer weights; dyadic, so every sum is exact
     weights = (0.0, 0.5, 1.0, 2.0, 0.25, 0.0, 3.0)
     instances = []
@@ -340,7 +343,8 @@ def assert_children_match_replay_recount(class_count, label_of):
         for i in range(900):
             inst = Instance((i % 3, (i // 3) % 3), label_of[i % 3], weights[(i // 9) % len(weights)])
             instances.append(inst)
-            assert learn_at_leaf(leaf, *inst, config) is None
+            learn_at_leaf(position, *inst, config, Position)
+            assert position.mainline is leaf
     assert leaf.node_time == 900
     assert 0.0 not in [weight for _, _, weight in leaf.buffered()]
     decision = evaluate_split(leaf, config)
@@ -386,7 +390,7 @@ def test_eidetic_buffer_shares_a_nominal_streams_values():
     for _ in range(5_000):
         instance = stream.next_instance()
         tree.train(instance)
-        leaf, _, _ = tree._sort_to_leaf(instance.values)
+        leaf = walk(tree.root, instance.values)[-1].mainline
         assert leaf.buffer[-1] is instance.values
         assert leaf.buffer_labels[-1] == instance.class_label
         assert leaf.buffer_weights[-1] == instance.weight
@@ -451,7 +455,7 @@ def test_eviscerate_clears_everything_in_place():
     assert observed_mass(leaf, 1) == 0.0
     # all-zero distribution falls back to class 0
     schema_tree = HoeffdingTreeClassifier(schema, StrategyConfig(used_attribute_policy="eviscerate"))
-    schema_tree.root = leaf
+    schema_tree.root = Position(leaf)
     assert schema_tree.predict_label(Instance((1, 0), 1)) == 0
 
 
@@ -469,7 +473,7 @@ def _trained_on_300(make_tree, row="STAGGERGenerator -i 2 -f 2"):
     return tree, stream
 
 
-@pytest.mark.parametrize("weight", [-1.0, math.nan])
+@pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf])
 @both_trees
 def test_train_rejects_bad_weight_without_changing_state(make_tree, weight):
     tree, stream = _trained_on_300(make_tree)
