@@ -12,6 +12,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import islice
+
+from .chunks import ChunkCounter
+from .tree import HoeffdingTreeClassifier
 
 
 # --------------------------------------------------------------------------
@@ -89,24 +93,41 @@ class PrequentialResult:
     wall_time: float
 
 
+# instances a nominal VFDT's run pulls from the stream at a time
+CHUNK = 2048
+
+
 def prequential_run(learner, stream, n_instances: int, snapshot_every: int = 0) -> PrequentialResult:
     """Predict each instance before training on it; cumulative error out.
 
     ``error_series`` holds one point per disjoint window of ``snapshot_every``
     instances: (index of the last instance in the window, mean error inside
     the window). snapshot_every = 0 disables the series.
+
+    A ``HoeffdingTreeClassifier`` on an all-nominal schema takes the stream
+    in chunks of ``CHUNK`` instances through a ``ChunkCounter``, which
+    gives the same predictions and the same tree.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
     if snapshot_every < 0:
         raise ValueError("snapshot_every must be >= 0")
+    t0 = time.perf_counter()
+    if type(learner) is HoeffdingTreeClassifier and not learner.schema.numeric_attrs:
+        errors, series = _chunked_run(ChunkCounter(learner), stream, n_instances, snapshot_every)
+    else:
+        errors, series = _instance_run(learner, stream, n_instances, snapshot_every)
+    wall = time.perf_counter() - t0
+    return PrequentialResult(errors / n_instances, series, wall)
+
+
+def _instance_run(learner, stream, n_instances: int, snapshot_every: int):
     predict = learner.predict_label
     train = learner.train
     next_instance = stream.next_instance
     errors = 0
     window_errors = 0
     series: list[tuple[int, float]] = []
-    t0 = time.perf_counter()
     for i in range(1, n_instances + 1):
         inst = next_instance()
         if inst is None:
@@ -119,8 +140,43 @@ def prequential_run(learner, stream, n_instances: int, snapshot_every: int = 0) 
             if i % snapshot_every == 0:
                 series.append((i, window_errors / snapshot_every))
                 window_errors = 0
-    wall = time.perf_counter() - t0
-    return PrequentialResult(errors / n_instances, series, wall)
+    return errors, series
+
+
+def _chunked_run(counter, stream, n_instances: int, snapshot_every: int):
+    """``_instance_run`` through a ``ChunkCounter``: the same stream reads,
+    errors and series, and every deferred count written back on the way out."""
+    instances = iter(stream.next_instance, None)  # ends where the stream does
+    errors = 0
+    window_errors = 0
+    series: list[tuple[int, float]] = []
+    done = 0
+    try:
+        while done < n_instances:
+            size = min(CHUNK, n_instances - done)
+            chunk = []
+            try:
+                # extend keeps what it read before an exception
+                chunk.extend(islice(instances, size))
+            except BaseException:
+                counter.step(chunk)  # the instances read before the stream failed
+                raise
+            wrong = counter.step(chunk)
+            errors += sum(wrong)
+            if snapshot_every:
+                start = 0
+                for end in range(snapshot_every - done % snapshot_every, len(chunk) + 1, snapshot_every):
+                    window_errors += sum(wrong[start:end])
+                    series.append((done + end, window_errors / snapshot_every))
+                    window_errors = 0
+                    start = end
+                window_errors += sum(wrong[start:])
+            done += len(chunk)
+            if len(chunk) < size:
+                raise RuntimeError(f"stream exhausted after {done} instances")
+    finally:
+        counter.flush()
+    return errors, series
 
 
 def averaged_series(series_list: list[list[tuple[int, float]]]) -> list[tuple[int, float]]:

@@ -64,6 +64,10 @@ _SQRT2 = math.sqrt(2.0)
 GRACE_PERIOD = 200
 SPLIT_DELTA = 1e-7
 
+# the largest weight train accepts: a float sum of weights this size needs
+# more than 2**970 of them to overflow, so no leaf's mass can reach inf
+MAX_WEIGHT = 2.0**53
+
 
 @dataclass(frozen=True)
 class StrategyConfig:
@@ -424,14 +428,16 @@ def evaluate_split(leaf: LearningLeaf, config: StrategyConfig) -> SplitDecision:
     return decision
 
 
-def perform_split(leaf: LearningLeaf, decision: SplitDecision, config: StrategyConfig):
+def perform_split(leaf: LearningLeaf, decision: SplitDecision, config: StrategyConfig,
+                  new_position):
     """Turn the leaf into a split node, or clear it for an evisceration.
 
-    Fresh children start with zeroed statistics and a class distribution read
-    off the parent's counts for their branch (amnesiac default); in eidetic
-    mode the buffered instances are replayed instead so child statistics are
-    exact. Returns the new SplitNode, or None when the leaf was eviscerated
-    in place.
+    The SplitNode comes in its installed shape: each child leaf wrapped by
+    ``new_position``. Fresh children start with zeroed statistics and a class
+    distribution read off the parent's counts for their branch (amnesiac
+    default); in eidetic mode the buffered instances are replayed through the
+    node instead, so child statistics are exact. Returns the new SplitNode,
+    or None when the leaf was eviscerated in place.
     """
     if decision.action == NO_SPLIT:
         raise ValueError("cannot perform a no_split decision")
@@ -447,10 +453,11 @@ def perform_split(leaf: LearningLeaf, decision: SplitDecision, config: StrategyC
     eidetic = leaf.buffer is not None
     # LearningLeaf copies the distribution it starts from
     children = [LearningLeaf(leaf.schema, None if eidetic else dist, used, eidetic) for dist in dists]
-    node = SplitNode(attr, threshold, children)
+    node = SplitNode(attr, threshold, [new_position(child) for child in children])
     if eidetic:
+        positions = node.children
         for values, label, weight in leaf.buffered():
-            children[node.branch(values)].learn(values, label, weight)
+            positions[node.branch(values)].mainline.learn(values, label, weight)
     for child in children:
         child.counter_at_last_eval = _leaf_counter(child, config)
     return node
@@ -460,9 +467,9 @@ def learn_at_leaf(position: Position, values, label: int, weight: float, config:
                   new_position) -> None:
     """Learn one new instance at the leaf in ``position``, and split it once
     the grace period is up: the learn step of both trees, and the one place a
-    split is installed. The SplitNode takes the leaf's place in ``position``,
-    each child leaf wrapped by ``new_position``; an evisceration clears the
-    leaf in place."""
+    split is installed. The SplitNode from ``perform_split``, its children
+    wrapped by ``new_position``, takes the leaf's place in ``position``; an
+    evisceration clears the leaf in place."""
     leaf = position.mainline
     leaf.node_time += 1
     leaf.learn(values, label, weight)
@@ -475,15 +482,15 @@ def learn_at_leaf(position: Position, values, label: int, weight: float, config:
     decision = evaluate_split(leaf, config)
     if decision.action == NO_SPLIT:
         return
-    node = perform_split(leaf, decision, config)
+    node = perform_split(leaf, decision, config, new_position)
     if node is not None:
-        node.children = [new_position(child) for child in node.children]
         position.mainline = node
 
 
 def check_shape(schema: Schema, instance: Instance) -> None:
     """Raise ValueError when the value count or the label does not fit the schema,
-    the label is not an integer, or the weight is negative, infinite or NaN."""
+    the label is not an integer, or the weight is negative, NaN or above
+    ``MAX_WEIGHT``."""
     try:
         label = operator.index(instance.class_label)
     except TypeError:
@@ -493,8 +500,8 @@ def check_shape(schema: Schema, instance: Instance) -> None:
             f"instance does not match schema: {len(instance.values)} values, "
             f"label {instance.class_label!r}"
         )
-    if not 0.0 <= instance.weight < math.inf:  # also rejects NaN
-        raise ValueError(f"instance weight must be finite and >= 0, got {instance.weight!r}")
+    if not 0.0 <= instance.weight <= MAX_WEIGHT:  # also rejects NaN
+        raise ValueError(f"instance weight must be in [0, 2**53], got {instance.weight!r}")
 
 
 def argmax_label(dist) -> int:

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from streamtrees.chunks import ChunkCounter
+from streamtrees.evaluate import CHUNK, prequential_run
 from streamtrees.hat import HatConfig, HoeffdingAdaptiveTreeClassifier, VOTE_MULTI
-from streamtrees.schema import NominalAttribute, NumericAttribute, Schema
+from streamtrees.schema import Instance, NominalAttribute, NumericAttribute, Schema
 from streamtrees.specparse import build_generator, build_stream, parse_stream_spec
 from streamtrees.streams import AbruptDriftGenerator
 from streamtrees.tree import (
@@ -20,6 +22,7 @@ from streamtrees.tree import (
     HoeffdingTreeClassifier,
     LearningLeaf,
     NodeStatistics,
+    Position,
     SplitDecision,
     SplitNode,
     StrategyConfig,
@@ -32,6 +35,7 @@ from streamtrees.tree import (
     walk,
 )
 from test_detectors import assert_matches_reference
+from test_golden_outputs import GOLDEN_ROWS
 from test_streams import take
 from test_tree import observed_mass
 
@@ -270,13 +274,13 @@ def test_resplit_routes_everything_to_the_path_child(seed, n_values, classes):
     decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="resplit"))
     if decision.action != RESPLIT:
         return  # noise can hand the win to the unused attribute; nothing to check
-    node = perform_split(leaf, decision, StrategyConfig(used_attribute_policy="resplit"))
+    node = perform_split(leaf, decision, StrategyConfig(used_attribute_policy="resplit"), Position)
     for _ in range(50):
         values = (fixed, int(rng.integers(0, n_values)))
         assert node.branch(values) == fixed
-    for j, child in enumerate(node.children):
+    for j, position in enumerate(node.children):
         if j != fixed:
-            assert sum(child.class_dist) == 0.0
+            assert sum(position.mainline.class_dist) == 0.0
 
 
 @CASES
@@ -358,12 +362,12 @@ def test_buffered_replays_positive_weights_in_learn_order(case, data):
     threshold = None if schema.numeric_column[attr] is None else data.draw(st.sampled_from([0.3, 0.5]))
     masses = ([0.0] * schema.class_count,) * 2  # unused by eidetic children
     decision = SplitDecision(attr, 1.0, 0.0, 0.0, SPLIT, threshold, masses)
-    node = perform_split(leaf, decision, StrategyConfig(eidetic=True))
+    node = perform_split(leaf, decision, StrategyConfig(eidetic=True), Position)
     used = leaf.used_attributes | ({attr} if threshold is None else set())
     fresh = [LearningLeaf(schema, None, used, eidetic=True) for _ in node.children]
     for values, label, weight in entries:
         fresh[node.branch(values)].learn(values, label, weight)
-    assert [leaf_state(child) for child in node.children] == [leaf_state(f) for f in fresh]
+    assert [leaf_state(child.mainline) for child in node.children] == [leaf_state(f) for f in fresh]
 
 
 @CASES
@@ -506,3 +510,169 @@ def test_walk_visits_the_positions_branch_picks(learner, stream_name, data):
         path = walk(start, values)
         assert len(path) == len(visited)
         assert all(a is b for a, b in zip(path, visited))
+
+
+# --------------------------------------------------------------------------
+# the chunk step against a per-instance twin
+# --------------------------------------------------------------------------
+
+NOMINAL_GOLDEN_ROWS = [row for row in GOLDEN_ROWS if "Hyperplane" not in row]
+VFDT_CONFIGS = st.builds(
+    StrategyConfig,
+    eidetic=st.booleans(),
+    used_attribute_policy=st.sampled_from(["exclude", "resplit", "eviscerate"]),
+    infogain_mode=st.sampled_from(["instantaneous_over_examples", "averaged_over_evaluations"]),
+    counter_mode=st.sampled_from(["node_time", "weight_seen"]),
+    tau=st.sampled_from([0.05, 0.15]),
+)
+CALL_SIZES = st.lists(
+    st.one_of(st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1]), st.integers(1, 3000)),
+    min_size=1, max_size=4)
+
+
+def per_instance_run(learner, stream, n_instances, snapshot_every):
+    """The prequential loop, one predict_label and train per instance."""
+    errors = window = 0
+    series = []
+    for i in range(1, n_instances + 1):
+        inst = stream.next_instance()
+        if inst is None:
+            raise RuntimeError(f"stream exhausted after {i - 1} instances")
+        wrong = learner.predict_label(inst) != inst.class_label
+        errors += wrong
+        learner.train(inst)
+        if snapshot_every:
+            window += wrong
+            if i % snapshot_every == 0:
+                series.append((i, window / snapshot_every))
+                window = 0
+    return errors / n_instances, series
+
+
+def tree_state(tree):
+    buffers = [None if leaf.buffer is None else list(leaf.buffered()) for leaf in tree.leaves()]
+    return tree.dump(), buffers
+
+
+class _Twins:
+    """A tree run by ``prequential_run`` (chunked) and its per-instance twin,
+    each on its own copy of one stream."""
+
+    def __init__(self, row, config, seed=0, streams=None):
+        self.streams = [build_stream(row, seed), build_stream(row, seed)] if streams is None else streams
+        schema = self.streams[0].schema
+        self.trees = [HoeffdingTreeClassifier(schema, config), HoeffdingTreeClassifier(schema, config)]
+
+    def run(self, n, snapshot_every=500):
+        chunked = prequential_run(self.trees[0], self.streams[0], n, snapshot_every)
+        twin = per_instance_run(self.trees[1], self.streams[1], n, snapshot_every)
+        assert (chunked.final_error, chunked.error_series) == twin
+
+    def train(self, instances):
+        for tree, stream in zip(self.trees, self.streams):
+            for inst in instances or [stream.next_instance() for _ in range(3)]:
+                tree.predict_label(inst)
+                tree.train(inst)
+
+    def assert_equal(self):
+        assert tree_state(self.trees[0]) == tree_state(self.trees[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=VFDT_CONFIGS, row=st.sampled_from(NOMINAL_GOLDEN_ROWS),
+       seed=st.integers(0, 3), sizes=CALL_SIZES)
+def test_chunk_step_matches_per_instance_twin(config, row, seed, sizes):
+    """Whatever the flags, row, seed and call split, the chunked run and the
+    per-instance twin give the same errors, series, trees and buffers."""
+    twins = _Twins(row, config, seed)
+    twins.run(3000)
+    for n in sizes:
+        twins.run(n)
+    twins.assert_equal()
+
+
+class _ListStream:
+    """Hands out a list of instances, then None, or raises ``then``."""
+
+    def __init__(self, schema, instances, then=None):
+        self.schema = schema
+        self._it = iter(instances)
+        self._then = then
+
+    def next_instance(self):
+        inst = next(self._it, None)
+        if inst is None and self._then is not None:
+            raise self._then
+        return inst
+
+
+def _twin_lists(row, n, change=None, then=None):
+    """Two list streams of the first ``n`` instances of a row, with
+    ``change(k, inst)`` applied to each."""
+    stream = build_stream(row)
+    instances = [stream.next_instance() for _ in range(n)]
+    if change is not None:
+        instances = [change(k, inst) for k, inst in enumerate(instances)]
+    return [_ListStream(stream.schema, instances, then) for _ in range(2)]
+
+
+def test_chunk_step_after_fractional_weight_history():
+    """Leaves with fractional counts take their instances one at a time."""
+    row = NOMINAL_GOLDEN_ROWS[1]
+    twins = _Twins(row, StrategyConfig(eidetic=True))
+    stream = build_stream(row, 7)
+    twins.train([Instance(*inst[:2], 0.5) for inst in take(stream, 1000)])
+    twins.run(3 * CHUNK + 1)
+    twins.assert_equal()
+    assert len(twins.trees[0].leaves()) > 1
+
+
+@pytest.mark.parametrize("bad", [
+    lambda inst: Instance(inst.values, inst.class_label, 2.0),
+    lambda inst: Instance(inst.values, np.int64(inst.class_label)),
+    lambda inst: Instance(list(inst.values), inst.class_label),
+], ids=["weight-2", "numpy-label", "list-values"])
+def test_chunk_step_takes_an_invalid_chunk_one_instance_at_a_time(bad):
+    row = NOMINAL_GOLDEN_ROWS[1]
+    n = 3 * CHUNK
+    streams = _twin_lists(row, n, lambda k, inst: bad(inst) if k == CHUNK + 17 else inst)
+    twins = _Twins(row, StrategyConfig(eidetic=True), streams=streams)
+    twins.run(n)
+    twins.assert_equal()
+    assert len(twins.trees[0].leaves()) > 1
+
+
+@pytest.mark.parametrize("then", [None, KeyError("stream failed")], ids=["exhausted", "raises"])
+def test_chunk_step_when_the_stream_ends_mid_chunk(then):
+    row = NOMINAL_GOLDEN_ROWS[0]
+    n = CHUNK + 1000
+    streams = _twin_lists(row, n, then=then)
+    twins = _Twins(row, StrategyConfig(eidetic=True), streams=streams)
+    errors = []
+    for tree, stream, run in zip(twins.trees, streams, (prequential_run, per_instance_run)):
+        with pytest.raises((RuntimeError, KeyError)) as caught:
+            run(tree, stream, 2 * CHUNK, 100)
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is (RuntimeError if then is None else KeyError)
+    twins.assert_equal()
+
+
+def test_chunk_step_with_train_calls_between_runs():
+    twins = _Twins(NOMINAL_GOLDEN_ROWS[1], StrategyConfig(used_attribute_policy="resplit", eidetic=True))
+    for n in (2500, 1, CHUNK + 1, 700):
+        twins.run(n)
+        twins.train(None)
+    twins.assert_equal()
+    assert len(twins.trees[0].leaves()) > 1
+
+
+def test_chunk_step_leaves_no_route_behind():
+    twins = _Twins(NOMINAL_GOLDEN_ROWS[1], StrategyConfig())
+    twins.run(CHUNK + 5)
+    tree = twins.trees[0]
+    assert tree._routed is None
+    assert not any(isinstance(value, ChunkCounter) for value in vars(tree).values())
+    # training on without a prediction first routes afresh, as the twin does
+    twins.train(None)
+    twins.assert_equal()

@@ -314,10 +314,11 @@ def test_amnesiac_children_start_with_zero_statistics():
     pairs = [((0, i % 2), 0) for i in range(300)] + [((1, i % 2), 1) for i in range(300)]
     leaf = fill_leaf(schema, pairs)
     decision = evaluate_split(leaf, StrategyConfig())
-    node = perform_split(leaf, decision, StrategyConfig())
+    node = perform_split(leaf, decision, StrategyConfig(), Position)
     assert isinstance(node, SplitNode)
     assert len(node.children) == 2
-    for j, child in enumerate(node.children):
+    for j, position in enumerate(node.children):
+        child = position.mainline
         assert observed_mass(child, 0) == 0.0
         assert observed_mass(child, 1) == 0.0
         # class distribution derived from the parent's counts for this branch
@@ -349,9 +350,10 @@ def assert_children_match_replay_recount(class_count, label_of):
     assert 0.0 not in [weight for _, _, weight in leaf.buffered()]
     decision = evaluate_split(leaf, config)
     assert decision.action == SPLIT
-    node = perform_split(leaf, decision, config)
+    node = perform_split(leaf, decision, config, Position)
     attr = decision.best_attribute
-    for j, child in enumerate(node.children):
+    for j, position in enumerate(node.children):
+        child = position.mainline
         routed = [inst for inst in instances if inst.values[attr] == j and inst.weight > 0.0]
         # brute-force recount of n_ijk and the class mass of the routed instances
         for a in range(2):
@@ -429,14 +431,14 @@ def test_resplit_routes_all_traffic_to_the_path_child():
         leaf.learn((1, i % 3), i % 2, 1.0)
     decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="resplit"))
     assert decision.action == RESPLIT
-    node = perform_split(leaf, decision, StrategyConfig(used_attribute_policy="resplit"))
+    node = perform_split(leaf, decision, StrategyConfig(used_attribute_policy="resplit"), Position)
     assert len(node.children) == 3
     # every instance at this leaf had value 1, so only child 1 is reachable
     assert node.branch((1, 0)) == 1
-    reachable = node.children[1]
+    reachable = node.children[1].mainline
     assert sum(reachable.class_dist) == pytest.approx(4000.0)
-    assert sum(node.children[0].class_dist) == 0.0
-    assert sum(node.children[2].class_dist) == 0.0
+    assert sum(node.children[0].mainline.class_dist) == 0.0
+    assert sum(node.children[2].mainline.class_dist) == 0.0
     assert 0 in reachable.used_attributes
 
 
@@ -447,7 +449,7 @@ def test_eviscerate_clears_everything_in_place():
         leaf.learn((1, (i // 2) % 2), i % 2, 1.0)
     decision = evaluate_split(leaf, StrategyConfig(used_attribute_policy="eviscerate"))
     assert decision.action == EVISCERATE
-    result = perform_split(leaf, decision, StrategyConfig(used_attribute_policy="eviscerate"))
+    result = perform_split(leaf, decision, StrategyConfig(used_attribute_policy="eviscerate"), Position)
     assert result is None
     assert leaf.class_dist == [0.0, 0.0]
     assert leaf.total_weight == 0.0
@@ -473,7 +475,8 @@ def _trained_on_300(make_tree, row="STAGGERGenerator -i 2 -f 2"):
     return tree, stream
 
 
-@pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf])
+# 1e308 is finite, but four of them summed in a leaf overflow to inf
+@pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf, 1e308, math.nextafter(2.0**53, math.inf)])
 @both_trees
 def test_train_rejects_bad_weight_without_changing_state(make_tree, weight):
     tree, stream = _trained_on_300(make_tree)
@@ -484,8 +487,9 @@ def test_train_rejects_bad_weight_without_changing_state(make_tree, weight):
     with pytest.raises(ValueError, match="weight"):
         tree.train(bad)
     assert tree.dump() == before
-    # weight 0 stays legal: Poisson weighting draws it
+    # weight 0 stays legal: Poisson weighting draws it; so does the largest weight
     tree.train(Instance(values, label, 0.0))
+    tree.train(Instance(values, label, 2.0**53))
 
 
 @both_trees
