@@ -16,8 +16,10 @@ Each behavior the base algorithm leaves open is a flag on :class:`StrategyConfig
   ``array('Q')`` ``buffer_runs``. An entry costs about 9 bytes unweighted
   and 19 under Poisson weighting; ``LearningLeaf.buffered`` reads the
   entries back. New and replayed instances enter through
-  ``LearningLeaf.learn`` alone, which buffers only positive weights: replay
-  then teaches each child exactly what its parent learned. Buffers are
+  ``LearningLeaf.learn``, which buffers only positive weights: replay then
+  teaches each child exactly what its parent learned. (On a nominal tree,
+  ``chunks.ChunkCounter`` adds runs of unit-weight instances in bulk, to the
+  same counts and buffer entries.) Buffers are
   unbounded and grow with the stream; desk-scale runs only.
 - ``used_attribute_policy``: what a leaf does with a nominal attribute already
   used on its path. ``exclude`` (the default) leaves it out of the split
@@ -118,7 +120,8 @@ def hoeffding_bound(value_range: float, delta: float, n: float) -> float:
 
 
 class NodeStatistics:
-    """A leaf's attribute observers, which only ``observe`` updates: nominal
+    """A leaf's attribute observers, which only ``observe`` updates (and, in
+    bulk, ``chunks.ChunkCounter``'s write-back): nominal
     counts and per-class Gaussians, on the schema's own ``nominal_attrs`` and
     ``numeric_attrs``. Numeric attribute ``i`` is column ``j =
     schema.numeric_column[i]``: class ``c`` has Welford's ``means[c][j]`` and
