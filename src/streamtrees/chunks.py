@@ -1,83 +1,291 @@
-"""The chunk step: a nominal VFDT counts runs of unit-weight instances with numpy.
+"""The chunk step: a VFDT counts runs of unit-weight instances with numpy.
 
 Between two grace checks a leaf of ``HoeffdingTreeClassifier`` only adds to
-its counts: its class distribution, its weight and instance counters, its
-nominal tables and, when eidetic, its replay buffer. On a nominal schema with
-weight 1.0 each instance adds exactly 1.0 to whole-number counts, and whole
-numbers below 2**53 add exactly in any grouping. So a run of instances that
-reaches no leaf's grace check can be counted at once: each is routed through
-a values -> leaf map that ``walk`` fills, predicted as the first argmax of
-its leaf's running class counts, and its count updates are deferred per leaf.
-A leaf's deferred updates are written back before its next grace check; the
-instance that reaches the check goes through the tree's own ``predict_label``
-and ``train``, so evaluation, splitting, evisceration and replay happen in
-``learn_at_leaf`` alone. ``flush`` writes every deferred update back.
+its statistics: its class distribution, its weight and instance counters,
+its nominal tables or its per-class Gaussians and, when eidetic, its replay
+buffer. So a run of instances that reaches no leaf's grace check can be
+learned at once: each is routed to its leaf, predicted as the first argmax
+of that leaf's running class distribution, and its updates are deferred per
+leaf. A leaf's deferred updates are written back before its next grace
+check; the instance that reaches the check goes through the tree's own
+``predict_label`` and ``train``, so evaluation, splitting, evisceration and
+replay happen in ``learn_at_leaf`` alone. ``flush`` writes every deferred
+update back. Leaves learn independently, so the instances after a check go
+to the next pass of the same chunk, which routes them again, or, when only a
+few are left, through the tree one at a time.
 
-A chunk is counted only when each of its instances is an ``Instance`` of
-weight 1.0 whose label and values are in-range ``int``s in a ``tuple``, and
-a leaf only while its counts are whole numbers below 2**52. Any other chunk
-goes through ``predict_label`` and ``train`` one instance at a time, and a
-leaf with other counts takes each of its instances that way.
+Two counters share that hand-off and differ in how they route and count:
+
+- ``NominalCounter``, for schemas without numeric attributes, counts with
+  whole numbers: weight 1.0 adds exactly 1.0 to whole-number counts, and
+  whole numbers below 2**53 add exactly in any grouping.
+- ``NumericCounter``, for schemas without nominal attributes, keeps every
+  float in learn order: a running sum is an ``np.cumsum`` along a padded
+  axis from the leaf's own start value, which adds in the order the loop
+  adds, and each (leaf, class) Welford chain takes its k-th instance in one
+  numpy step, with ``NodeStatistics.observe``'s expressions.
+
+``counter_for`` picks one, or none: a mixed schema, another learner, or a
+learner with its own ``predict_label`` or ``train`` (a tracer or a recorder
+that must see every instance) runs one instance at a time.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain
-from operator import itemgetter
+import struct
+from collections import namedtuple
+from itertools import accumulate, chain, repeat
+from operator import countOf, itemgetter
 
 import numpy as np
 
 from . import tree
 from .schema import Instance
-from .tree import SplitNode, _leaf_counter, walk
+from .tree import HoeffdingTreeClassifier, SplitNode, _leaf_counter, walk
 
-# the most instance objects, and value tuples, a ChunkCounter keeps codes for
+# the most instance objects, and value tuples, a NominalCounter keeps codes for
 _MAX_KEPT = 2**14
-# a leaf is counted while its counts are whole numbers below this: adding
-# 1.0s to them stays exact until they pass 2**53, 2**52 instances later
+# a nominal leaf is counted while its counts are whole numbers below this:
+# adding 1.0s to them stays exact until they pass 2**53, 2**52 instances later
 _WHOLE_BELOW = 2.0**52
 
-# the most instances a leaf counts between two write-backs, so that a pending
-# count fits an int16; a longer grace period sends one instance in this many
-# through the tree
+# the most instances a nominal leaf counts between two write-backs, so that a
+# pending count fits an int16; a longer grace period sends one instance in
+# this many through the tree
 _MAX_LEFT = 2**15 - 1
 # a pending count's unit; np.add.at is 50 times slower when the added value's
 # type differs from the table's
 _ONE = np.int16(1)
 
+# a pass costs about as much as this many instances through the tree: fewer
+# instances left after checks take that way
+_MIN_PASS = 64
+# the most instances one numeric pass counts: its padded running sums hold
+# (longest leaf run) x (leaves) cells, at most a quarter of this squared
+_NUMERIC_PASS = 512
+
 _values_of = itemgetter(0)
+# the running sums of a numeric pass, in the fields _leaf_counter reads
+_Running = namedtuple("_Running", "total_weight node_time")
 
 
-def _group_starts(slots):
-    """For each entry of a run-grouped array, the index of its group's first entry."""
-    starts = np.empty(len(slots), bool)
-    starts[0] = True
-    np.not_equal(slots[1:], slots[:-1], out=starts[1:])
-    return np.flatnonzero(starts)[np.cumsum(starts) - 1]
+def counter_for(learner):
+    """The counter that can learn chunks on ``learner``, or None when its
+    instances must go through ``predict_label`` and ``train`` one at a time."""
+    if type(learner) is not HoeffdingTreeClassifier:
+        return None
+    own = vars(learner)
+    if "predict_label" in own or "train" in own:
+        return None
+    schema = learner.schema
+    if not schema.numeric_attrs:
+        return NominalCounter(learner)
+    if not schema.nominal_attrs:
+        return NumericCounter(learner)
+    return None
 
 
-class ChunkCounter:
-    """Predicts and learns chunks of instances on one nominal
-    ``HoeffdingTreeClassifier``, counting what it can (see the module).
+def _runs(keys):
+    """The start and the length of each run of equal entries of ``keys``."""
+    first = np.empty(len(keys), bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = len(keys) - starts[-1]
+    return starts, lengths
+
+
+class _Counter:
+    """What both counters share: slots, the pass loop and the grace-check
+    hand-off. A slot is a leaf's row in the counter's numpy tables of
+    deferred updates; every table has one row per slot, ``count`` (the
+    instances deferred) and ``buffers`` (whether the leaf buffers) among
+    them. ``TABLES`` names the others."""
+
+    TABLES: tuple[str, ...] = ()
+    SLOTS = 16  # slots before the tables first grow
+    PASS = 2**31  # the most instances one pass counts
+
+    def __init__(self, learner):
+        self.learner = learner
+        self.class_count = learner.schema.class_count
+        # the chunk being counted, its labels, and the slot of each counted
+        # instance whose leaf buffers and has not taken it yet
+        self.chunk: list[Instance] = []
+        self.labels = np.zeros(0, np.int64)
+        self.buffer_slot = np.zeros(0, np.int64)
+        self.count = np.zeros(self.SLOTS, np.int64)
+        self.buffers = np.zeros(self.SLOTS, bool)
+
+    def _forget(self) -> None:
+        """Drop every slot and route; nothing is deferred."""
+        self.positions: list = []
+        self.slot_of: dict = {}
+        self.free: list[int] = []
+        self._unroute(None, True)
+
+    def _grow(self, n: int) -> None:
+        """Give every slot table ``n`` rows."""
+        for name in ("count", "buffers", *self.TABLES):
+            table = getattr(self, name)
+            grown = np.zeros((n, *table.shape[1:]), table.dtype)
+            grown[:len(table)] = table
+            setattr(self, name, grown)
+
+    def _new_slots(self, positions) -> list[int]:
+        positions = list(positions)
+        reused, self.free = self.free[:len(positions)], self.free[len(positions):]
+        first = len(self.positions)
+        slots = reused + list(range(first, first + len(positions) - len(reused)))
+        self.positions += [None] * (len(slots) - len(reused))
+        if len(self.positions) > len(self.count):
+            self._grow(max(len(self.positions), len(self.count) * 3 // 2))
+        for slot, position in zip(slots, positions):
+            self.positions[slot] = position
+        self.slot_of.update(zip(positions, slots))
+        self.buffers[slots] = [position.mainline.buffer is not None for position in positions]
+        self._refresh(slots)
+        return slots
+
+    def _write_buffers(self, slot: int | None) -> None:
+        """Buffer the chunk's counted instances at one slot, or at all slots."""
+        marks = self.buffer_slot
+        if slot is None:
+            taken = np.flatnonzero(marks >= 0)
+            taken = taken[np.argsort(marks[taken], kind="stable")]
+        else:
+            taken = np.flatnonzero(marks == slot)
+        if not taken.size:
+            return
+        slots = marks[taken]
+        marks[taken] = -1
+        cuts = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), len(taken)]
+        values = list(map(_values_of, map(self.chunk.__getitem__, taken.tolist())))
+        labels = self.labels[taken].tolist()
+        for a, b, owner in zip(cuts, cuts[1:], slots[cuts[:-1]].tolist()):
+            leaf = self.positions[owner].mainline
+            weights = leaf.buffer_weights
+            # as LearningLeaf.learn does: a new run of weight 1.0 unless one is open
+            if not weights or weights[-1] != 1.0:
+                leaf.buffer_runs.append(len(leaf.buffer))
+                weights.append(1.0)
+            leaf.buffer.extend(values[a:b])
+            leaf.buffer_labels.extend(labels[a:b])
+
+    def flush(self) -> None:
+        """Write every deferred update back to its leaf, and forget the slots."""
+        self._write_buffers(None)
+        self._write_back(np.flatnonzero(self.count).tolist())
+        self._forget()
+
+    def _check(self, inst: Instance, slot: int) -> bool:
+        """The grace-check hand-off: write the leaf's deferred updates back,
+        send the instance that reaches its grace check through the tree,
+        and read the leaf back into its slot, or drop the slot if the leaf
+        split; returns whether its prediction was wrong."""
+        self._write_buffers(slot)
+        if self.count[slot]:
+            self._write_back([slot])
+        learner = self.learner
+        wrong = learner.predict_label(inst) != inst.class_label
+        learner.train(inst)
+        if self.positions[slot].mainline.__class__ is SplitNode:
+            self._release(slot, True)
+        else:
+            self._refresh([slot])
+        return wrong
+
+    def _release(self, slot: int, split: bool) -> None:
+        """Drop a slot with nothing deferred, and the routes to it."""
+        del self.slot_of[self.positions[slot]]
+        self.positions[slot] = None
+        self.free.append(slot)
+        self._unroute(slot, split)
+
+    def step(self, chunk: list) -> list:
+        """Predict, then learn, each instance of ``chunk`` in order; returns
+        whether each prediction was wrong."""
+        learner = self.learner
+        if not chunk or not self._prepare(chunk):
+            self.flush()
+            wrong = []
+            for inst in chunk:
+                wrong.append(learner.predict_label(inst) != inst.class_label)
+                learner.train(inst)
+            return wrong
+        self.chunk = chunk
+        self.buffer_slot = np.full(len(chunk), -1, np.int64)
+        wrong = np.zeros(len(chunk), bool)
+        # Each pass counts, for every leaf, its instances up to its grace
+        # check and sends each instance at a check through the tree. Leaves
+        # learn independently, so the instances after a check wait for the
+        # next pass, which routes them again: a split reroutes only the
+        # instances that reached the split leaf. A pass takes at most PASS
+        # instances, the first ones left; when fewer than _MIN_PASS are
+        # left and all of them follow a check, they go through the tree.
+        todo = np.arange(len(chunk))
+        while todo.size:
+            now, rest = todo[:self.PASS], todo[self.PASS:]
+            slots = self._route(now)
+            order = np.argsort(slots, kind="stable")
+            by_slot = slots[order]
+            # each instance's rank among this pass's instances at its leaf
+            starts, lengths = _runs(by_slot)
+            rank = np.arange(len(order)) - np.repeat(starts, lengths)
+            limit = self._limits(now[order], by_slot[starts], rank, lengths)
+            keep = rank < limit
+            if keep.any():
+                self._count(now[order[keep]], by_slot[keep], rank[keep], wrong)
+            at_check = rank == limit
+            for k, slot in sorted(zip(now[order[at_check]].tolist(), by_slot[at_check].tolist())):
+                wrong[k] = self._check(chunk[k], slot)
+            later = np.zeros(len(now), bool)
+            later[order[rank > limit]] = True
+            todo = np.concatenate([now[later], rest])
+            if not rest.size and todo.size < _MIN_PASS:
+                # the tree takes them: drop their leaves' slots, read back
+                # at the checks, first (a split leaf's slot is gone)
+                for slot in set(by_slot[rank > limit].tolist()):
+                    if self.positions[slot] is not None:
+                        self._release(slot, False)
+                for k in todo.tolist():
+                    inst = chunk[k]
+                    wrong[k] = learner.predict_label(inst) != inst.class_label
+                    learner.train(inst)
+                break
+        self._write_buffers(None)
+        return wrong.tolist()
+
+
+class NominalCounter(_Counter):
+    """Predicts and learns chunks on a ``HoeffdingTreeClassifier`` whose
+    schema has no numeric attribute.
+
+    A chunk is counted only when each of its instances is an ``Instance`` of
+    weight 1.0 whose label and values are in-range ``int``s in a ``tuple``,
+    and a leaf only while its counts are whole numbers below 2**52; a leaf
+    with other counts takes each of its instances through the tree.
 
     An instance's code is ``cell * class_count + label``; a cell is a values
     tuple's index in ``cell_values``. Codes are kept by instance identity,
     since nominal streams hand out shared instances: an instance is checked
     once, when first seen. ``route[cell]`` is the slot of the leaf the cell
-    reaches, or -1 when not known. A slot is a leaf's index in the numpy
-    tables of deferred updates: ``dist`` (class counts, deferred ones
-    included), ``pending`` (nominal table counts, one row per attribute value
-    laid end to end, ``class_count`` wide), ``count`` (instances) and
-    ``left`` (instances it can count before its grace check). The tables
-    are kept small, since every grid worker holds one: 24 bytes per instance
+    reaches, or -1 when not known. The slot tables are ``dist`` (class
+    counts, deferred ones included), ``pending`` (nominal table counts, one
+    row per attribute value laid end to end, ``class_count`` wide) and
+    ``left`` (instances a leaf can count before its grace check). They are
+    kept small, since every grid worker holds one: 24 bytes per instance
     object seen, at most ``_MAX_KEPT`` of them, and 2 bytes per pending cell.
     """
 
+    TABLES = ("dist", "pending", "left")
+
     def __init__(self, learner):
+        super().__init__(learner)
         schema = learner.schema
-        self.learner = learner
-        self.class_count = schema.class_count
         self.sizes = [attr.n_values for attr in schema.attributes]
         # attribute a's value rows start at row first_row[a] of a leaf's table
         self.first_row = list(accumulate(self.sizes, initial=0))
@@ -88,26 +296,26 @@ class ChunkCounter:
         self.cell_values: list[tuple] = []
         self.cell_rows = np.zeros((64, len(self.sizes)), np.int64)  # first_row[a] + value a
         self.route = np.full(64, -1, np.int64)
+        n = self.SLOTS
+        self.dist = np.zeros((n, self.class_count))
+        self.pending = np.zeros((n, self.first_row[-1] * self.class_count), _ONE.dtype)
+        self.left = np.zeros(n, np.int64)
         self._forget()
-        # the chunk being counted, its labels, and the slot of each counted
-        # instance whose leaf buffers and has not taken it yet
-        self.chunk: list[Instance] = []
-        self.labels = np.zeros(0, np.int64)
-        self.buffer_slot = np.zeros(0, np.int64)
-
-    def _forget(self) -> None:
-        """Drop every slot and route."""
-        self.positions: list = []
-        self.slot_of: dict = {}
-        self.free: list[int] = []
-        self.dist = np.zeros((16, self.class_count))
-        self.pending = np.zeros((16, self.first_row[-1] * self.class_count), _ONE.dtype)
-        self.count = np.zeros(16, np.int64)
-        self.left = np.zeros(16, np.int64)
-        self.buffers = np.zeros(16, bool)
-        self.route.fill(-1)
 
     # -- codes and cells ------------------------------------------------------
+
+    def _prepare(self, chunk) -> bool:
+        codes = self._codes(chunk)
+        if codes is None:
+            return False
+        c = self.class_count
+        self.chunk_cells, self.labels = np.divmod(codes, c)
+        # each instance's cell in a leaf's pending table, per attribute
+        rows = self.cell_rows[self.chunk_cells]
+        rows *= c
+        rows += self.labels[:, None]
+        self.rows = rows
+        return True
 
     def _codes(self, chunk):
         """The chunk's codes as an array, or None when it does not qualify."""
@@ -171,112 +379,77 @@ class ChunkCounter:
 
     # -- slots ----------------------------------------------------------------
 
-    def _route(self, cells):
-        """The slot of each cell's leaf, walking the cells not routed yet."""
+    def _route(self, now):
+        """The slot of each instance's leaf, walking the cells not routed yet."""
+        cells = self.chunk_cells[now]
         slots = self.route[cells]
         if slots.min() < 0:
             for cell in dict.fromkeys(cells[slots < 0].tolist()):
                 position = walk(self.learner.root, self.cell_values[cell])[-1]
                 slot = self.slot_of.get(position)
-                self.route[cell] = self._new_slot(position) if slot is None else slot
+                self.route[cell] = self._new_slots([position])[0] if slot is None else slot
             slots = self.route[cells]
         return slots
 
-    def _new_slot(self, position) -> int:
-        if self.free:
-            slot = self.free.pop()
-        else:
-            slot = len(self.positions)
-            self.positions.append(None)
-            if slot == len(self.count):
-                for name in ("dist", "pending", "count", "left", "buffers"):
-                    table = getattr(self, name)
-                    setattr(self, name, np.concatenate([table, np.zeros_like(table[:slot // 2])]))
-        self.positions[slot] = position
-        self.slot_of[position] = slot
-        leaf = position.mainline
-        self.buffers[slot] = leaf.buffer is not None
-        self._refresh(slot, leaf)
-        return slot
-
-    def _refresh(self, slot: int, leaf) -> None:
-        """Read a leaf with nothing deferred into its slot."""
-        self.dist[slot] = leaf.class_dist
-        # every count is at most total_weight
-        counts = chain(leaf.class_dist, chain.from_iterable(chain.from_iterable(leaf.nominal)),
-                       (leaf.total_weight, leaf.counter_at_last_eval))
-        if leaf.total_weight < _WHOLE_BELOW and all(map(float.is_integer, map(float, counts))):
-            # each instance adds 1 to the counter; the one that brings it
-            # GRACE_PERIOD past the last evaluation reaches the grace check
-            since = _leaf_counter(leaf, self.learner.config) - leaf.counter_at_last_eval
-            self.left[slot] = min(max(0, math.ceil(tree.GRACE_PERIOD - since) - 1), _MAX_LEFT)
-        else:
-            self.left[slot] = 0
-
-    def _write_back(self, slot: int) -> None:
-        """Apply a slot's deferred counts to its leaf."""
-        n = int(self.count[slot])
-        if not n:
-            return
-        leaf = self.positions[slot].mainline
-        leaf.node_time += n
-        leaf.total_weight += n
-        leaf.class_dist = self.dist[slot].tolist()
-        # cell by cell, as observe adds: a cell that saw nothing keeps its
-        # float object, which the leaf's zero cells share
-        pending = self.pending[slot].reshape(-1, self.class_count)
-        hit_rows, hit_labels = np.nonzero(pending)
-        rows = list(chain.from_iterable(leaf.nominal))
-        for r, c, added in zip(hit_rows.tolist(), hit_labels.tolist(), pending[hit_rows, hit_labels].tolist()):
-            rows[r][c] += added
-        pending.fill(0)
-        self.count[slot] = 0
-
-    def _write_buffers(self, slot: int | None) -> None:
-        """Buffer the chunk's counted instances at one slot, or at all slots."""
-        marks = self.buffer_slot
+    def _unroute(self, slot: int | None, split: bool) -> None:
+        """Forget the routes to a slot, or to every slot."""
         if slot is None:
-            taken = np.flatnonzero(marks >= 0)
-            taken = taken[np.argsort(marks[taken], kind="stable")]
+            self.route.fill(-1)
         else:
-            taken = np.flatnonzero(marks == slot)
-        if not taken.size:
-            return
-        slots = marks[taken]
-        marks[taken] = -1
-        cuts = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), len(taken)]
-        values = list(map(_values_of, map(self.chunk.__getitem__, taken.tolist())))
-        labels = self.labels[taken].tolist()
-        for a, b, owner in zip(cuts, cuts[1:], slots[cuts[:-1]].tolist()):
-            leaf = self.positions[owner].mainline
-            weights = leaf.buffer_weights
-            # as LearningLeaf.learn does: a new run of weight 1.0 unless one is open
-            if not weights or weights[-1] != 1.0:
-                leaf.buffer_runs.append(len(leaf.buffer))
-                weights.append(1.0)
-            leaf.buffer.extend(values[a:b])
-            leaf.buffer_labels.extend(labels[a:b])
+            self.route[self.route == slot] = -1
 
-    def flush(self) -> None:
-        """Write every deferred update back to its leaf, and forget the slots."""
-        self._write_buffers(None)
-        for slot in np.flatnonzero(self.count).tolist():
-            self._write_back(slot)
-        self._forget()
+    def _refresh(self, slots) -> None:
+        """Read leaves with nothing deferred into their slots."""
+        config = self.learner.config
+        for slot in slots:
+            leaf = self.positions[slot].mainline
+            self.dist[slot] = leaf.class_dist
+            # every count is at most total_weight
+            counts = chain(leaf.class_dist, chain.from_iterable(chain.from_iterable(leaf.nominal)),
+                           (leaf.total_weight, leaf.counter_at_last_eval))
+            if leaf.total_weight < _WHOLE_BELOW and all(map(float.is_integer, map(float, counts))):
+                # each instance adds 1 to the counter; the one that brings it
+                # GRACE_PERIOD past the last evaluation reaches the grace check
+                since = _leaf_counter(leaf, config) - leaf.counter_at_last_eval
+                self.left[slot] = min(max(0, math.ceil(tree.GRACE_PERIOD - since) - 1), _MAX_LEFT)
+            else:
+                self.left[slot] = 0
+
+    def _write_back(self, slots) -> None:
+        """Apply slots' deferred counts to their leaves."""
+        for slot in slots:
+            n = int(self.count[slot])
+            leaf = self.positions[slot].mainline
+            leaf.node_time += n
+            leaf.total_weight += n
+            leaf.class_dist = self.dist[slot].tolist()
+            # cell by cell, as observe adds: a cell that saw nothing keeps its
+            # float object, which the leaf's zero cells share
+            pending = self.pending[slot].reshape(-1, self.class_count)
+            hit_rows, hit_labels = np.nonzero(pending)
+            rows = list(chain.from_iterable(leaf.nominal))
+            for r, c, added in zip(hit_rows.tolist(), hit_labels.tolist(),
+                                   pending[hit_rows, hit_labels].tolist()):
+                rows[r][c] += added
+            pending.fill(0)
+            self.count[slot] = 0
 
     # -- the step -------------------------------------------------------------
 
-    def _count(self, index, slots, labels, rows, wrong) -> None:
+    def _limits(self, index, gslots, rank, lengths):
+        return np.repeat(self.left[gslots], lengths)
+
+    def _count(self, index, slots, rank, wrong) -> None:
         """Predict and defer the counts of instances ``index`` of the chunk,
         grouped by their leaves' ``slots``, in stream order within a group."""
-        label = labels[index]
+        label = self.labels[index]
         # running class counts: the leaf's, plus the labels counted there
         # earlier in this pass (in place: these arrays are the step's largest)
         onehot = np.zeros((len(index), self.class_count), np.int32)
         onehot[np.arange(len(index)), label] = 1
         before = np.cumsum(onehot, axis=0, dtype=np.int32)
         before -= onehot
-        before -= before[_group_starts(slots)]
+        before -= before[np.arange(len(index)) - rank]
         running = self.dist[slots]
         running += before
         wrong[index] = running.argmax(axis=1) != label
@@ -284,75 +457,285 @@ class ChunkCounter:
         added = np.bincount(slots, minlength=len(self.count))
         self.count += added
         self.left -= added
-        flat = rows[index]
+        flat = self.rows[index]
         flat += (slots * self.pending.shape[1])[:, None]
         np.add.at(self.pending.reshape(-1), flat.ravel(), _ONE)
         buffered = self.buffers[slots]
         self.buffer_slot[index[buffered]] = slots[buffered]
 
-    def _check(self, inst: Instance, slot: int) -> bool:
-        """Send the instance that reaches its leaf's grace check through the
-        tree, with the leaf's deferred counts written back first; returns
-        whether its prediction was wrong."""
-        self._write_buffers(slot)
-        self._write_back(slot)
-        learner = self.learner
-        wrong = learner.predict_label(inst) != inst.class_label
-        learner.train(inst)
-        position = self.positions[slot]
-        if position.mainline.__class__ is SplitNode:
-            self.route[self.route == slot] = -1
-            self.positions[slot] = None
-            del self.slot_of[position]
-            self.free.append(slot)
-        else:
-            self._refresh(slot, position.mainline)
-        return wrong
 
-    def step(self, chunk: list) -> list:
-        """Predict, then learn, each instance of ``chunk`` in order; returns
-        whether each prediction was wrong."""
-        codes = self._codes(chunk)
-        learner = self.learner
-        if codes is None:
-            self.flush()
-            wrong = []
-            for inst in chunk:
-                wrong.append(learner.predict_label(inst) != inst.class_label)
-                learner.train(inst)
-            return wrong
+class NumericCounter(_Counter):
+    """Predicts and learns chunks on a ``HoeffdingTreeClassifier`` whose
+    schema has no nominal attribute, keeping every float in learn order.
+
+    A chunk is counted only when each of its instances is an ``Instance`` of
+    weight 1.0 with an in-range ``int`` label and finite ``float`` values in
+    a ``tuple``. The chunk's values are one float64 array, and an instance
+    is routed by a walk of the flattened tree (``_flatten``) that compares
+    ``values[attr] <= threshold`` in float64, as ``walk`` does.
+
+    Why it is exact: each of a leaf's sums (class distribution, weight,
+    instance count, per-class counts) only adds 1.0s, in learn order, to the
+    leaf's own start value, and ``np.cumsum`` along a padded axis makes the
+    same additions in the same order, whatever the start's fraction. The
+    per-class means and M2 sums of a (leaf, class) pair depend on the order
+    of that pair's instances only, and each step updates the k-th instance
+    of every pair at once with ``observe``'s expressions; ``lo`` and ``hi``
+    keep the first of equal extremes, as ``observe``'s strict comparisons do.
+
+    A slot's row of ``state`` holds its leaf's fields side by side:
+    ``class_dist``, ``total_weight`` and ``node_time`` (together ``sums``),
+    ``counter_at_last_eval`` (``last_eval``), then ``counts``, ``means``,
+    ``m2s``, ``lo`` and ``hi``, each a view of its columns. The write-back
+    hands each leaf its own lists again.
+    """
+
+    TABLES = ("state",)
+    SLOTS = 64
+    PASS = _NUMERIC_PASS
+
+    def __init__(self, learner):
+        super().__init__(learner)
         c = self.class_count
-        cells, labels = np.divmod(codes, c)
-        # each instance's cell in a leaf's pending table, per attribute
-        rows = self.cell_rows[cells]
-        rows *= c
-        rows += labels[:, None]
-        self.chunk = chunk
-        self.labels = labels
-        self.buffer_slot = np.full(len(chunk), -1, np.int64)
-        wrong = np.zeros(len(chunk), bool)
-        # Leaves learn independently: a leaf's state depends only on the
-        # instances it takes, in their order, and a split reroutes only the
-        # instances that reached the split leaf. So each pass counts, for
-        # every leaf, its instances up to its grace check, sends each
-        # instance at a check through the tree, and leaves the instances
-        # after a check to the next pass, which routes them again.
-        todo = np.arange(len(chunk))
-        while todo.size:
-            slots = self._route(cells[todo])
-            order = np.argsort(slots, kind="stable")
-            by_slot = slots[order]
-            # each instance's rank among this pass's instances at its leaf
-            rank = np.arange(len(order)) - _group_starts(by_slot)
-            limit = self.left[by_slot]
-            keep = rank < limit
-            if keep.any():
-                self._count(todo[order[keep]], by_slot[keep], labels, rows, wrong)
-            at_check = rank == limit
-            for k, slot in sorted(zip(todo[order[at_check]].tolist(), by_slot[at_check].tolist())):
-                wrong[k] = self._check(chunk[k], slot)
-            later = np.zeros(len(todo), bool)
-            later[order[rank > limit]] = True
-            todo = todo[later]
-        self._write_buffers(None)
-        return wrong.tolist()
+        self.n_attributes = m = learner.schema.n_attributes
+        # where counts, means, m2s, lo and hi start in a state row, and its width
+        self.starts = list(accumulate((c, 1, 1, 1, c, c * m, c * m, m, m), initial=0))[4:]
+        self.state = np.zeros((self.SLOTS, self.starts[-1]))
+        self._views()
+        self._forget()
+
+    def _grow(self, n: int) -> None:
+        super()._grow(n)
+        self._views()
+
+    def _views(self) -> None:
+        c, m, state = self.class_count, self.n_attributes, self.state
+        counts, means, m2s, lo, hi, _ = self.starts
+        self.sums = state[:, :c + 2]
+        self.last_eval = state[:, c + 2]
+        self.counts = state[:, counts:means]
+        self.means = state[:, means:m2s].reshape(-1, c, m)
+        self.m2s = state[:, m2s:lo].reshape(-1, c, m)
+        self.lo = state[:, lo:hi]
+        self.hi = state[:, hi:]
+
+    def _prepare(self, chunk) -> bool:
+        n, m = len(chunk), self.n_attributes
+        if countOf(map(type, chunk), Instance) != n:
+            return False
+        values, labels, weights = zip(*chunk)
+        if (countOf(map(type, weights), float) != n or countOf(weights, 1.0) != n
+                or countOf(map(type, labels), int) != n
+                or not 0 <= min(labels) <= max(labels) < self.class_count
+                or countOf(map(type, values), tuple) != n or countOf(map(len, values), m) != n):
+            return False
+        flat = list(chain.from_iterable(values))
+        if countOf(map(type, flat), float) != n * m:
+            return False
+        x = np.frombuffer(struct.pack(f"{n * m}d", *flat))
+        # a NaN or an infinity makes the sum NaN or infinite (and so, rarely,
+        # does an overflow: that chunk, too, runs one instance at a time)
+        if not math.isfinite(x.sum()):
+            return False
+        self.x = x
+        self.labels = np.fromiter(labels, np.int64, n)
+        return True
+
+    # -- routing --------------------------------------------------------------
+
+    def _flatten(self) -> None:
+        """Number the tree's nodes breadth first. Node k's entries sit at
+        2k and 2k + 1 of ``attrs``, ``thresholds`` and ``kids``: a split's
+        attribute and threshold twice, and 2 x its child 1 and child 0; a
+        leaf's are 0, +inf and 2k, so a walk stays there."""
+        positions = [self.learner.root]
+        attrs, thresholds, kids = [], [], []
+        depth, level_end = 0, 1
+        for k, position in enumerate(positions):
+            if k == level_end:
+                depth += 1
+                level_end = len(positions)
+            node = position.mainline
+            if node.__class__ is SplitNode:
+                attrs += (node.attr, node.attr)
+                thresholds += (node.threshold, node.threshold)
+                kids += (2 * len(positions) + 2, 2 * len(positions))
+                positions += node.children
+            else:
+                attrs += (0, 0)
+                thresholds += (math.inf, math.inf)
+                kids += (2 * k, 2 * k)
+        self.attrs = np.array(attrs)
+        self.thresholds = np.array(thresholds)
+        self.kids = np.array(kids)
+        self.flat = positions
+        self.depth = depth
+        self.node_slot = np.fromiter(map(self.slot_of.get, positions, repeat(-1)), np.int64, len(positions))
+
+    def _route(self, now):
+        if self.flat is None:
+            self._flatten()
+        node = np.zeros(len(now), np.int64)  # 2 x the node's number
+        at = now * self.n_attributes
+        x = self.x
+        for _ in range(self.depth):
+            # walk's branch rule: values[attr] <= threshold goes to child 0
+            left = x[at + self.attrs[node]] <= self.thresholds[node]
+            node = self.kids[node + left]
+        node >>= 1
+        slots = self.node_slot[node]
+        if slots.min() < 0:
+            # np.unique would import numpy.ma, half a megabyte
+            fresh = np.flatnonzero(np.bincount(node[slots < 0], minlength=len(self.flat)))
+            self.node_slot[fresh] = self._new_slots(map(self.flat.__getitem__, fresh.tolist()))
+            slots = self.node_slot[node]
+        return slots
+
+    def _unroute(self, slot: int | None, split: bool) -> None:
+        """Forget the routes to a slot, or, after a split, the flattened tree."""
+        if split:
+            self.flat = None
+        else:
+            self.node_slot[self.node_slot == slot] = -1
+
+    # -- leaves ---------------------------------------------------------------
+
+    def _refresh(self, slots) -> None:
+        """Read leaves with nothing deferred into their slots."""
+        row = []  # list += is the fastest way to lay the leaves' lists end to end
+        for slot in slots:
+            leaf = self.positions[slot].mainline
+            row += leaf.class_dist
+            row += (leaf.total_weight, leaf.node_time, leaf.counter_at_last_eval)
+            row += leaf.counts
+            for means in leaf.means:
+                row += means
+            for m2s in leaf.m2s:
+                row += m2s
+            row += leaf.lo
+            row += leaf.hi
+        self.state[slots] = np.frombuffer(struct.pack(f"{len(row)}d", *row)).reshape(len(slots), -1)
+
+    def _write_back(self, slots) -> None:
+        """Set slots' leaves' fields to their rows, as the leaves' own lists
+        (``_count`` sets ``lo`` and ``hi`` as they move)."""
+        if not slots:
+            return
+        c, rows = self.class_count, np.array(slots)
+        sums = self.sums[rows]
+        columns = (sums[:, :c], sums[:, c], self.counts[rows], self.means[rows], self.m2s[rows])
+        for slot, n, dist, weight, counts, means, m2s in zip(
+                slots, self.count[rows].tolist(), *(column.tolist() for column in columns)):
+            leaf = self.positions[slot].mainline
+            leaf.node_time += n
+            leaf.class_dist = dist
+            leaf.total_weight = weight
+            leaf.counts = counts
+            leaf.means = means
+            leaf.m2s = m2s
+        self.count[rows] = 0
+
+    # -- the step -------------------------------------------------------------
+
+    def _limits(self, index, gslots, rank, lengths):
+        """The rank of the instance at each leaf's grace check, or one past
+        the pass's longest run. Keeps the pass's running sums for ``_count``."""
+        c = self.class_count
+        group = np.repeat(np.arange(len(gslots)), lengths)
+        # the running class_dist, total_weight and node_time of each leaf,
+        # row r after its first r instances; padding adds 0.0
+        sums = np.zeros((int(rank.max()) + 2, len(gslots), c + 2))
+        sums[0] = self.sums[gslots]
+        sums[rank + 1, group, self.labels[index]] = 1.0
+        sums[rank + 1, group, c:] = 1.0
+        np.cumsum(sums, axis=0, out=sums)
+        # learn_at_leaf's test, counter - counter_at_last_eval < GRACE_PERIOD;
+        # a counter never falls, so once reached, the check stays reached
+        counter = _leaf_counter(_Running(sums[1:, :, c], sums[1:, :, c + 1]), self.learner.config)
+        first = len(counter) - (counter - self.last_eval[gslots] >= tree.GRACE_PERIOD).sum(axis=0)
+        self.pass_sums, self.pass_slots = sums, gslots
+        self.pass_learned = np.minimum(first, lengths)
+        return np.repeat(first, lengths)
+
+    def _count(self, index, slots, rank, wrong) -> None:
+        """Predict and learn instances ``index`` of the chunk, grouped by
+        their leaves' ``slots``, in stream order within a group."""
+        c, sums, gslots, learned = self.class_count, self.pass_sums, self.pass_slots, self.pass_learned
+        labels = self.labels[index]
+        group = np.repeat(np.arange(len(gslots)), learned)
+        wrong[index] = sums[rank, group, :c].argmax(axis=1) != labels
+        self.sums[gslots] = sums[learned, np.arange(len(gslots))]
+        self.count[gslots] += learned
+        x = self.x.reshape(-1, self.n_attributes)[index]
+        starts = np.flatnonzero(rank == 0)
+        owners = slots[starts]
+        for table, name, reduce, pick in ((self.lo, "lo", np.minimum, np.argmin),
+                                          (self.hi, "hi", np.maximum, np.argmax)):
+            old = table[owners]
+            new = reduce(old, reduce.reduceat(x, starts, axis=0))
+            # set the bounds that moved, in place, as observe sets them: an
+            # unmoved bound keeps its object
+            moved, at = np.nonzero(new != old)
+            if not moved.size:
+                continue
+            table[owners] = new
+            for g, slot, j, v in zip(moved.tolist(), owners[moved].tolist(), at.tolist(),
+                                     new[moved, at].tolist()):
+                if v == 0.0:
+                    # 0.0 and -0.0 are equal: observe's strict v < lo and
+                    # v > hi keep the first of them
+                    column = x[starts[g]:starts[g + 1] if g + 1 < len(starts) else len(x), j]
+                    v = column[pick(column)].item()
+                    table[slot, j] = v
+                getattr(self.positions[slot].mainline, name)[j] = v
+        self._welford(x, group * c + labels, gslots)
+        buffered = self.buffers[slots]
+        self.buffer_slot[index[buffered]] = slots[buffered]
+
+    def _welford(self, x, key, gslots) -> None:
+        """Welford's update for each (leaf, class) chain of rows of ``x``,
+        keyed ``group * class_count + label``, one chain position a step."""
+        c = self.class_count
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts, lengths = _runs(key)
+        n, chains = len(key), len(starts)
+        # chains longest first, so that the chains still running at step k
+        # are a prefix; each step's values are then one contiguous block
+        by_length = np.argsort(-lengths, kind="stable")
+        place = np.empty(chains, np.int64)
+        place[by_length] = np.arange(chains)
+        within = np.arange(n) - np.repeat(starts, lengths)
+        at = np.repeat(place, lengths)
+        # step k's block starts after the chains running at earlier steps
+        running = np.bincount(within)
+        blocks = np.cumsum(running) - running
+        values = np.empty_like(x)
+        values[blocks[within] + at] = x[order]
+        chain_key = key[starts[by_length]]
+        slot, label = gslots[chain_key // c], chain_key % c
+        # observe's count = counts[label] + weight, once per instance
+        counts = np.zeros((len(running) + 1, chains))
+        counts[0] = self.counts[slot, label]
+        counts[within + 1, at] = 1.0
+        np.cumsum(counts, axis=0, out=counts)
+        means = self.means[slot, label]
+        m2s = self.m2s[slot, label]
+        # observe: delta = v - mean; mean += weight * delta / count;
+        # m2 += weight * delta * (v - mean), with weight 1.0; the steps
+        # write into two scratch rows instead of allocating
+        deltas, terms = np.empty((2, *means.shape))
+        end = 0
+        for k, a in enumerate(running.tolist(), 1):
+            v = values[end:end + a]
+            end += a
+            mean, delta, term = means[:a], deltas[:a], terms[:a]
+            np.subtract(v, mean, out=delta)
+            np.divide(delta, counts[k, :a, None], out=term)
+            mean += term
+            np.subtract(v, mean, out=term)
+            term *= delta
+            m2s[:a] += term
+        self.means[slot, label] = means
+        self.m2s[slot, label] = m2s
+        self.counts[slot, label] = counts[lengths[by_length], np.arange(chains)]

@@ -14,8 +14,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .chunks import ChunkCounter
-from .tree import HoeffdingTreeClassifier
+from .chunks import counter_for
 
 
 # --------------------------------------------------------------------------
@@ -93,7 +92,7 @@ class PrequentialResult:
     wall_time: float
 
 
-# instances a nominal VFDT's run pulls from the stream at a time
+# instances a chunked VFDT run pulls from the stream at a time
 CHUNK = 2048
 
 
@@ -104,17 +103,20 @@ def prequential_run(learner, stream, n_instances: int, snapshot_every: int = 0) 
     instances: (index of the last instance in the window, mean error inside
     the window). snapshot_every = 0 disables the series.
 
-    A ``HoeffdingTreeClassifier`` on an all-nominal schema takes the stream
-    in chunks of ``CHUNK`` instances through a ``ChunkCounter``, which
-    gives the same predictions and the same tree.
+    A ``HoeffdingTreeClassifier`` on an all-nominal or all-numeric schema
+    takes the stream in chunks of ``CHUNK`` instances through the counter
+    ``chunks.counter_for`` gives it, which gives the same predictions and
+    the same tree; a learner with its own ``predict_label`` or ``train``
+    set on the object (a tracer, a recorder) sees every instance instead.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
     if snapshot_every < 0:
         raise ValueError("snapshot_every must be >= 0")
     t0 = time.perf_counter()
-    if type(learner) is HoeffdingTreeClassifier and not learner.schema.numeric_attrs:
-        errors, series = _chunked_run(ChunkCounter(learner), stream, n_instances, snapshot_every)
+    counter = counter_for(learner)
+    if counter is not None:
+        errors, series = _chunked_run(counter, stream, n_instances, snapshot_every)
     else:
         errors, series = _instance_run(learner, stream, n_instances, snapshot_every)
     wall = time.perf_counter() - t0
@@ -144,7 +146,7 @@ def _instance_run(learner, stream, n_instances: int, snapshot_every: int):
 
 
 def _chunked_run(counter, stream, n_instances: int, snapshot_every: int):
-    """``_instance_run`` through a ``ChunkCounter``: the same stream reads,
+    """``_instance_run`` through a chunk counter: the same stream reads,
     errors and series, and every deferred count written back on the way out."""
     instances = iter(stream.next_instance, None)  # ends where the stream does
     errors = 0

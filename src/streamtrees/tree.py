@@ -17,10 +17,11 @@ Each behavior the base algorithm leaves open is a flag on :class:`StrategyConfig
   and 19 under Poisson weighting; ``LearningLeaf.buffered`` reads the
   entries back. New and replayed instances enter through
   ``LearningLeaf.learn``, which buffers only positive weights: replay then
-  teaches each child exactly what its parent learned. (On a nominal tree,
-  ``chunks.ChunkCounter`` adds runs of unit-weight instances in bulk, to the
-  same counts and buffer entries.) Buffers are
-  unbounded and grow with the stream; desk-scale runs only.
+  teaches each child exactly what its parent learned. (On an all-nominal or
+  all-numeric tree, the chunk step of ``chunks.py`` learns runs of
+  unit-weight instances in bulk, to the same statistics and buffer
+  entries.) Buffers are unbounded and grow with the stream; desk-scale runs
+  only.
 - ``used_attribute_policy``: what a leaf does with a nominal attribute already
   used on its path. ``exclude`` (the default) leaves it out of the split
   evaluation; under ``resplit`` it may win again, and its split leaves one
@@ -121,7 +122,7 @@ def hoeffding_bound(value_range: float, delta: float, n: float) -> float:
 
 class NodeStatistics:
     """A leaf's attribute observers, which only ``observe`` updates (and, in
-    bulk, ``chunks.ChunkCounter``'s write-back): nominal
+    bulk, the chunk step's write-back, with ``observe``'s float order): nominal
     counts and per-class Gaussians, on the schema's own ``nominal_attrs`` and
     ``numeric_attrs``. Numeric attribute ``i`` is column ``j =
     schema.numeric_column[i]``: class ``c`` has Welford's ``means[c][j]`` and
@@ -492,19 +493,28 @@ def learn_at_leaf(position: Position, values, label: int, weight: float, config:
 
 def check_shape(schema: Schema, instance: Instance) -> None:
     """Raise ValueError when the value count or the label does not fit the schema,
-    the label is not an integer, or the weight is negative, NaN or above
-    ``MAX_WEIGHT``."""
+    the label is not an integer, the weight is negative, NaN or above
+    ``MAX_WEIGHT``, or a numeric value is NaN or infinite."""
     try:
         label = operator.index(instance.class_label)
     except TypeError:
         label = -1  # a float label like 1.0 would index nothing: out of range
-    if len(instance.values) != schema.n_attributes or not 0 <= label < schema.class_count:
+    values = instance.values
+    if len(values) != schema.n_attributes or not 0 <= label < schema.class_count:
         raise ValueError(
-            f"instance does not match schema: {len(instance.values)} values, "
+            f"instance does not match schema: {len(values)} values, "
             f"label {instance.class_label!r}"
         )
     if not 0.0 <= instance.weight <= MAX_WEIGHT:  # also rejects NaN
         raise ValueError(f"instance weight must be in [0, 2**53], got {instance.weight!r}")
+    numeric = schema.numeric_attrs
+    # finite values sum to a finite float unless the sum overflows, so only a
+    # sum that is not finite needs a look at each value
+    if numeric and not math.isfinite(
+            sum(values if len(numeric) == len(values) else map(values.__getitem__, numeric))):
+        for i in numeric:
+            if not math.isfinite(values[i]):
+                raise ValueError(f"numeric attribute {i} must be finite, got {values[i]!r}")
 
 
 def argmax_label(dist) -> int:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from streamtrees.chunks import NumericCounter, counter_for
+from streamtrees.evaluate import prequential_run
 from streamtrees.hat import HatConfig, HoeffdingAdaptiveTreeClassifier
 from streamtrees.specparse import build_stream
 from streamtrees.tree import (
@@ -21,6 +23,7 @@ from streamtrees.tree import (
     StrategyConfig,
 )
 
+from test_properties import per_instance_run, tree_state
 from test_streams import take
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -93,3 +96,20 @@ def test_traced_cell_counts_every_leaf_update(bench):
     assert tracer.calls("tree.observe") == 5000
     assert tracer.calls("tree.evaluate_split") > 0
     assert [getattr(owner, attribute) for owner, attribute, _ in spans.layer_targets()] == originals
+
+
+def test_pinned_vfdt_hyperplane_cell_matches_its_per_instance_twin(bench):
+    """The benchmark's digest check records predicted labels, which runs its
+    cell one instance at a time; this twin checks the chunked path of the
+    same cell, window by window, down to every leaf float."""
+    _, _, workloads = bench
+    workload = workloads.WORKLOADS["vfdt-hyperplane"]
+    (stream, chunked), (twin_stream, twin) = (workload.build(workloads.PINNED_VARIANT) for _ in range(2))
+    assert type(counter_for(chunked)) is NumericCounter
+    windows = workload.check_instances // workloads.WINDOW
+    assert windows == 80
+    for _ in range(windows):
+        error = prequential_run(chunked, stream, workloads.WINDOW).final_error
+        assert error == per_instance_run(twin, twin_stream, workloads.WINDOW, 0)[0]
+    assert tree_state(chunked) == tree_state(twin)
+    assert len(chunked.leaves()) > 10

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamtrees.chunks import ChunkCounter
+from streamtrees.chunks import NominalCounter, NumericCounter
 from streamtrees.evaluate import CHUNK, prequential_run
 from streamtrees.hat import HatConfig, HoeffdingAdaptiveTreeClassifier, VOTE_MULTI
 from streamtrees.schema import Instance, NominalAttribute, NumericAttribute, Schema
@@ -517,6 +517,7 @@ def test_walk_visits_the_positions_branch_picks(learner, stream_name, data):
 # --------------------------------------------------------------------------
 
 NOMINAL_GOLDEN_ROWS = [row for row in GOLDEN_ROWS if "Hyperplane" not in row]
+NUMERIC_GOLDEN_ROWS = [row for row in GOLDEN_ROWS if "Hyperplane" in row]
 VFDT_CONFIGS = st.builds(
     StrategyConfig,
     eidetic=st.booleans(),
@@ -526,7 +527,7 @@ VFDT_CONFIGS = st.builds(
     tau=st.sampled_from([0.05, 0.15]),
 )
 CALL_SIZES = st.lists(
-    st.one_of(st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1]), st.integers(1, 3000)),
+    st.one_of(st.sampled_from([1, 500, CHUNK - 1, CHUNK, CHUNK + 1]), st.integers(1, 3000)),
     min_size=1, max_size=4)
 
 
@@ -549,9 +550,21 @@ def per_instance_run(learner, stream, n_instances, snapshot_every):
     return errors / n_instances, series
 
 
+# every field a leaf learns into; the buffer columns are read through buffered()
+_LEAF_FIELDS = ("class_dist", "total_weight", "node_time", "counter_at_last_eval", "eval_count",
+                "gain_sums", "nominal", "counts", "means", "m2s", "lo", "hi")
+
+
 def tree_state(tree):
-    buffers = [None if leaf.buffer is None else list(leaf.buffered()) for leaf in tree.leaves()]
-    return tree.dump(), buffers
+    """The dump and, leaf by leaf, the repr of every learned field and of
+    the buffer: a last-bit difference in any float, or an int where a float
+    should be, shows."""
+    leaves = [
+        (repr([getattr(leaf, name) for name in _LEAF_FIELDS]), sorted(leaf.used_attributes),
+         None if leaf.buffer is None else repr(list(leaf.buffered())))
+        for leaf in tree.leaves()
+    ]
+    return tree.dump(), leaves
 
 
 class _Twins:
@@ -578,12 +591,13 @@ class _Twins:
         assert tree_state(self.trees[0]) == tree_state(self.trees[1])
 
 
-@settings(max_examples=30, deadline=None)
-@given(config=VFDT_CONFIGS, row=st.sampled_from(NOMINAL_GOLDEN_ROWS),
+@settings(max_examples=40, deadline=None)
+@given(config=VFDT_CONFIGS, row=st.sampled_from(GOLDEN_ROWS),
        seed=st.integers(0, 3), sizes=CALL_SIZES)
 def test_chunk_step_matches_per_instance_twin(config, row, seed, sizes):
-    """Whatever the flags, row, seed and call split, the chunked run and the
-    per-instance twin give the same errors, series, trees and buffers."""
+    """Whatever the flags, row (nominal or numeric), seed and call split,
+    the chunked run and the per-instance twin give the same errors, series,
+    trees and buffers."""
     twins = _Twins(row, config, seed)
     twins.run(3000)
     for n in sizes:
@@ -672,7 +686,105 @@ def test_chunk_step_leaves_no_route_behind():
     twins.run(CHUNK + 5)
     tree = twins.trees[0]
     assert tree._routed is None
-    assert not any(isinstance(value, ChunkCounter) for value in vars(tree).values())
+    assert not any(isinstance(value, (NominalCounter, NumericCounter)) for value in vars(tree).values())
     # training on without a prediction first routes afresh, as the twin does
     twins.train(None)
     twins.assert_equal()
+
+
+@pytest.mark.parametrize("config", [
+    StrategyConfig(counter_mode="node_time"),
+    StrategyConfig(eidetic=True),
+    StrategyConfig(eidetic=True, counter_mode="node_time", used_attribute_policy="resplit"),
+], ids=["node_time", "eidetic", "eidetic-node_time-resplit"])
+@pytest.mark.parametrize("row", NUMERIC_GOLDEN_ROWS + ["SEAGenerator -i 2 -f 2"])
+def test_numeric_chunk_step_in_500_instance_calls(row, config):
+    twins = _Twins(row, config)
+    for _ in range(40):
+        twins.run(500)
+    twins.assert_equal()
+    assert len(twins.trees[0].leaves()) > 1
+
+
+def test_numeric_chunk_step_keeps_the_first_of_equal_zero_bounds():
+    """0.0 and -0.0 are equal, so observe's strict ``v < lo`` and ``v > hi``
+    keep whichever reached a bound first, and so does the chunk step."""
+    rng = _rng(5)
+    instances = []
+    for _ in range(1500):
+        # attribute 0 has zeros at its low end, attribute 1 at its high end
+        a, b = (float(rng.choice([0.0, -0.0])) if rng.random() < 0.2 else sign * float(rng.random())
+                for sign in (1.0, -1.0))
+        instances.append(Instance((a, b), int(a > 0.5)))
+    schema = Schema.unit_numeric(2)
+    twins = _Twins(None, StrategyConfig(), streams=[_ListStream(schema, instances) for _ in range(2)])
+    for _ in range(3):
+        twins.run(500)
+    twins.assert_equal()
+    zeros = [bound for leaf in twins.trees[0].leaves() for bound in (leaf.lo[0], leaf.hi[1]) if bound == 0.0]
+    assert {math.copysign(1.0, bound) for bound in zeros} == {1.0, -1.0}
+
+
+def test_numeric_chunk_step_adds_in_learn_order_above_2_53():
+    """Past 2**53 a float sum stops growing by 1.0 at a time, though adding
+    k at once would move it: the chunk step's running sums add in learn
+    order, one 1.0 at a time, as the per-instance loop does."""
+    row = NUMERIC_GOLDEN_ROWS[0]
+    twins = _Twins(row, StrategyConfig(eidetic=True))
+    heavy = build_stream(row, 9).next_instance()
+    twins.train([Instance(heavy.values, heavy.class_label, 2.0**53)])
+    for _ in range(3):
+        twins.run(500)
+    twins.assert_equal()
+    assert max(twins.trees[0].root.mainline.class_dist) == 2.0**53
+
+
+def _with_value(inst, value):
+    return Instance((value,) + inst.values[1:], inst.class_label, inst.weight)
+
+
+@pytest.mark.parametrize("bad, raises", [
+    (lambda inst: _with_value(inst, math.nan), True),
+    (lambda inst: _with_value(inst, 1), False),
+    (lambda inst: Instance(inst.values, inst.class_label, 2.0), False),
+], ids=["nan", "int-value", "weight-2"])
+def test_numeric_chunk_with_a_bad_instance_runs_one_instance_at_a_time(bad, raises, monkeypatch):
+    """A call whose chunk holds one NaN, one ``int`` value or one weight of
+    2.0 predicts every instance through ``predict_label`` (a NaN then makes
+    ``train`` raise), and leaves the tree its twin has."""
+    row = NUMERIC_GOLDEN_ROWS[0]
+    n = 500
+    streams = _twin_lists(row, 4 * n, lambda k, inst: bad(inst) if k == n + 17 else inst)
+    twins = _Twins(row, StrategyConfig(eidetic=True), streams=streams)
+    chunked = twins.trees[0]
+    predicted = []
+    predict = HoeffdingTreeClassifier.predict_label
+    monkeypatch.setattr(HoeffdingTreeClassifier, "predict_label",
+                        lambda tree, inst: predicted.append(tree is chunked) or predict(tree, inst))
+    twins.run(n)
+    assert 0 < sum(predicted) < n  # the first call is counted in a chunk
+    predicted.clear()
+    if raises:
+        # the chunked run has read the rest of the chunk: compare the trees here
+        for tree, stream, run in zip(twins.trees, streams, (prequential_run, per_instance_run)):
+            with pytest.raises(ValueError, match="finite"):
+                run(tree, stream, n, 100)
+        assert sum(predicted) == 18
+    else:
+        twins.run(n)
+        assert sum(predicted) == n
+        twins.run(n)
+    twins.assert_equal()
+
+
+@pytest.mark.parametrize("row", [NOMINAL_GOLDEN_ROWS[0], NUMERIC_GOLDEN_ROWS[0]])
+def test_a_predict_label_recorder_sees_every_instance(row):
+    """A learner with its own predict_label or train runs one instance at a
+    time, so a recorder or a tracer on a VFDT sees every instance."""
+    stream = build_stream(row)
+    tree = HoeffdingTreeClassifier(stream.schema)
+    seen = []
+    predict = tree.predict_label
+    tree.predict_label = lambda inst: seen.append(inst) or predict(inst)
+    prequential_run(tree, stream, 2 * CHUNK + 5)
+    assert len(seen) == 2 * CHUNK + 5

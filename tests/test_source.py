@@ -217,8 +217,8 @@ def test_each_learner_setting_is_read_in_one_function():
 
 def _threshold_comparisons(tree: ast.AST, prefix: str = ""):
     """The qualified name of each function holding an ordering comparison
-    (``<``, ``<=``, ``>``, ``>=``) with a ``.threshold`` attribute: the
-    branch rule of a numeric split."""
+    (``<``, ``<=``, ``>``, ``>=``) with a ``.threshold`` attribute, or with
+    an item of a ``.thresholds`` array: the branch rule of a numeric split."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.ClassDef):
             yield from _threshold_comparisons(node, f"{prefix}{node.name}.")
@@ -226,20 +226,22 @@ def _threshold_comparisons(tree: ast.AST, prefix: str = ""):
             for compare in ast.walk(node):
                 if isinstance(compare, ast.Compare) and any(
                         isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in compare.ops) and any(
-                        isinstance(side, ast.Attribute) and side.attr == "threshold"
-                        for side in [compare.left, *compare.comparators]):
+                        isinstance(side, ast.Attribute) and side.attr in ("threshold", "thresholds")
+                        for side in (side.value if isinstance(side, ast.Subscript) else side
+                                     for side in [compare.left, *compare.comparators])):
                     yield f"{prefix}{node.name}"
 
 
 def test_one_branch_rule_and_one_walk():
     """A split's branch rule is written out in ``SplitNode.branch`` and,
     inlined for the hot path, in ``walk``, the one routing loop both trees
-    share; no other code routes by comparing with a threshold. The SEA
-    generator's labelling rule has a ``threshold`` of its own, so
+    share, and in the numeric chunk step's vectorised walk over the
+    flattened tree; no other code routes by comparing with a threshold. The
+    SEA generator's labelling rule has a ``threshold`` of its own, so
     ``streams.py`` is left out."""
     found = [
         f"{path.name}:{name}"
         for path in sorted(SRC.glob("*.py")) if path.name != "streams.py"
         for name in _threshold_comparisons(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert sorted(found) == ["tree.py:SplitNode.branch", "tree.py:walk"]
+    assert sorted(found) == ["chunks.py:NumericCounter._route", "tree.py:SplitNode.branch", "tree.py:walk"]
