@@ -25,6 +25,11 @@ Two counters share that hand-off and differ in how they route and count:
   adds, and each (leaf, class) Welford chain takes its k-th instance in one
   numpy step, with ``NodeStatistics.observe``'s expressions.
 
+A ``HoeffdingAdaptiveTreeClassifier`` on a schema without numeric
+attributes is counted by ``hatchunks.HatCounter``, on ``NominalCounter``'s
+codes, slots, pending tables and write-back, in runs between the events
+that change the tree.
+
 ``counter_for`` picks one, or none: a mixed schema, another learner, or a
 learner with its own ``predict_label`` or ``train`` (a tracer or a recorder
 that must see every instance) runs one instance at a time.
@@ -41,6 +46,7 @@ from operator import countOf, itemgetter
 import numpy as np
 
 from . import tree
+from .hat import HoeffdingAdaptiveTreeClassifier
 from .schema import Instance
 from .tree import HoeffdingTreeClassifier, SplitNode, _leaf_counter, walk
 
@@ -73,17 +79,36 @@ _Running = namedtuple("_Running", "total_weight node_time")
 def counter_for(learner):
     """The counter that can learn chunks on ``learner``, or None when its
     instances must go through ``predict_label`` and ``train`` one at a time."""
-    if type(learner) is not HoeffdingTreeClassifier:
+    kind = type(learner)
+    if kind is not HoeffdingTreeClassifier and kind is not HoeffdingAdaptiveTreeClassifier:
         return None
     own = vars(learner)
     if "predict_label" in own or "train" in own:
         return None
     schema = learner.schema
+    if kind is HoeffdingAdaptiveTreeClassifier:
+        return None if schema.numeric_attrs else HatCounter.of(learner)
     if not schema.numeric_attrs:
         return NominalCounter(learner)
     if not schema.nominal_attrs:
         return NumericCounter(learner)
     return None
+
+
+def _counted(leaf) -> bool:
+    """Whether a nominal leaf's instances can be counted: its counts are
+    whole numbers below 2**52 (every count is at most total_weight), which
+    adding 1.0s keeps exact."""
+    counts = chain(leaf.class_dist, chain.from_iterable(chain.from_iterable(leaf.nominal)),
+                   (leaf.total_weight, leaf.counter_at_last_eval))
+    return leaf.total_weight < _WHOLE_BELOW and all(map(float.is_integer, map(float, counts)))
+
+
+def _left(since) -> int:
+    """The instances a counted leaf learns before its grace check, when its
+    counter is ``since`` past its last evaluation (``learn_at_leaf``'s test,
+    counter - counter_at_last_eval < GRACE_PERIOD, on whole numbers)."""
+    return min(max(0, math.ceil(tree.GRACE_PERIOD - since) - 1), _MAX_LEFT)
 
 
 def _runs(keys):
@@ -205,17 +230,23 @@ class _Counter:
         self.free.append(slot)
         self._unroute(slot, split)
 
+    def _one_at_a_time(self, chunk: list) -> list:
+        """``step`` on a chunk that does not qualify: every deferred update
+        written back, then each instance through the tree."""
+        self.flush()
+        learner = self.learner
+        wrong = []
+        for inst in chunk:
+            wrong.append(learner.predict_label(inst) != inst.class_label)
+            learner.train(inst)
+        return wrong
+
     def step(self, chunk: list) -> list:
         """Predict, then learn, each instance of ``chunk`` in order; returns
         whether each prediction was wrong."""
         learner = self.learner
         if not chunk or not self._prepare(chunk):
-            self.flush()
-            wrong = []
-            for inst in chunk:
-                wrong.append(learner.predict_label(inst) != inst.class_label)
-                learner.train(inst)
-            return wrong
+            return self._one_at_a_time(chunk)
         self.chunk = chunk
         self.buffer_slot = np.full(len(chunk), -1, np.int64)
         wrong = np.zeros(len(chunk), bool)
@@ -404,16 +435,9 @@ class NominalCounter(_Counter):
         for slot in slots:
             leaf = self.positions[slot].mainline
             self.dist[slot] = leaf.class_dist
-            # every count is at most total_weight
-            counts = chain(leaf.class_dist, chain.from_iterable(chain.from_iterable(leaf.nominal)),
-                           (leaf.total_weight, leaf.counter_at_last_eval))
-            if leaf.total_weight < _WHOLE_BELOW and all(map(float.is_integer, map(float, counts))):
-                # each instance adds 1 to the counter; the one that brings it
-                # GRACE_PERIOD past the last evaluation reaches the grace check
-                since = _leaf_counter(leaf, config) - leaf.counter_at_last_eval
-                self.left[slot] = min(max(0, math.ceil(tree.GRACE_PERIOD - since) - 1), _MAX_LEFT)
-            else:
-                self.left[slot] = 0
+            # each instance adds 1 to the counter; the one that brings it
+            # GRACE_PERIOD past the last evaluation reaches the grace check
+            self.left[slot] = _left(_leaf_counter(leaf, config) - leaf.counter_at_last_eval) if _counted(leaf) else 0
 
     def _write_back(self, slots) -> None:
         """Apply slots' deferred counts to their leaves."""
@@ -739,3 +763,7 @@ class NumericCounter(_Counter):
         self.means[slot, label] = means
         self.m2s[slot, label] = m2s
         self.counts[slot, label] = counts[lengths[by_length], np.arange(chains)]
+
+
+# the counter for the adaptive tree builds on NominalCounter
+from .hatchunks import HatCounter  # noqa: E402

@@ -4,7 +4,9 @@ The detector interface the adaptive tree uses is three methods:
 ``add_element``, ``estimate`` and the ``width`` property. ``AdwinDetector``
 is the one implementation. Its window is an exponential histogram that
 keeps at most 5 buckets per capacity. A detector is never reset: the
-adaptive tree builds a new one.
+adaptive tree builds a new one. The adaptive tree's chunk step adds runs of
+error bits at once through ``_add_bits``, which leaves a detector as
+``add_element`` would.
 """
 
 from __future__ import annotations
@@ -89,19 +91,72 @@ class AdwinDetector:
             rows[level + 1] += map(operator.add, pairs, pairs)
             del row[:n2]
 
+    def _add_bits(self, bits: list) -> int:
+        """Add ``bits``, each 0.0 or 1.0, in order, as ``add_element`` would,
+        up to the first one whose check would cut, and return how many were
+        added: ``len(bits)`` when no check cuts. The detector is then as
+        that many ``add_element`` calls leave it, and the bit that would cut
+        is left for ``add_element``.
+
+        Every bucket sum is then a whole number below 2**53, so a run of
+        bits between two checks adds to ``total_sum`` at once, exactly."""
+        interval = self.CHECK_INTERVAL
+        added, n = 0, len(bits)
+        while True:
+            # the bits before the next check, then the bit that reaches it
+            free = min(interval - 1 - self._ticks % interval, n - added)
+            if free:
+                run = bits[added:added + free]
+                self._rows[0] += run
+                self.total_count += free
+                self.total_sum += sum(run)
+                self._ticks += free
+                added += free
+            if added == n or self._check(bits[added], True):
+                return added
+            added += 1
+
+    def _cuts_with(self, x: float) -> bool:
+        """Whether ``add_element(x)`` would cut now; leaves the detector as it is."""
+        return (self._ticks + 1) % self.CHECK_INTERVAL == 0 and self._check(x, False)
+
+    def _check(self, x: float, keep: bool) -> bool:
+        """Add ``x``, which reaches a check, and fold; whether the check
+        would cut. Undone when it would, or when ``keep`` is false."""
+        # an all-zero window cannot cut, and needs no copy to undo
+        zero = self.total_sum + x == 0.0
+        if zero and not keep:
+            return False
+        kept = None if zero else [row[:] for row in self._rows]
+        self._rows[0].append(x)
+        self.total_count += 1
+        self.total_sum += x
+        self._ticks += 1
+        self._fold()
+        cuts = not zero and self._first_cut() != 0
+        if cuts or not keep:
+            self._rows = kept
+            self.total_count -= 1
+            self.total_sum -= x
+            self._ticks -= 1
+        return cuts
+
     def _cut(self) -> bool:
-        if self.total_sum == 0.0 and not any(map(any, self._rows)):
-            return False  # every sub-window mean is exactly 0, so no boundary can cut
-        n_buckets = sum(map(len, self._rows))
         cut_any = False
-        while self.total_count >= 2 and n_buckets >= 2:
-            k = self._find_cut(n_buckets)
-            if not k:
-                return cut_any
+        while k := self._first_cut():
             self._drop_oldest(k)
-            n_buckets -= k
             cut_any = True
         return cut_any
+
+    def _first_cut(self) -> int:
+        """How many of the oldest buckets the next cut drops, or 0 for none."""
+        rows = self._rows
+        if self.total_sum == 0.0 and not any(map(any, rows)):
+            return 0  # every sub-window mean is exactly 0, so no boundary can cut
+        n_buckets = sum(map(len, rows))
+        if self.total_count < 2 or n_buckets < 2:
+            return 0
+        return self._find_cut(n_buckets)
 
     def _find_cut(self, n_buckets: int) -> int:
         """How many of the oldest buckets form the oldest prefix whose mean

@@ -92,7 +92,7 @@ class PrequentialResult:
     wall_time: float
 
 
-# instances a chunked VFDT run pulls from the stream at a time
+# instances a chunked run pulls from the stream at a time
 CHUNK = 2048
 
 
@@ -103,11 +103,14 @@ def prequential_run(learner, stream, n_instances: int, snapshot_every: int = 0) 
     instances: (index of the last instance in the window, mean error inside
     the window). snapshot_every = 0 disables the series.
 
-    A ``HoeffdingTreeClassifier`` on an all-nominal or all-numeric schema
-    takes the stream in chunks of ``CHUNK`` instances through the counter
-    ``chunks.counter_for`` gives it, which gives the same predictions and
-    the same tree; a learner with its own ``predict_label`` or ``train``
-    set on the object (a tracer, a recorder) sees every instance instead.
+    A ``HoeffdingTreeClassifier`` on an all-nominal or all-numeric schema,
+    and a ``HoeffdingAdaptiveTreeClassifier`` on an all-nominal one that
+    neither draws Poisson weights nor keeps replay buffers, take the stream
+    in chunks of ``CHUNK`` instances through the counter
+    ``chunks.counter_for`` gives them, which gives the same predictions and
+    the same tree; a subclass, or a learner with its own ``predict_label``
+    or ``train`` set on the object (a tracer, a recorder), sees every
+    instance instead.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")

@@ -47,7 +47,7 @@ from .tree import (
     StrategyConfig,
     argmax_label,
     check_shape,
-    describe,
+    dump,
     hoeffding_bound,
     learn_at_leaf,
     walk,
@@ -179,6 +179,7 @@ class HoeffdingAdaptiveTreeClassifier:
             promote_on_split = alt.mainline.__class__ is not SplitNode and (
                 cfg.replace_root_on_alternate_split if nd is self._root
                 else cfg.replace_subtree_on_alternate_split)
+            at_check = self._instances_to_check(alt) == 1
             self._train_subtree(alt, instance, depth + 1)
             alt.instances += 1
             # after a promotion everything deeper on the old path is discarded,
@@ -186,16 +187,26 @@ class HoeffdingAdaptiveTreeClassifier:
             if promote_on_split and alt.mainline.__class__ is SplitNode:
                 self._promote(nd)
                 return
-            if alt.instances % cfg.replacement_check_interval == 0 and self._maybe_replace(nd):
+            if at_check and self._maybe_replace(nd):
                 return
         values, label, weight = instance
-        if cfg.poisson_weighting:
+        if self._draws_weights():
             draw = self._poisson_weight()
             # 1.0 * draw is draw bit for bit; keeping it keeps the shared float
             weight = draw if weight == 1.0 else weight * draw
         learn_at_leaf(leaf_node, values, label, weight, cfg, self._new_position)
 
+    def _draws_weights(self) -> bool:
+        """Whether each leaf update's weight is drawn from Poisson(1)."""
+        return self.config.poisson_weighting
+
     # -- replacement -----------------------------------------------------------
+
+    def _instances_to_check(self, alt: _HatNode) -> int:
+        """The instances ``alt`` trains on up to and including the one that
+        makes its next replacement check."""
+        interval = self.config.replacement_check_interval
+        return interval - alt.instances % interval
 
     def _maybe_replace(self, nd: _HatNode) -> bool:
         """Promote nd's alternate when its error is lower beyond both bounds.
@@ -275,19 +286,10 @@ class HoeffdingAdaptiveTreeClassifier:
     # -- introspection -----------------------------------------------------------
 
     def dump(self) -> str:
-        lines: list[str] = []
-        self._dump_node(self._root, 0, lines, [0], "")
-        return "\n".join(lines) + "\n"
+        return dump(self._root, self._detector_fields)
 
-    def _dump_node(self, hnode: _HatNode, depth: int, lines, counter, marker):
+    @staticmethod
+    def _detector_fields(hnode: _HatNode) -> str:
         width = hnode.detector.width
         est = f"{hnode.detector.estimate():.4f}" if width > 0 else "-"
-        m = hnode.mainline
-        det = f"det_width={width} det_est={est}"
-        lines.append(f"{'  ' * depth}[{counter[0]}]{marker} {describe(m)} {det}")
-        counter[0] += 1
-        if m.__class__ is SplitNode:
-            for child in m.children:
-                self._dump_node(child, depth + 1, lines, counter, "")
-        if hnode.alternate is not None:
-            self._dump_node(hnode.alternate, depth + 1, lines, counter, " ALT-root")
+        return f" det_width={width} det_est={est}"

@@ -494,7 +494,8 @@ def learn_at_leaf(position: Position, values, label: int, weight: float, config:
 def check_shape(schema: Schema, instance: Instance) -> None:
     """Raise ValueError when the value count or the label does not fit the schema,
     the label is not an integer, the weight is negative, NaN or above
-    ``MAX_WEIGHT``, or a numeric value is NaN or infinite."""
+    ``MAX_WEIGHT``, a nominal value is not an integer in ``[0, n_values)``,
+    or a numeric value is NaN or infinite."""
     try:
         label = operator.index(instance.class_label)
     except TypeError:
@@ -507,6 +508,16 @@ def check_shape(schema: Schema, instance: Instance) -> None:
         )
     if not 0.0 <= instance.weight <= MAX_WEIGHT:  # also rejects NaN
         raise ValueError(f"instance weight must be in [0, 2**53], got {instance.weight!r}")
+    attributes = schema.attributes
+    for i in schema.nominal_attrs:
+        v = values[i]
+        if v.__class__ is not int:
+            try:
+                v = operator.index(v)
+            except TypeError:
+                raise ValueError(f"nominal attribute {i} must be an integer, got {values[i]!r}") from None
+        if not 0 <= v < attributes[i].n_values:
+            raise ValueError(f"nominal attribute {i} must be in [0, {attributes[i].n_values}), got {v!r}")
     numeric = schema.numeric_attrs
     # finite values sum to a finite float unless the sum overflows, so only a
     # sum that is not finite needs a look at each value
@@ -551,20 +562,11 @@ class HoeffdingTreeClassifier:
         return argmax_label(position.mainline.class_dist)
 
     def dump(self) -> str:
-        lines: list[str] = []
-        _dump_node(self.root.mainline, 0, lines, [0])
-        return "\n".join(lines) + "\n"
+        return dump(self.root)
 
     def leaves(self):
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop().mainline
-            if node.__class__ is SplitNode:
-                stack.extend(node.children)
-            else:
-                out.append(node)
-        return out
+        return [position.mainline for position, _, _ in positions(self.root)
+                if position.mainline.__class__ is not SplitNode]
 
 
 def describe(node) -> str:
@@ -578,9 +580,28 @@ def describe(node) -> str:
             f"weight_seen={node.total_weight:g} used={used}")
 
 
-def _dump_node(node, depth: int, lines: list, counter: list) -> None:
-    lines.append(f"{'  ' * depth}[{counter[0]}] {describe(node)}")
-    counter[0] += 1
-    if node.__class__ is SplitNode:
-        for child in node.children:
-            _dump_node(child.mainline, depth + 1, lines, counter)
+def positions(root: Position):
+    """Each position under ``root``, depth first, as ``(position, depth,
+    alternate_root)``: a position, then its split's children in order, then
+    the alternate an adaptive-tree position holds, which roots a subtree."""
+    stack = [(root, 0, False)]
+    while stack:
+        item = stack.pop()
+        yield item
+        position, depth, _ = item
+        alternate = getattr(position, "alternate", None)
+        if alternate is not None:
+            stack.append((alternate, depth + 1, True))
+        node = position.mainline
+        if node.__class__ is SplitNode:
+            stack += [(child, depth + 1, False) for child in reversed(node.children)]
+
+
+def dump(root: Position, suffix=None) -> str:
+    """Both trees' dump: a line per position, numbered depth first, with
+    ``suffix(position)`` after each when given."""
+    lines = []
+    for k, (position, depth, alternate_root) in enumerate(positions(root)):
+        line = describe(position.mainline) + ("" if suffix is None else suffix(position))
+        lines.append(f"{'  ' * depth}[{k}]{' ALT-root' if alternate_root else ''} {line}")
+    return "\n".join(lines) + "\n"

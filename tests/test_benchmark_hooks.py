@@ -14,6 +14,7 @@ import pytest
 from streamtrees.chunks import NumericCounter, counter_for
 from streamtrees.evaluate import prequential_run
 from streamtrees.hat import HatConfig, HoeffdingAdaptiveTreeClassifier
+from streamtrees.hatchunks import HatCounter
 from streamtrees.specparse import build_stream
 from streamtrees.tree import (
     HoeffdingTreeClassifier,
@@ -23,7 +24,7 @@ from streamtrees.tree import (
     StrategyConfig,
 )
 
-from test_properties import per_instance_run, tree_state
+from test_properties import hat_state, per_instance_run, tree_state
 from test_streams import take
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -113,3 +114,17 @@ def test_pinned_vfdt_hyperplane_cell_matches_its_per_instance_twin(bench):
         assert error == per_instance_run(twin, twin_stream, workloads.WINDOW, 0)[0]
     assert tree_state(chunked) == tree_state(twin)
     assert len(chunked.leaves()) > 10
+
+
+def test_pinned_hat_stagger_vote_cell_matches_its_per_instance_twin(bench):
+    """The same twin for the adaptive tree's cell: its chunked windows
+    against the per-instance loop, down to every detector field."""
+    _, _, workloads = bench
+    workload = workloads.WORKLOADS["hat-stagger-vote"]
+    (stream, chunked), (twin_stream, twin) = (workload.build(workloads.PINNED_VARIANT) for _ in range(2))
+    assert type(counter_for(chunked)) is HatCounter
+    for _ in range(80):
+        error = prequential_run(chunked, stream, workloads.WINDOW).final_error
+        assert error == per_instance_run(twin, twin_stream, workloads.WINDOW, 0)[0]
+    assert hat_state(chunked) == hat_state(twin)
+    assert chunked._n_sprouts > 0

@@ -282,6 +282,43 @@ def test_matches_reference_on_sparse_error_streams(seed, check_interval, monkeyp
     assert zero_before_cut and zero_after_cut
 
 
+def detector_state(det):
+    """Every field of a detector, floats by repr."""
+    return repr(det._rows), repr(det.total_sum), det.total_count, det._ticks
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), check_interval=st.sampled_from([1, 3, 32]),
+       sizes=st.lists(st.integers(1, 200), min_size=1, max_size=20))
+def test_add_bits_leaves_the_detector_as_add_element_does(seed, check_interval, sizes):
+    """``_add_bits`` adds a run of bits up to the first one whose check
+    would cut, leaving the detector as that many ``add_element`` calls
+    do; ``_cuts_with`` then foresees the cut without changing anything."""
+    bits = [float(x) for x in phased_stream(seed, phase_length=300)[:1500] if x in (0.0, 1.0)]
+    cuts = 0
+    with adwin_settings(0.002, check_interval):
+        bulk, single = AdwinDetector(), AdwinDetector()
+        start = 0
+        for size in sizes * (len(bits) // sum(sizes) + 1):
+            run = bits[start:start + size]
+            if not run:
+                break
+            added = bulk._add_bits(run)
+            assert not any(single.add_element(x) for x in run[:added])
+            assert detector_state(bulk) == detector_state(single)
+            if added < len(run):
+                before = detector_state(bulk)
+                assert bulk._cuts_with(run[added])
+                assert detector_state(bulk) == before
+                assert bulk.add_element(run[added]) and single.add_element(run[added])
+                added += 1
+                cuts += 1
+            start += added
+        assert detector_state(bulk) == detector_state(single)
+    # the phases shift the mean, so runs stop at cuts
+    assert cuts > 0
+
+
 @pytest.mark.parametrize("check_interval", [5, 64, 32, 7])
 def test_reading_between_checks_changes_nothing(check_interval, monkeypatch):
     monkeypatch.setattr(AdwinDetector, "CHECK_INTERVAL", check_interval)

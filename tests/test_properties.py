@@ -2,15 +2,16 @@
 
 import math
 import operator
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamtrees.chunks import NominalCounter, NumericCounter
+from streamtrees.chunks import NominalCounter, NumericCounter, counter_for
 from streamtrees.evaluate import CHUNK, prequential_run
-from streamtrees.hat import HatConfig, HoeffdingAdaptiveTreeClassifier, VOTE_MULTI
+from streamtrees.hat import _VOTE_MODES, VOTE_MULTI, HatConfig, HoeffdingAdaptiveTreeClassifier
+from streamtrees.hatchunks import HatCounter
 from streamtrees.schema import Instance, NominalAttribute, NumericAttribute, Schema
 from streamtrees.specparse import build_generator, build_stream, parse_stream_spec
 from streamtrees.streams import AbruptDriftGenerator
@@ -32,10 +33,11 @@ from streamtrees.tree import (
     evaluate_split,
     hoeffding_bound,
     perform_split,
+    positions,
     walk,
 )
 from test_detectors import assert_matches_reference
-from test_golden_outputs import GOLDEN_ROWS
+from test_golden_outputs import GOLDEN_ROWS, NESTED_ROW
 from test_streams import take
 from test_tree import observed_mass
 
@@ -567,14 +569,31 @@ def tree_state(tree):
     return tree.dump(), leaves
 
 
+def hat_state(hat):
+    """The dump, the sprout count and, position by position (alternates
+    included), the repr of every detector field, each alternate's instance
+    count and every learned leaf field."""
+    state = [hat.dump(), hat._n_sprouts]
+    for position, _, _ in positions(hat._root):
+        det = position.detector
+        state.append((repr(det._rows), repr(det.total_sum), det.total_count, det._ticks, position.instances))
+        if position.mainline.__class__ is not SplitNode:
+            leaf = position.mainline
+            state.append((repr([getattr(leaf, name) for name in _LEAF_FIELDS]), sorted(leaf.used_attributes)))
+    return state
+
+
 class _Twins:
     """A tree run by ``prequential_run`` (chunked) and its per-instance twin,
-    each on its own copy of one stream."""
+    each on its own copy of one stream; ``make(schema)`` builds a tree."""
 
-    def __init__(self, row, config, seed=0, streams=None):
+    def __init__(self, row, config, seed=0, streams=None, make=None):
         self.streams = [build_stream(row, seed), build_stream(row, seed)] if streams is None else streams
         schema = self.streams[0].schema
-        self.trees = [HoeffdingTreeClassifier(schema, config), HoeffdingTreeClassifier(schema, config)]
+        if make is None:
+            make = partial(HoeffdingTreeClassifier, config=config)
+        self.trees = [make(schema), make(schema)]
+        self.state = hat_state if isinstance(self.trees[0], HoeffdingAdaptiveTreeClassifier) else tree_state
 
     def run(self, n, snapshot_every=500):
         chunked = prequential_run(self.trees[0], self.streams[0], n, snapshot_every)
@@ -588,7 +607,7 @@ class _Twins:
                 tree.train(inst)
 
     def assert_equal(self):
-        assert tree_state(self.trees[0]) == tree_state(self.trees[1])
+        assert self.state(self.trees[0]) == self.state(self.trees[1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -682,14 +701,131 @@ def test_chunk_step_with_train_calls_between_runs():
 
 
 def test_chunk_step_leaves_no_route_behind():
-    twins = _Twins(NOMINAL_GOLDEN_ROWS[1], StrategyConfig())
-    twins.run(CHUNK + 5)
-    tree = twins.trees[0]
-    assert tree._routed is None
-    assert not any(isinstance(value, (NominalCounter, NumericCounter)) for value in vars(tree).values())
-    # training on without a prediction first routes afresh, as the twin does
-    twins.train(None)
+    vfdt = _Twins(NOMINAL_GOLDEN_ROWS[1], StrategyConfig())
+    hat = _hat_twins(NOMINAL_GOLDEN_ROWS[0], HatConfig(voting_mode=VOTE_MULTI, alternate_depth_cap=10))
+    for twins in (vfdt, hat):
+        twins.run(CHUNK + 5)
+        tree = twins.trees[0]
+        assert tree._routed is None
+        assert not any(isinstance(value, (NominalCounter, NumericCounter)) for value in vars(tree).values())
+        # training on without a prediction first routes afresh, as the twin
+        # does, and the next run starts from the tree as trained
+        twins.train(None)
+        twins.assert_equal()
+        twins.run(700)
+        twins.assert_equal()
+
+
+HAT_CONFIGS = st.builds(
+    HatConfig,
+    used_attribute_policy=st.sampled_from(["exclude", "resplit", "eviscerate"]),
+    infogain_mode=st.sampled_from(["instantaneous_over_examples", "averaged_over_evaluations"]),
+    counter_mode=st.sampled_from(["node_time", "weight_seen"]),
+    tau=st.sampled_from([0.05, 0.15]),
+    voting_mode=st.sampled_from(_VOTE_MODES),
+    alternate_depth_cap=st.sampled_from([1, 10]),
+    replace_root_on_alternate_split=st.booleans(),
+    replace_subtree_on_alternate_split=st.booleans(),
+)
+HAT_CALL_SIZES = st.lists(st.sampled_from([1, 500, CHUNK - 1, CHUNK + 1]), min_size=1, max_size=4)
+
+
+def _hat_twins(row, config, seed=0, streams=None):
+    return _Twins(row, config, seed, streams, make=partial(HoeffdingAdaptiveTreeClassifier, config=config, seed=seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=HAT_CONFIGS, row=st.sampled_from(NOMINAL_GOLDEN_ROWS + [NESTED_ROW]),
+       seed=st.integers(0, 3), sizes=HAT_CALL_SIZES)
+def test_hat_chunk_step_matches_per_instance_twin(config, row, seed, sizes):
+    """The adaptive tree's chunk step against the per-instance loop, across
+    drift: the same errors and series, and the same dump, leaf fields,
+    detector fields, alternate instance counts and sprouts, whatever the
+    flags, row, seed and call split."""
+    twins = _hat_twins(row, config, seed)
+    assert type(counter_for(twins.trees[0])) is HatCounter
+    twins.run(6000)
+    for n in sizes:
+        twins.run(n)
     twins.assert_equal()
+
+
+def test_hat_chunk_step_adds_votes_in_path_order():
+    """Shares of 1/3 and 2/3 sum to 1.5 or to 1.4999999999999998 depending
+    on the order of the two additions, so a tie between two classes goes
+    the way ``_vote``'s order sends it: the root's alternate first, then
+    the alternate of the root's child, on a mainline leaf of [1, 1]."""
+    schema = Schema.uniform_nominal(2, 2, 2)
+
+    def grown():
+        hat = HoeffdingAdaptiveTreeClassifier(schema, HatConfig(voting_mode=VOTE_MULTI))
+        leaf = partial(LearningLeaf, schema)
+        root = hat._root
+        root.mainline = SplitNode(0, None, [hat._new_position(leaf([1.0, 1.0])), hat._new_position(leaf([1.0, 1.0]))])
+        root.alternate = hat._new_position(leaf([1.0, 2.0]))
+        root.mainline.children[0].alternate = hat._new_position(leaf([2.0, 1.0]))
+        return hat
+
+    instances = [Instance((0, 0), 0)] + [Instance((1, 1), 1)] * 9
+    chunked, twin = grown(), grown()
+    result = prequential_run(chunked, _ListStream(schema, instances), len(instances), 1)
+    assert (result.final_error, result.error_series) == per_instance_run(twin, _ListStream(schema, instances),
+                                                                         len(instances), 1)
+    assert result.error_series[0] == (1, 0.0)
+    assert hat_state(chunked) == hat_state(twin)
+
+
+@pytest.mark.parametrize("config", [
+    HatConfig(voting_mode=VOTE_MULTI, alternate_depth_cap=10),
+    HatConfig(voting_mode="single_alternate", counter_mode="node_time", used_attribute_policy="eviscerate"),
+], ids=["vote-nested", "single-node_time-eviscerate"])
+def test_hat_chunk_step_with_train_calls_between_runs(config):
+    """A tree trained directly between runs is read afresh: the counter kept
+    from the last run no longer fits it."""
+    twins = _hat_twins(NOMINAL_GOLDEN_ROWS[0], config)
+    for n in (6000, 1, CHUNK + 1, 700, 500, 500):
+        twins.run(n)
+        twins.train(None)
+    twins.assert_equal()
+    assert twins.trees[0]._n_sprouts > 0
+
+
+@pytest.mark.parametrize("make", [
+    HoeffdingTreeClassifier,
+    partial(HoeffdingAdaptiveTreeClassifier, config=HatConfig(voting_mode=VOTE_MULTI)),
+], ids=["vfdt", "hat"])
+def test_chunk_step_after_fractional_nominal_cells(make):
+    """Whole class counts over fractional nominal cells: the two halves of
+    a unit weight on two values. Such a leaf takes its instances through
+    the tree."""
+    row = NOMINAL_GOLDEN_ROWS[1]
+    twins = _Twins(row, StrategyConfig(), make=make)
+    for values, label, _ in take(build_stream(row, 7), 300):
+        other = ((values[0] + 1) % 3,) + values[1:]
+        twins.train([Instance(values, label, 0.5), Instance(other, label, 0.5)])
+    tree = twins.trees[0]
+    leaves = [position.mainline for position, _, _ in positions(getattr(tree, "root", None) or tree._root)
+              if position.mainline.__class__ is not SplitNode]
+    assert all(float(m).is_integer() for leaf in leaves for m in leaf.class_dist)
+    assert any(not cell.is_integer() for leaf in leaves for table in leaf.nominal for row in table for cell in row)
+    twins.run(3 * CHUNK)
+    twins.assert_equal()
+
+
+def test_hat_counter_for_each_adaptive_tree():
+    """The counter takes a plain adaptive tree on a nominal schema;
+    drawn weights, replay buffers, a numeric schema, a subclass and a
+    recorder on the object take each instance through the tree."""
+    nominal, numeric = build_stream(NOMINAL_GOLDEN_ROWS[0]).schema, build_stream(NUMERIC_GOLDEN_ROWS[0]).schema
+    assert type(counter_for(HoeffdingAdaptiveTreeClassifier(nominal))) is HatCounter
+    for hat in (HoeffdingAdaptiveTreeClassifier(nominal, HatConfig(poisson_weighting=True)),
+                HoeffdingAdaptiveTreeClassifier(nominal, HatConfig(eidetic=True)),
+                HoeffdingAdaptiveTreeClassifier(numeric),
+                type("Sub", (HoeffdingAdaptiveTreeClassifier,), {})(nominal)):
+        assert counter_for(hat) is None
+    hat = HoeffdingAdaptiveTreeClassifier(nominal)
+    hat.predict_label = hat.predict_label
+    assert counter_for(hat) is None
 
 
 @pytest.mark.parametrize("config", [

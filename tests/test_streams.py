@@ -58,11 +58,15 @@ def test_schema_invariants():
 
 
 def test_check_instance():
-    # nominal value ranges are not checked yet: see the xfail tests in test_tree.py
     schema = Schema((NominalAttribute(3), NumericAttribute()), 2)
     check_shape(schema, Instance((2, 0.5), 1))
     check_shape(schema, Instance((2, 0.5), np.int64(1)))
+    check_shape(schema, Instance((np.int64(2), 0.5), 1))
     for bad in (
+        Instance((3, 0.5), 1),
+        Instance((-1, 0.5), 1),
+        Instance((1.0, 0.5), 1),
+        Instance((None, 0.5), 1),
         Instance((2, 0.5), 2),
         Instance((2, 0.5), -1),
         Instance((2, 0.5), 1.0),

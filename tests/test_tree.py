@@ -506,16 +506,11 @@ def test_train_rejects_float_label_without_changing_state(make_tree):
     tree.train(Instance(values, np.int64(label)))
 
 
-# Each bad value must raise before any state changes. The nominal checks are
-# not made yet: those cases change state or fail late, and fixing one turns
-# it into an XPASS, which fails the run until its marker is removed.
-_NOT_CHECKED_YET = pytest.mark.xfail(strict=True, reason="train does not validate nominal values yet")
-
-
+# Each bad value must raise before any state changes.
 @pytest.mark.parametrize("row, value", [
-    pytest.param("STAGGERGenerator -i 2 -f 2", -1, marks=_NOT_CHECKED_YET),
-    pytest.param("STAGGERGenerator -i 2 -f 2", 3, marks=_NOT_CHECKED_YET),  # equal to n_values
-    pytest.param("STAGGERGenerator -i 2 -f 2", 1.0, marks=_NOT_CHECKED_YET),
+    ("STAGGERGenerator -i 2 -f 2", -1),
+    ("STAGGERGenerator -i 2 -f 2", 3),  # equal to n_values
+    ("STAGGERGenerator -i 2 -f 2", 1.0),
     ("SEAGenerator -i 2 -f 2", math.nan),
     ("SEAGenerator -i 2 -f 2", math.inf),
     ("SEAGenerator -i 2 -f 2", -math.inf),
