@@ -111,6 +111,7 @@ class HatCounter(NominalCounter):
         self.signature = self.signature_of(self.learner)
 
     def _one_at_a_time(self, chunk: list) -> list:
+        # the tree learns under the slots: forget them, and the programs
         super().flush()
         return super()._one_at_a_time(chunk)
 
