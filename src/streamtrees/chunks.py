@@ -82,17 +82,39 @@ def counter_for(learner):
     kind = type(learner)
     if kind is not HoeffdingTreeClassifier and kind is not HoeffdingAdaptiveTreeClassifier:
         return None
-    own = vars(learner)
-    if "predict_label" in own or "train" in own:
+    if _holds(learner, "predict_label") or _holds(learner, "train"):
         return None
     schema = learner.schema
     if kind is HoeffdingAdaptiveTreeClassifier:
-        return None if schema.numeric_attrs else HatCounter.of(learner)
+        # drawn weights and replay buffers take each instance through the tree
+        if schema.numeric_attrs or learner._draws_weights() or _replays(learner._root):
+            return None
+        from .hatchunks import HatCounter
+
+        return HatCounter(learner)
     if not schema.numeric_attrs:
         return NominalCounter(learner)
     if not schema.nominal_attrs:
         return NumericCounter(learner)
     return None
+
+
+def _holds(learner, name: str) -> bool:
+    """Whether ``learner`` holds ``name`` itself (a tracer's or a recorder's
+    wrapper) rather than through its class: an attribute it holds reads
+    back as the same object, a method as a new bound method at each read.
+    ``vars(learner)`` would tell as well, but gives the object a dict of
+    its own, and every later attribute read on it is then slower."""
+    return getattr(learner, name) is getattr(learner, name)
+
+
+def _replays(root) -> bool:
+    """Whether the leaves under ``root`` keep replay buffers, as its
+    leftmost leaf does."""
+    node = root.mainline
+    while node.__class__ is SplitNode:
+        node = node.children[0].mainline
+    return node.buffer is not None
 
 
 def _counted(leaf) -> bool:
@@ -327,6 +349,7 @@ class NominalCounter(_Counter):
         self.cell_values: list[tuple] = []
         self.cell_rows = np.zeros((64, len(self.sizes)), np.int64)  # first_row[a] + value a
         self.route = np.full(64, -1, np.int64)
+        self.rows_filled = 0  # the cells with their rows
         n = self.SLOTS
         self.dist = np.zeros((n, self.class_count))
         self.pending = np.zeros((n, self.first_row[-1] * self.class_count), _ONE.dtype)
@@ -354,6 +377,7 @@ class NominalCounter(_Counter):
         if len(self.cells) > _MAX_KEPT - len(chunk):
             self.cells.clear()
             self.cell_values.clear()
+            self.rows_filled = 0
             self.route.fill(-1)
             self._forget_codes()
         if len(self.kept) > _MAX_KEPT - len(chunk):
@@ -364,21 +388,23 @@ class NominalCounter(_Counter):
         codes = self.id_codes[at]
         unknown = np.flatnonzero(self.ids[at] != keys)
         if unknown.size:
-            new: dict[int, int] = {}
-            for k in unknown.tolist():
-                inst = chunk[k]
-                code = new.get(id(inst))  # an instance drawn twice in one chunk is coded once
+            # an instance drawn more than once is coded once, in the order
+            # the chunk first draws each
+            new, first, copies = np.unique(keys[unknown], return_index=True, return_inverse=True)
+            new_codes = np.empty(len(new), np.int64)
+            for j in np.argsort(first).tolist():
+                inst = chunk[unknown[first[j]]]
+                code = self._code(inst)
                 if code is None:
-                    code = self._code(inst)
-                    if code is None:
-                        return None
-                    new[id(inst)] = code
-                    self.kept.append(inst)
-                codes[k] = code
-            ids = np.concatenate([self.ids, np.fromiter(new, np.int64, len(new))])
+                    return None
+                new_codes[j] = code
+                self.kept.append(inst)
+            self._fill_cell_rows()
+            codes[unknown] = new_codes[copies]
+            ids = np.concatenate([self.ids, new])
             order = np.argsort(ids)
             self.ids = ids[order]
-            self.id_codes = np.concatenate([self.id_codes, np.fromiter(new.values(), np.int64, len(new))])[order]
+            self.id_codes = np.concatenate([self.id_codes, new_codes])[order]
         return codes
 
     def _forget_codes(self) -> None:
@@ -402,11 +428,21 @@ class NominalCounter(_Counter):
         if cell is None:
             cell = self.cells[values] = len(self.cell_values)
             self.cell_values.append(values)
-            if cell == len(self.route):
-                self.route = np.concatenate([self.route, np.full(cell // 2, -1, np.int64)])
-                self.cell_rows = np.concatenate([self.cell_rows, self.cell_rows[:cell // 2]])
-            self.cell_rows[cell] = np.add(self.first_row[:-1], values)
         return cell * self.class_count + label
+
+    def _fill_cell_rows(self) -> None:
+        """Give the cells added since the last call their routes and rows."""
+        n, done = len(self.cell_values), self.rows_filled
+        if n == done:
+            return
+        if n > len(self.route):
+            more = max(n, len(self.route) * 3 // 2) - len(self.route)
+            self.route = np.concatenate([self.route, np.full(more, -1, np.int64)])
+            self.cell_rows = np.concatenate([self.cell_rows, np.zeros((more, len(self.sizes)), np.int64)])
+        rows = self.cell_rows[done:n]
+        rows[:] = self.cell_values[done:n]
+        rows += self.first_row[:-1]
+        self.rows_filled = n
 
     # -- slots ----------------------------------------------------------------
 
@@ -763,7 +799,3 @@ class NumericCounter(_Counter):
         self.means[slot, label] = means
         self.m2s[slot, label] = m2s
         self.counts[slot, label] = counts[lengths[by_length], np.arange(chains)]
-
-
-# the counter for the adaptive tree builds on NominalCounter
-from .hatchunks import HatCounter  # noqa: E402

@@ -197,7 +197,11 @@ class HoeffdingAdaptiveTreeClassifier:
         learn_at_leaf(leaf_node, values, label, weight, cfg, self._new_position)
 
     def _draws_weights(self) -> bool:
-        """Whether each leaf update's weight is drawn from Poisson(1)."""
+        """Whether each leaf update's weight is drawn from Poisson(1).
+
+        The one reader of ``poisson_weighting``, which ``chunks.counter_for``
+        asks too: each setting is read in one function
+        (``test_each_learner_setting_is_read_in_one_function``)."""
         return self.config.poisson_weighting
 
     # -- replacement -----------------------------------------------------------

@@ -3,13 +3,13 @@ unit-weight instances between a ``HoeffdingAdaptiveTreeClassifier``'s
 events with numpy, on the slots, instance codes, pending tables and
 write-back of ``chunks.NominalCounter``.
 
-It has a module of its own: CPython keeps much of the memory that
-compiling a module takes, so two halves cost less than one whole.
+It has a module of its own, imported by ``chunks.counter_for`` only for an
+adaptive tree: CPython keeps much of the memory that compiling a module
+takes, so a process that counts no adaptive tree does not compile it.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import namedtuple
 from itertools import chain
 
@@ -24,9 +24,6 @@ from .tree import SplitNode, _leaf_counter, walk
 # alternate that leaf's subtree roots (-1 on the mainline), the indices of the
 # detectors on the path to the leaf, which take its error bit, and the path
 _Unit = namedtuple("_Unit", "slot alternate detectors path")
-
-# each tree's counter between runs
-_KEPT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 # numpy keeps up to 7 freed buffers of each size below 1,024 bytes for
 # reuse, so a run allocates no small array whose size follows the number of
@@ -70,50 +67,7 @@ class HatCounter(NominalCounter):
     its detectors' bits added and its alternates' instances counted. When
     it changed its route's shape (a sprout, a split, a promotion or a
     discard) or eviscerated a leaf, the rest of the chunk is routed afresh.
-
-    ``counter_for`` keeps a tree's counter between runs, while the tree is
-    as the counter left it (``signature_of``): its slots, programs and
-    instance codes then still hold. Every deferred update is written back
-    at the end of each run all the same.
     """
-
-    def __init__(self, learner):
-        # a weak reference: the counter outlives a run, but not its tree
-        super().__init__(weakref.proxy(learner))
-        self.signature = None
-
-    @classmethod
-    def of(cls, learner) -> HatCounter | None:
-        """The tree's counter from its last run, while the tree is as that
-        run left it, or a new one; None when the tree draws its weights or
-        keeps replay buffers, which take each instance through the tree."""
-        counter = _KEPT.get(learner)
-        if counter is not None and counter.signature == cls.signature_of(learner):
-            return counter
-        if learner._draws_weights() or learner._new_node().mainline.buffer is not None:
-            return None
-        counter = _KEPT[learner] = cls(learner)
-        return counter
-
-    @staticmethod
-    def signature_of(learner) -> tuple:
-        """What a counter kept between runs depends on: the tree's config,
-        the grace period, and its root detector and that detector's count,
-        which every ``train`` moves."""
-        root = learner._root.detector
-        return learner.config, tree.GRACE_PERIOD, root, root._ticks
-
-    def flush(self) -> None:
-        """Write every deferred update back to its leaf; the slots and
-        programs stay, valid while the tree is as it is now."""
-        self._write_back(np.flatnonzero(self.count).tolist())
-        self.chunk = []
-        self.signature = self.signature_of(self.learner)
-
-    def _one_at_a_time(self, chunk: list) -> list:
-        # the tree learns under the slots: forget them, and the programs
-        super().flush()
-        return super()._one_at_a_time(chunk)
 
     def _unroute(self, slot: int | None, split: bool) -> None:
         """Forget every program: units by leaf position, programs by their
@@ -230,7 +184,7 @@ class HatCounter(NominalCounter):
                 start = self._runs_from(start, wrong)
         except BaseException:
             # the slots may no longer match their leaves
-            super().flush()
+            self.flush()
             raise
         return wrong.tolist()
 
@@ -516,7 +470,8 @@ class _Run:
                 a_done[unit.alternate] = r + 1
         detectors, bits, done = counter.detectors, self.bits, self.d_done
         route_detectors = [d for unit in units for d in unit.detectors]
-        for d, at in zip(route_detectors, np.searchsorted(self.e_key, np.array(route_detectors) * self.size + event).tolist()):
+        ends = np.searchsorted(self.e_key, np.array(route_detectors) * self.size + event).tolist()
+        for d, at in zip(route_detectors, ends):
             detectors[d]._add_bits(bits[done[d]:at])
             done[d] = at + 1
         return route, units
