@@ -33,6 +33,12 @@ that change the tree.
 ``counter_for`` picks one, or none: a mixed schema, another learner, or a
 learner with its own ``predict_label`` or ``train`` (a tracer or a recorder
 that must see every instance) runs one instance at a time.
+
+A chunk is a list of instances, which a counter checks before it counts
+them (``_prepare``), or, for ``NumericCounter``, ``Rows``: a numeric
+generator's block rows as arrays, valid by construction and taken as they
+are. A row is built into an ``Instance`` only when it goes through the tree,
+and into a values tuple only when an eidetic leaf buffers it.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import numpy as np
 
 from . import tree
 from .hat import HoeffdingAdaptiveTreeClassifier
-from .schema import Instance
+from .schema import Instance, new_instance
 from .tree import HoeffdingTreeClassifier, SplitNode, _leaf_counter, walk
 
 # the most instance objects, and value tuples, a NominalCounter keeps codes for
@@ -145,6 +151,25 @@ def _runs(keys):
     return starts, lengths
 
 
+class Rows:
+    """A chunk handed over as arrays, as ``streams.ArrayStream.next_arrays``
+    gives it: ``values`` float64 ``[n, d]`` and ``labels`` int64. A
+    generator's rows are valid by construction, so ``NumericCounter`` takes
+    them without ``_prepare``'s checks. Row ``k`` reads back as the
+    ``Instance`` the stream's ``next_instance`` would have handed out; only
+    a row that goes through the tree is built into one."""
+
+    def __init__(self, values: np.ndarray, labels: np.ndarray):
+        self.values = values
+        self.labels = labels
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, k: int) -> Instance:
+        return new_instance((tuple(self.values[k].tolist()), self.labels[k].item(), 1.0))
+
+
 class _Counter:
     """What both counters share: slots, the pass loop and the grace-check
     hand-off. A slot is a leaf's row in the counter's numpy tables of
@@ -210,7 +235,11 @@ class _Counter:
         slots = marks[taken]
         marks[taken] = -1
         cuts = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), len(taken)]
-        values = list(map(_values_of, map(self.chunk.__getitem__, taken.tolist())))
+        chunk = self.chunk
+        if chunk.__class__ is Rows:
+            values = list(map(tuple, chunk.values[taken].tolist()))
+        else:
+            values = list(map(_values_of, map(chunk.__getitem__, taken.tolist())))
         labels = self.labels[taken].tolist()
         for a, b, owner in zip(cuts, cuts[1:], slots[cuts[:-1]].tolist()):
             leaf = self.positions[owner].mainline
@@ -528,10 +557,11 @@ class NumericCounter(_Counter):
     """Predicts and learns chunks on a ``HoeffdingTreeClassifier`` whose
     schema has no nominal attribute, keeping every float in learn order.
 
-    A chunk is counted only when each of its instances is an ``Instance`` of
-    weight 1.0 with an in-range ``int`` label and finite ``float`` values in
-    a ``tuple``. The chunk's values are one float64 array, and an instance
-    is routed by a walk of the flattened tree (``_flatten``) that compares
+    A list chunk is counted only when each of its instances is an
+    ``Instance`` of weight 1.0 with an in-range ``int`` label and finite
+    ``float`` values in a ``tuple``; ``Rows`` are counted as they are. The
+    chunk's values are one float64 array, and an instance is routed by a
+    walk of the flattened tree (``_flatten``) that compares
     ``values[attr] <= threshold`` in float64, as ``walk`` does.
 
     Why it is exact: each of a leaf's sums (class distribution, weight,
@@ -580,6 +610,11 @@ class NumericCounter(_Counter):
         self.hi = state[:, hi:]
 
     def _prepare(self, chunk) -> bool:
+        if chunk.__class__ is Rows:
+            # a generator's rows: valid by construction, and already arrays
+            self.x = chunk.values.reshape(-1)
+            self.labels = chunk.labels
+            return True
         n, m = len(chunk), self.n_attributes
         if countOf(map(type, chunk), Instance) != n:
             return False

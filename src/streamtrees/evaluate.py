@@ -14,7 +14,8 @@ import time
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .chunks import counter_for
+from .chunks import NumericCounter, Rows, counter_for
+from .streams import ArrayStream
 
 
 # --------------------------------------------------------------------------
@@ -110,7 +111,10 @@ def prequential_run(learner, stream, n_instances: int, snapshot_every: int = 0) 
     ``chunks.counter_for`` gives them, which gives the same predictions and
     the same tree; a subclass, or a learner with its own ``predict_label``
     or ``train`` set on the object (a tracer, a recorder), sees every
-    instance instead.
+    instance instead. A numeric VFDT reads a numeric generator
+    (``streams.ArrayStream``) as arrays, unchecked, since its rows are valid
+    by construction; a stream with its own ``next_instance`` set on the
+    object is read through it, one instance at a time.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
@@ -150,7 +154,15 @@ def _instance_run(learner, stream, n_instances: int, snapshot_every: int):
 
 def _chunked_run(counter, stream, n_instances: int, snapshot_every: int):
     """``_instance_run`` through a chunk counter: the same stream reads,
-    errors and series, and every deferred count written back on the way out."""
+    errors and series, and every deferred count written back on the way out.
+
+    A ``NumericCounter`` reads an ``ArrayStream`` as arrays while the
+    stream's ``next_instance`` is still its own; a wrapper set on it (a
+    tracer) is read through, and so sees every instance."""
+    read = None
+    if (counter.__class__ is NumericCounter and isinstance(stream, ArrayStream)
+            and stream.next_instance == stream._instances.__next__):
+        read = stream.next_arrays
     instances = iter(stream.next_instance, None)  # ends where the stream does
     errors = 0
     window_errors = 0
@@ -159,13 +171,16 @@ def _chunked_run(counter, stream, n_instances: int, snapshot_every: int):
     try:
         while done < n_instances:
             size = min(CHUNK, n_instances - done)
-            chunk = []
-            try:
-                # extend keeps what it read before an exception
-                chunk.extend(islice(instances, size))
-            except BaseException:
-                counter.step(chunk)  # the instances read before the stream failed
-                raise
+            if read is not None:
+                chunk = Rows(*read(size))
+            else:
+                chunk = []
+                try:
+                    # extend keeps what it read before an exception
+                    chunk.extend(islice(instances, size))
+                except BaseException:
+                    counter.step(chunk)  # the instances read before the stream failed
+                    raise
             wrong = counter.step(chunk)
             errors += sum(wrong)
             if snapshot_every:

@@ -7,6 +7,14 @@ included) give bitwise-identical sequences. Instances come from blocks of
 ``next_instance`` hands them out from a C-level iterator. The sequence does
 not depend on how callers interleave their pulls from different streams.
 
+The numeric generators, ``SeaGenerator`` and ``HyperplaneGenerator``, keep
+each block as arrays (values float64 ``[1024, d]``, labels int64) read
+through one cursor. ``next_instance`` hands out Instances built from the
+rest of the current block, and ``next_arrays(n)`` hands out the next ``n``
+rows as arrays; any interleaving of the two reads the same sequence. Rows
+within one block come as read-only views of it, so a reader can keep them
+without a copy.
+
 The nominal generators, ``StaggerGenerator`` and ``AbruptDriftGenerator``,
 hand out shared Instances: every draw of one (value tuple, class) pair is the
 same object, built the first time the pair is drawn. A stream keeps at most
@@ -24,8 +32,10 @@ one sub-stream and draws no uniforms.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -135,6 +145,60 @@ class _Stream:
 def _block(values: np.ndarray, labels: np.ndarray) -> list[Instance]:
     """One Instance of weight 1.0 per row of ``values``, built in C."""
     return list(map(new_instance, zip(zip(*values.T.tolist()), labels.tolist(), repeat(1.0))))
+
+
+class ArrayStream(_Stream):
+    """A stream whose blocks stay arrays, read through one cursor.
+
+    ``_sample`` gives a block: values float64 ``[_BLOCK, d]`` and labels
+    int64. Rows before the cursor ``_at`` are handed out, as arrays or as
+    Instances. ``next_instance`` stays the C-level chain: when it runs out,
+    the rest of the block is built into Instances in one go and the cursor
+    moves to the block's end. ``next_arrays`` first moves the cursor back
+    over the Instances built but not yet handed out, and drops them.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._values = self._labels = np.zeros(0)
+        self._at = 0
+        # the iterator over the Instances built last, which the chain reads
+        self._built = iter(())
+
+    def _sample(self) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def _next_block(self) -> None:
+        self._values, self._labels = self._sample()
+        self._values.flags.writeable = self._labels.flags.writeable = False
+        self._at = 0
+
+    def _make_block(self) -> Iterator[Instance]:
+        if self._at == len(self._labels):
+            self._next_block()
+        at, self._at = self._at, len(self._labels)
+        self._built = iter(_block(self._values[at:], self._labels[at:]))
+        return self._built
+
+    def next_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``n`` rows: values float64 ``[n, d]`` and labels int64,
+        views of the block when they lie in one, else joined copies."""
+        unread = self._built.__length_hint__()
+        if unread:
+            self._at -= unread
+            deque(self._built, 0)  # the chain finds them gone and asks for the rest
+        values, labels = [], []
+        while n:
+            if self._at == len(self._labels):
+                self._next_block()
+            at = self._at
+            self._at = end = min(at + n, len(self._labels))
+            n -= end - at
+            values.append(self._values[at:end])
+            labels.append(self._labels[at:end])
+        if len(labels) == 1:
+            return values[0], labels[0]
+        return np.concatenate(values), np.concatenate(labels)
 
 
 class _InstanceCache(dict):
@@ -263,7 +327,7 @@ class StaggerGenerator(_Stream):
 SEA_THRESHOLDS = {1: 0.8, 2: 0.9, 3: 0.7, 4: 0.95}
 
 
-class SeaGenerator(_Stream):
+class SeaGenerator(ArrayStream):
     """Three numeric attributes on [0,1]; class 1 when x0 + x1 <= threshold."""
 
     def __init__(self, function: int = 1, noise: float = 0.0, seed: int = 1):
@@ -278,16 +342,16 @@ class SeaGenerator(_Stream):
         self.noise = noise
         self._rng = make_rng(seed)
 
-    def _make_block(self) -> list[Instance]:
+    def _sample(self) -> tuple[np.ndarray, np.ndarray]:
         x = self._rng.random((_BLOCK, 3))
-        labels = (x[:, 0] + x[:, 1] <= self.threshold).astype(int)
+        labels = (x[:, 0] + x[:, 1] <= self.threshold).astype(np.int64)
         if self.noise > 0.0:
             flips = self._rng.random(_BLOCK) < self.noise
             labels = labels ^ flips
-        return _block(x, labels)
+        return x, labels
 
 
-class HyperplaneGenerator(_Stream):
+class HyperplaneGenerator(ArrayStream):
     """Rotating hyperplane in [0,1]^d; k weights drift by t per instance.
 
     Label is 1 when sum(w_i x_i) >= sum(w_i) / 2. Each drifting weight moves
@@ -325,7 +389,7 @@ class HyperplaneGenerator(_Stream):
         self._weights = self._rng.random(n_attributes)
         self._directions = np.ones(drift_attributes)
 
-    def _make_block(self) -> list[Instance]:
+    def _sample(self) -> tuple[np.ndarray, np.ndarray]:
         d, k = self.n_attributes, self.drift_attributes
         x = self._rng.random((_BLOCK, d))
         w = np.tile(self._weights, (_BLOCK, 1))
@@ -339,11 +403,11 @@ class HyperplaneGenerator(_Stream):
             self._weights = w[-1].copy()
             self._directions = dirs[-1]
         sums = (w * x).sum(axis=1)
-        labels = (sums >= w.sum(axis=1) / 2.0).astype(int)
+        labels = (sums >= w.sum(axis=1) / 2.0).astype(np.int64)
         if self.noise > 0.0:
             flips = self._rng.random(_BLOCK) < self.noise
             labels = labels ^ flips
-        return _block(x, labels)
+        return x, labels
 
 
 class RecurrentConceptDriftStream(_Stream):

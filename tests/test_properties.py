@@ -25,6 +25,7 @@ from streamtrees.tree import (
     NodeStatistics,
     Position,
     SplitDecision,
+    MAX_WEIGHT,
     SplitNode,
     StrategyConfig,
     _gain_with_split,
@@ -924,3 +925,161 @@ def test_a_predict_label_recorder_sees_every_instance(row):
     tree.predict_label = lambda inst: seen.append(inst) or predict(inst)
     prequential_run(tree, stream, 2 * CHUNK + 5)
     assert len(seen) == 2 * CHUNK + 5
+
+
+# --------------------------------------------------------------------------
+# numeric generators' arrays against checked lists and the per-instance loop
+# --------------------------------------------------------------------------
+
+ARRAY_ROWS = [NUMERIC_GOLDEN_ROWS[0], "SEAGenerator -i 2 -f 2 -n 0.1"]
+ARRAY_CALLS = [3000] + [1, 500, CHUNK - 1, CHUNK + 1] * 2
+
+
+class _InstancesOnly:
+    """A stream seen through its ``next_instance`` alone: a chunked run
+    reads it as lists of instances and checks them (``_prepare``)."""
+
+    def __init__(self, stream):
+        self.schema = stream.schema
+        self.next_instance = stream.next_instance
+
+
+@pytest.mark.parametrize("config", [
+    StrategyConfig(),
+    StrategyConfig(eidetic=True),
+    StrategyConfig(counter_mode="node_time"),
+], ids=["default", "eidetic", "node_time"])
+@pytest.mark.parametrize("row", ARRAY_ROWS)
+def test_array_chunks_match_checked_chunks_and_the_per_instance_loop(row, config):
+    """A numeric VFDT fed a generator's arrays, the same stream read as
+    checked lists of instances, and the per-instance loop give the same
+    errors, series, dump and leaf fields, call by call."""
+    streams = [build_stream(row) for _ in range(3)]
+    reads = []
+    next_arrays = streams[0].next_arrays
+    streams[0].next_arrays = lambda n: reads.append(n) or next_arrays(n)
+    trees = [HoeffdingTreeClassifier(streams[0].schema, config) for _ in range(3)]
+    listed = _InstancesOnly(streams[1])
+    for n in ARRAY_CALLS:
+        arrays = prequential_run(trees[0], streams[0], n, 100)
+        checked = prequential_run(trees[1], listed, n, 100)
+        assert (arrays.final_error, arrays.error_series) == (checked.final_error, checked.error_series)
+        assert (arrays.final_error, arrays.error_series) == per_instance_run(trees[2], streams[2], n, 100)
+    assert sum(reads) == sum(ARRAY_CALLS)
+    assert tree_state(trees[0]) == tree_state(trees[1]) == tree_state(trees[2])
+    assert len(trees[0].leaves()) > 1
+
+
+def test_a_next_instance_wrapper_on_a_numeric_generator_sees_every_instance():
+    """A generator whose ``next_instance`` is replaced on the object (a
+    tracer) is read through that wrapper, instance by instance, and never
+    as arrays."""
+    row = ARRAY_ROWS[1]
+    stream, twin = build_stream(row), build_stream(row)
+    seen = []
+    next_instance = stream.next_instance
+    stream.next_instance = lambda: seen.append(1) or next_instance()
+
+    def no_arrays(n):
+        raise AssertionError("read as arrays")
+
+    stream.next_arrays = no_arrays
+    tree, twin_tree = HoeffdingTreeClassifier(stream.schema), HoeffdingTreeClassifier(stream.schema)
+    assert type(counter_for(tree)) is NumericCounter
+    result = prequential_run(tree, stream, 2 * CHUNK + 5, 500)
+    assert len(seen) == 2 * CHUNK + 5
+    assert (result.final_error, result.error_series) == per_instance_run(twin_tree, twin, 2 * CHUNK + 5, 500)
+    assert tree_state(tree) == tree_state(twin_tree)
+
+
+# --------------------------------------------------------------------------
+# a rejected instance changes nothing
+# --------------------------------------------------------------------------
+
+MIXED = Schema((NominalAttribute(3), NumericAttribute(), NominalAttribute(2), NumericAttribute()), 3)
+_NOMINAL, _NUMERIC = MIXED.nominal_attrs, MIXED.numeric_attrs
+
+
+def _history(seed, n):
+    """n valid instances on ``MIXED``, some of them weighted."""
+    rng = _rng(seed)
+    history = []
+    for _ in range(n):
+        values = tuple(int(rng.integers(attr.n_values)) if isinstance(attr, NominalAttribute)
+                       else float(rng.normal(0.0, 1.0)) for attr in MIXED.attributes)
+        label = int(values[0] + (values[1] > 0) + values[2]) % MIXED.class_count
+        if rng.random() < 0.1:
+            label = int(rng.integers(MIXED.class_count))
+        weight = float(rng.choice([1.0, 1.0, 1.0, 0.5, 2.0, 0.0]))
+        history.append(Instance(values, label, weight))
+    return history
+
+
+def _with_value_at(values, i, value):
+    return values[:i] + (value,) + values[i + 1:]
+
+
+@st.composite
+def bad_instances(draw):
+    """A valid instance with one thing wrong, and whether it can be
+    predicted (routed) before ``train`` rejects it."""
+    values = tuple(draw(st.integers(0, attr.n_values - 1)) if isinstance(attr, NominalAttribute)
+                   else draw(st.floats(-5.0, 5.0)) for attr in MIXED.attributes)
+    label, weight = draw(st.integers(0, MIXED.class_count - 1)), 1.0
+    kind = draw(st.sampled_from(["numeric", "nominal", "label", "weight", "length"]))
+    routable = True
+    if kind == "numeric":
+        values = _with_value_at(values, draw(st.sampled_from(_NUMERIC)),
+                                draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+    elif kind == "nominal":
+        i = draw(st.sampled_from(_NOMINAL))
+        n = MIXED.attributes[i].n_values
+        values = _with_value_at(values, i, draw(st.one_of(
+            st.sampled_from([-1, n, n + 7]), st.floats(0.0, n - 1.0), st.none())))
+        routable = False
+    elif kind == "label":
+        label = draw(st.one_of(st.sampled_from([-1, MIXED.class_count, MIXED.class_count + 4]),
+                               st.floats(0.0, 2.0), st.none(), st.just("1")))
+    elif kind == "weight":
+        weight = draw(st.one_of(st.floats(max_value=-1e-300), st.just(math.nan),
+                                st.floats(min_value=math.nextafter(MAX_WEIGHT, math.inf))))
+    else:
+        values = values[:-1] if draw(st.booleans()) else values + (0.5,)
+        routable = False
+    return Instance(values, label, weight), routable
+
+
+@pytest.mark.parametrize("make", [
+    lambda eidetic: HoeffdingTreeClassifier(MIXED, StrategyConfig(tau=0.2, eidetic=eidetic)),
+    lambda eidetic: HoeffdingAdaptiveTreeClassifier(
+        MIXED, HatConfig(tau=0.2, eidetic=eidetic, voting_mode=VOTE_MULTI), seed=3),
+], ids=["vfdt", "hat"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(0, 700), eidetic=st.booleans(), bad=bad_instances(),
+       predict_first=st.booleans())
+def test_train_rejects_a_bad_instance_without_changing_state(make, seed, n, eidetic, bad, predict_first):
+    """After any valid history, ``train`` on an instance with one bad field
+    (a NaN or infinite numeric value; an out-of-range, float or None
+    nominal value; a non-int or out-of-range label; a negative, NaN or
+    too-large weight; too few or too many values) raises ValueError and
+    leaves the tree as it was, and as a twin that never saw it, after
+    more valid training too."""
+    bad, routable = bad
+    history = _history(seed, n + 5)
+    tree, twin = make(eidetic), make(eidetic)
+    state = hat_state if isinstance(tree, HoeffdingAdaptiveTreeClassifier) else tree_state
+    for inst in history[:n]:
+        for t in (tree, twin):
+            t.predict_label(inst)
+            t.train(inst)
+    before = state(tree)
+    if predict_first and routable:
+        tree.predict_label(bad)
+    with pytest.raises(ValueError):
+        tree.train(bad)
+    assert state(tree) == before
+    for inst in history[n:]:
+        for t in (tree, twin):
+            t.predict_label(inst)
+            t.train(inst)
+    assert state(tree) == state(twin)

@@ -1,4 +1,6 @@
 import math
+import struct
+from functools import partial
 
 import numpy as np
 import pytest
@@ -538,3 +540,62 @@ def test_interleaved_pulls_leave_each_sequence_unchanged(pulls):
     fresh_a, fresh_b = pair()
     assert got[0] == take(fresh_a, len(got[0]))
     assert got[1] == take(fresh_b, len(got[1]))
+
+
+# --------------------------------------------------------------------------
+# numeric generators: one cursor for Instances and arrays
+# --------------------------------------------------------------------------
+
+ARRAY_STREAMS = {
+    "hyperplane-drift-noise": lambda: HyperplaneGenerator(10, 4, 0.01, 0.1, 0.1, seed=5),
+    "sea-noise": lambda: SeaGenerator(3, noise=0.1, seed=4),
+}
+
+
+def _packed(instances):
+    """The values of instances as float64 bytes, row after row."""
+    return b"".join(struct.pack(f"{len(inst.values)}d", *inst.values) for inst in instances)
+
+
+@pytest.mark.parametrize("make", ARRAY_STREAMS.values(), ids=ARRAY_STREAMS)
+@settings(max_examples=30, deadline=None)
+@given(reads=st.lists(st.tuples(st.booleans(), st.integers(1, 2500)), max_size=10))
+def test_array_reads_interleave_with_instance_reads(make, reads):
+    """Any interleaving of ``next_arrays`` and ``next_instance``, across
+    block boundaries, reads the sequence a ``next_instance``-only twin
+    reads, float for float, with the same ``int`` labels."""
+    stream, twin = make(), make()
+    for arrays, n in reads:
+        want = take(twin, n)
+        if arrays:
+            values, labels = stream.next_arrays(n)
+            assert values.dtype == np.float64 and values.shape == (n, len(want[0].values))
+            assert labels.dtype == np.int64 and labels.shape == (n,)
+            assert values.tobytes() == _packed(want)
+            assert labels.tolist() == [inst.class_label for inst in want]
+        else:
+            got = take(stream, n)
+            assert got == want
+            assert _packed(got) == _packed(want)
+            assert all(type(inst.class_label) is int for inst in got)
+    # and the next instance is the twin's next one
+    assert take(stream, 1) == take(twin, 1)
+
+
+@pytest.mark.parametrize("make", [
+    *ARRAY_STREAMS.values(),
+    lambda: HyperplaneGenerator(5, 5, 0.1, 0.5, 0.2, seed=7),
+    *(partial(SeaGenerator, function, 0.05, seed=function) for function in SEA_THRESHOLDS),
+], ids=[*ARRAY_STREAMS, "hyperplane-fast-drift", *(f"sea-f{f}" for f in SEA_THRESHOLDS)])
+def test_array_blocks_hold_what_the_counter_no_longer_checks(make):
+    """The chunk step takes a generator's arrays unchecked, so every block
+    must hold finite values in [0, 1) and labels in range; the views it
+    hands out are read-only."""
+    stream = make()
+    for _ in range(40):
+        values, labels = stream.next_arrays(_BLOCK)
+        assert values.shape == (_BLOCK, stream.schema.n_attributes)
+        assert np.isfinite(values).all()
+        assert values.min() >= 0.0 and values.max() < 1.0
+        assert labels.min() >= 0 and labels.max() < stream.schema.class_count
+        assert not values.flags.writeable and not labels.flags.writeable
