@@ -32,6 +32,9 @@ _Unit = namedtuple("_Unit", "slot alternate detectors path")
 _SMALL = 512
 # the unit that pads a program's voters: it lands past every touch
 _PAST = 2**40
+# an error bit as the float a detector takes: every bit held in a detector's
+# row 0 is one of these two objects, not a float of its own
+_BITS = np.array([0.0, 1.0], object)
 
 
 def _stable_order(keys, bound: int):
@@ -313,7 +316,7 @@ class _Run:
 
     def _entries(self) -> None:
         """Each detector's entries in stream order, their bits, and those
-        that reach a check."""
+        that reach a check that could cut."""
         counter, m = self.counter, self.size
         detectors = counter.detectors
         n_detectors = len(detectors)
@@ -327,13 +330,25 @@ class _Run:
         e_order = _stable_order(e_det, n_detectors)
         e_det = e_det[e_order]
         e_inst = np.repeat(self.t_inst, d_count)[e_order]
-        self.bits = np.repeat(self.t_bit, d_count)[e_order].tolist()
+        e_bit = np.repeat(self.t_bit, d_count)[e_order]
+        self.bits = _BITS[e_bit.astype(np.intp)].tolist()
         d_start = np.searchsorted(e_det, np.arange(n_detectors))
         ticks = np.fromiter((detector._ticks for detector in detectors), np.int64, n_detectors) - d_start
         ticks = ticks[e_det]
         ticks += np.arange(1, n + 1)
         ticks %= AdwinDetector.CHECK_INTERVAL
         checks = np.flatnonzero(ticks == 0)
+        # the checks of a detector that the certificate clears at the end of
+        # its entries cannot cut (see ``AdwinDetector._add_bits``): they are
+        # made as its bits are added, not here
+        checked = e_det[checks].tolist()
+        if checked:
+            added = np.bincount(e_det, minlength=n_detectors).tolist()
+            ones = np.bincount(e_det, e_bit, n_detectors).tolist()
+            cleared = {d for d in set(checked) if detectors[d]._cannot_cut(
+                detectors[d].total_sum + ones[d], detectors[d].total_count + added[d], detectors[d]._ticks + added[d])}
+            if cleared:
+                checks = np.array([at for at, d in zip(checks.tolist(), checked) if d not in cleared], np.int64)
         # in stream order: by instance, then by detector, as entries are laid out
         key = e_inst[checks]
         key *= n

@@ -319,6 +319,87 @@ def test_add_bits_leaves_the_detector_as_add_element_does(seed, check_interval, 
     assert cuts > 0
 
 
+@st.composite
+def edge_windows(draw):
+    """A window of majority values with 0-8 minority values packed at its
+    young end, packed at its old end or spread out, then a stretch of
+    majority values that moves the checks over them: around the
+    certificate's edge of about 4 minority values, where a cut first
+    becomes possible. The minority values are ones, or uniform floats; the
+    majority is zeros, or the whole window is complemented."""
+    k = draw(st.integers(0, 8))
+    n = draw(st.integers(k, 1200))
+    place = draw(st.sampled_from(["young", "old", "spread"]))
+    if place == "young":
+        at = range(n - k, n)
+    elif place == "old":
+        at = range(k)
+    else:
+        at = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)) if n else []
+    floats = draw(st.booleans())
+    xs = [0.0] * (n + draw(st.integers(0, 100)))
+    for i in at:
+        xs[i] = draw(st.floats(0.0, 1.0)) if floats else 1.0
+    return [1.0 - x for x in xs] if draw(st.booleans()) else xs
+
+
+@settings(max_examples=500, deadline=None)
+@given(xs=edge_windows(), check_interval=st.sampled_from([1, 7, 32]))
+def test_matches_reference_at_the_certificates_edge(xs, check_interval):
+    """The checks a certificate clears cut nowhere the full scan would, and
+    the candidate-only scan cuts where the full scan does."""
+    assert_matches_reference(xs, 0.002, check_interval)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), check_interval=st.sampled_from([1, 7, 32]),
+       rate=st.sampled_from([0.0, 0.001, 0.01, 0.05]), floats=st.booleans(),
+       sizes=st.lists(st.integers(1, 2000), min_size=1, max_size=5))
+def test_folding_after_pending_runs_matches_the_reference(seed, check_interval, rate, floats, sizes):
+    """Fed in runs of 1-2,000 values with no read in between, so that the
+    checks the certificates clear leave row 0 unfolded, a detector cuts as
+    the per-insert reference does, and reading its rows folds them into
+    the reference's buckets. A twin that takes the runs of bits through
+    ``_add_bits`` ends each run in the same state."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = sum(sizes)
+    # quiet stretches of rare minority values around a burst
+    minority = rng.random(n) < rate
+    minority[n // 2:n // 2 + min(n // 8, 300)] = rng.random(min(n // 8, 300)) < 0.5
+    xs = [float(x) for x in np.where(minority, rng.random(n) if floats else 1.0, 0.0)]
+    with adwin_settings(0.002, check_interval):
+        det, ref, bulk = AdwinDetector(), ReferenceAdwin(0.002, check_interval), AdwinDetector()
+        start = 0
+        for size in sizes:
+            run = xs[start:start + size]
+            start += size
+            for i, x in enumerate(run):
+                assert det.add_element(x) == ref.add_element(x), (start, i)
+            assert det.width == ref.width and det.total_sum == ref.total_sum
+            assert det._rows == ref.row_sums()
+            if not floats:
+                added = 0
+                while added < len(run):
+                    added += bulk._add_bits(run[added:])
+                    if added < len(run):
+                        assert bulk.add_element(run[added])
+                        added += 1
+                assert detector_state(bulk) == detector_state(det)
+
+
+def test_cleared_checks_leave_row_0_unfolded():
+    """A check on a window that cannot cut folds nothing; row 0 folds once
+    it holds more than ``_PENDING`` entries, or when the rows are read."""
+    det = AdwinDetector()
+    for _ in range(100):
+        det.add_element(0.0)
+    assert len(det._buckets[0]) == 100
+    assert max(map(len, det._rows)) <= AdwinDetector.MAX_BUCKETS
+    for x in [0.0] * 2000 + [1.0, 0.0] * 50:
+        det.add_element(x)
+        assert len(det._buckets[0]) <= AdwinDetector._PENDING + AdwinDetector.CHECK_INTERVAL
+
+
 @pytest.mark.parametrize("check_interval", [5, 64, 32, 7])
 def test_reading_between_checks_changes_nothing(check_interval, monkeypatch):
     monkeypatch.setattr(AdwinDetector, "CHECK_INTERVAL", check_interval)

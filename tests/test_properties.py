@@ -791,6 +791,44 @@ def test_hat_chunk_step_with_train_calls_between_runs(config):
     assert twins.trees[0]._n_sprouts > 0
 
 
+def _sparse_error_instances(seed):
+    """Instances labelled by ``v0 and v1`` over three binary attributes,
+    with labels flipped in stretches like ``test_detectors``'s
+    ``sparse_error_stream``: a clean start, 1% flips, a burst of flips, a
+    long clean stretch, then 0.2% flips. A grown tree's detectors take
+    windows that go quiet, then bursts of errors."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    flipped = np.concatenate([np.zeros(700, bool), rng.random(1500) < 0.01, np.ones(300, bool),
+                              np.zeros(2500, bool), rng.random(1000) < 0.002])
+    values = rng.integers(0, 2, (len(flipped), 3))
+    labels = (values[:, 0] & values[:, 1]) ^ flipped
+    return [Instance(tuple(v), label) for v, label in zip(values.tolist(), labels.tolist())]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("config", [
+    HatConfig(voting_mode=VOTE_MULTI, alternate_depth_cap=1),
+    HatConfig(alternate_depth_cap=10),
+], ids=["vote", "nested"])
+def test_hat_chunk_step_on_quiet_windows_and_bursts(config, seed):
+    """Where most detector windows hold a few errors or none, most checks
+    are cleared without a scan, in bulk in the chunk step and one by one in
+    the per-instance loop; after every call the two trees are the same,
+    detector rows, sums and ticks included."""
+    instances = _sparse_error_instances(seed)
+    schema = Schema.uniform_nominal(3, 2, 2)
+    twins = _hat_twins(None, config, seed, [_ListStream(schema, instances) for _ in range(2)])
+    left = len(instances)
+    sizes = [500, 1, CHUNK - 1, 33, CHUNK + 1, 700]
+    while left:
+        n = min(sizes[0], left)
+        sizes.append(sizes.pop(0))
+        twins.run(n, 100)
+        twins.assert_equal()
+        left -= n
+    assert twins.trees[0]._n_sprouts > 0
+
+
 @pytest.mark.parametrize("make", [
     HoeffdingTreeClassifier,
     partial(HoeffdingAdaptiveTreeClassifier, config=HatConfig(voting_mode=VOTE_MULTI)),
