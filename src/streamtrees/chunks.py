@@ -27,18 +27,17 @@ Two counters share that hand-off and differ in how they route and count:
 
 A ``HoeffdingAdaptiveTreeClassifier`` on a schema without numeric
 attributes is counted by ``hatchunks.HatCounter``, on ``NominalCounter``'s
-codes, slots, pending tables and write-back, in runs between the events
+cells, slots, pending tables and write-back, in runs between the events
 that change the tree.
 
 ``counter_for`` picks one, or none: a mixed schema, another learner, or a
 learner with its own ``predict_label`` or ``train`` (a tracer or a recorder
 that must see every instance) runs one instance at a time.
 
-A chunk is a list of instances, which a counter checks before it counts
-them (``_prepare``), or, for ``NumericCounter``, ``Rows``: a numeric
-generator's block rows as arrays, valid by construction and taken as they
-are. A row is built into an ``Instance`` only when it goes through the tree,
-and into a values tuple only when an eidetic leaf buffers it.
+A chunk is ``streams.Rows``: a generator's rows as arrays, valid by
+construction and taken as they are (``evaluate.prequential_run`` hands a
+counter nothing else). A row is built into an ``Instance`` only when it
+goes through the tree or into an eidetic leaf's buffer.
 """
 
 from __future__ import annotations
@@ -47,17 +46,16 @@ import math
 import struct
 from collections import namedtuple
 from itertools import accumulate, chain, repeat
-from operator import countOf, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
 from . import tree
 from .hat import HoeffdingAdaptiveTreeClassifier
-from .schema import Instance, new_instance
+from .schema import Instance
+from .streams import Rows
 from .tree import HoeffdingTreeClassifier, SplitNode, _leaf_counter, walk
 
-# the most instance objects, and value tuples, a NominalCounter keeps codes for
-_MAX_KEPT = 2**14
 # a nominal leaf is counted while its counts are whole numbers below this:
 # adding 1.0s to them stays exact until they pass 2**53, 2**52 instances later
 _WHOLE_BELOW = 2.0**52
@@ -151,25 +149,6 @@ def _runs(keys):
     return starts, lengths
 
 
-class Rows:
-    """A chunk handed over as arrays, as ``streams.ArrayStream.next_arrays``
-    gives it: ``values`` float64 ``[n, d]`` and ``labels`` int64. A
-    generator's rows are valid by construction, so ``NumericCounter`` takes
-    them without ``_prepare``'s checks. Row ``k`` reads back as the
-    ``Instance`` the stream's ``next_instance`` would have handed out; only
-    a row that goes through the tree is built into one."""
-
-    def __init__(self, values: np.ndarray, labels: np.ndarray):
-        self.values = values
-        self.labels = labels
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __getitem__(self, k: int) -> Instance:
-        return new_instance((tuple(self.values[k].tolist()), self.labels[k].item(), 1.0))
-
-
 class _Counter:
     """What both counters share: slots, the pass loop and the grace-check
     hand-off. A slot is a leaf's row in the counter's numpy tables of
@@ -186,7 +165,7 @@ class _Counter:
         self.class_count = learner.schema.class_count
         # the chunk being counted, its labels, and the slot of each counted
         # instance whose leaf buffers and has not taken it yet
-        self.chunk: list[Instance] = []
+        self.chunk: Rows | None = None
         self.labels = np.zeros(0, np.int64)
         self.buffer_slot = np.zeros(0, np.int64)
         self.count = np.zeros(self.SLOTS, np.int64)
@@ -235,11 +214,7 @@ class _Counter:
         slots = marks[taken]
         marks[taken] = -1
         cuts = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), len(taken)]
-        chunk = self.chunk
-        if chunk.__class__ is Rows:
-            values = list(map(tuple, chunk.values[taken].tolist()))
-        else:
-            values = list(map(_values_of, map(chunk.__getitem__, taken.tolist())))
+        values = list(map(_values_of, self.chunk.instances(taken)))
         labels = self.labels[taken].tolist()
         for a, b, owner in zip(cuts, cuts[1:], slots[cuts[:-1]].tolist()):
             leaf = self.positions[owner].mainline
@@ -281,23 +256,11 @@ class _Counter:
         self.free.append(slot)
         self._unroute(slot, split)
 
-    def _one_at_a_time(self, chunk: list) -> list:
-        """``step`` on a chunk that does not qualify: every deferred update
-        written back, then each instance through the tree."""
-        self.flush()
-        learner = self.learner
-        wrong = []
-        for inst in chunk:
-            wrong.append(learner.predict_label(inst) != inst.class_label)
-            learner.train(inst)
-        return wrong
-
-    def step(self, chunk: list) -> list:
-        """Predict, then learn, each instance of ``chunk`` in order; returns
+    def step(self, chunk: Rows) -> list:
+        """Predict, then learn, each row of ``chunk`` in order; returns
         whether each prediction was wrong."""
         learner = self.learner
-        if not chunk or not self._prepare(chunk):
-            return self._one_at_a_time(chunk)
+        self._prepare(chunk)
         self.chunk = chunk
         self.buffer_slot = np.full(len(chunk), -1, np.int64)
         wrong = np.zeros(len(chunk), bool)
@@ -333,8 +296,7 @@ class _Counter:
                 for slot in set(by_slot[rank > limit].tolist()):
                     if self.positions[slot] is not None:
                         self._release(slot, False)
-                for k in todo.tolist():
-                    inst = chunk[k]
+                for k, inst in zip(todo.tolist(), chunk.instances(todo)):
                     wrong[k] = learner.predict_label(inst) != inst.class_label
                     learner.train(inst)
                 break
@@ -346,21 +308,18 @@ class NominalCounter(_Counter):
     """Predicts and learns chunks on a ``HoeffdingTreeClassifier`` whose
     schema has no numeric attribute.
 
-    A chunk is counted only when each of its instances is an ``Instance`` of
-    weight 1.0 whose label and values are in-range ``int``s in a ``tuple``,
-    and a leaf only while its counts are whole numbers below 2**52; a leaf
-    with other counts takes each of its instances through the tree.
-
-    An instance's code is ``cell * class_count + label``; a cell is a values
-    tuple's index in ``cell_values``. Codes are kept by instance identity,
-    since nominal streams hand out shared instances: an instance is checked
-    once, when first seen. ``route[cell]`` is the slot of the leaf the cell
-    reaches, or -1 when not known. The slot tables are ``dist`` (class
-    counts, deferred ones included), ``pending`` (nominal table counts, one
-    row per attribute value laid end to end, ``class_count`` wide) and
-    ``left`` (instances a leaf can count before its grace check). They are
-    kept small, since every grid worker holds one: 24 bytes per instance
-    object seen, at most ``_MAX_KEPT`` of them, and 2 bytes per pending cell.
+    A nominal chunk's rows are the stream's cells: the row-major index of a
+    values tuple (attribute 0 slowest). A leaf is counted only while its
+    counts are whole numbers below 2**52; a leaf with other counts takes
+    each of its instances through the tree. ``route[cell]`` is the slot of
+    the leaf the cell reaches, or -1 when not known; it grows to the largest
+    cell seen, and so holds at most 8 bytes per cell of the stream's table,
+    which itself keeps two classes per cell. The slot tables are ``dist``
+    (class counts, deferred ones included), ``pending`` (nominal table
+    counts, one row per attribute value laid end to end, ``class_count``
+    wide) and ``left`` (instances a leaf can count before its grace check).
+    They are kept small, since every grid worker holds one: 2 bytes per
+    pending cell.
     """
 
     TABLES = ("dist", "pending", "left")
@@ -371,107 +330,34 @@ class NominalCounter(_Counter):
         self.sizes = [attr.n_values for attr in schema.attributes]
         # attribute a's value rows start at row first_row[a] of a leaf's table
         self.first_row = list(accumulate(self.sizes, initial=0))
-        # the codes of the instances seen, by id: ``ids`` sorted, ``id_codes``
-        # beside it, and the instances in ``kept``, so that no id is reused
-        self._forget_codes()
-        self.cells: dict[tuple, int] = {}
-        self.cell_values: list[tuple] = []
-        self.cell_rows = np.zeros((64, len(self.sizes)), np.int64)  # first_row[a] + value a
         self.route = np.full(64, -1, np.int64)
-        self.rows_filled = 0  # the cells with their rows
         n = self.SLOTS
         self.dist = np.zeros((n, self.class_count))
         self.pending = np.zeros((n, self.first_row[-1] * self.class_count), _ONE.dtype)
         self.left = np.zeros(n, np.int64)
         self._forget()
 
-    # -- codes and cells ------------------------------------------------------
+    # -- cells ----------------------------------------------------------------
 
-    def _prepare(self, chunk) -> bool:
-        codes = self._codes(chunk)
-        if codes is None:
-            return False
-        c = self.class_count
-        self.chunk_cells, self.labels = np.divmod(codes, c)
-        # each instance's cell in a leaf's pending table, per attribute
-        rows = self.cell_rows[self.chunk_cells]
-        rows *= c
-        rows += self.labels[:, None]
-        self.rows = rows
-        return True
-
-    def _codes(self, chunk):
-        """The chunk's codes as an array, or None when it does not qualify."""
-        # a chunk adds at most one code and one cell per instance
-        if len(self.cells) > _MAX_KEPT - len(chunk):
-            self.cells.clear()
-            self.cell_values.clear()
-            self.rows_filled = 0
-            self.route.fill(-1)
-            self._forget_codes()
-        if len(self.kept) > _MAX_KEPT - len(chunk):
-            self._forget_codes()
-        keys = np.fromiter(map(id, chunk), np.int64, len(chunk))
-        at = np.searchsorted(self.ids, keys)
-        np.minimum(at, len(self.ids) - 1, out=at)
-        codes = self.id_codes[at]
-        unknown = np.flatnonzero(self.ids[at] != keys)
-        if unknown.size:
-            # an instance drawn more than once is coded once, in the order
-            # the chunk first draws each
-            new, first, copies = np.unique(keys[unknown], return_index=True, return_inverse=True)
-            new_codes = np.empty(len(new), np.int64)
-            for j in np.argsort(first).tolist():
-                inst = chunk[unknown[first[j]]]
-                code = self._code(inst)
-                if code is None:
-                    return None
-                new_codes[j] = code
-                self.kept.append(inst)
-            self._fill_cell_rows()
-            codes[unknown] = new_codes[copies]
-            ids = np.concatenate([self.ids, new])
-            order = np.argsort(ids)
-            self.ids = ids[order]
-            self.id_codes = np.concatenate([self.id_codes, new_codes])[order]
-        return codes
-
-    def _forget_codes(self) -> None:
-        # -1 is no id: searches always land on an entry
-        self.ids = np.full(1, -1, np.int64)
-        self.id_codes = np.full(1, -1, np.int64)
-        self.kept = []
-
-    def _code(self, inst):
-        if inst.__class__ is not Instance:
-            return None
-        values, label, weight = inst
-        if (weight.__class__ is not float or weight != 1.0
-                or label.__class__ is not int or not 0 <= label < self.class_count
-                or values.__class__ is not tuple or len(values) != len(self.sizes)):
-            return None
-        for v, n in zip(values, self.sizes):
-            if v.__class__ is not int or not 0 <= v < n:
-                return None
-        cell = self.cells.get(values)
-        if cell is None:
-            cell = self.cells[values] = len(self.cell_values)
-            self.cell_values.append(values)
-        return cell * self.class_count + label
-
-    def _fill_cell_rows(self) -> None:
-        """Give the cells added since the last call their routes and rows."""
-        n, done = len(self.cell_values), self.rows_filled
-        if n == done:
-            return
-        if n > len(self.route):
-            more = max(n, len(self.route) * 3 // 2) - len(self.route)
+    def _prepare(self, chunk: Rows) -> None:
+        self.chunk_cells, self.labels = cells, labels = chunk.x, chunk.labels
+        top = int(cells.max()) + 1
+        if top > len(self.route):
+            more = max(top, len(self.route) * 3 // 2) - len(self.route)
             self.route = np.concatenate([self.route, np.full(more, -1, np.int64)])
-            self.cell_rows = np.concatenate([self.cell_rows, np.zeros((more, len(self.sizes)), np.int64)])
-        rows = self.cell_rows[done:n]
-        rows[:] = self.cell_values[done:n]
+        # each row's cell in a leaf's pending table, per attribute: the row
+        # of its value, first_row[a] + value, times class_count plus its label
+        rows = np.empty((len(cells), len(self.sizes)), np.int64)
+        for a in reversed(range(len(self.sizes))):
+            cells, rows[:, a] = np.divmod(cells, self.sizes[a])
         rows += self.first_row[:-1]
-        self.rows_filled = n
+        rows *= self.class_count
+        rows += labels[:, None]
+        self.rows = rows
+
+    def _cell_values(self, cells: list[int]) -> dict[int, tuple]:
+        """The values tuple of each of ``cells``."""
+        return dict(zip(cells, zip(*(values.tolist() for values in np.unravel_index(cells, self.sizes)))))
 
     # -- slots ----------------------------------------------------------------
 
@@ -480,8 +366,8 @@ class NominalCounter(_Counter):
         cells = self.chunk_cells[now]
         slots = self.route[cells]
         if slots.min() < 0:
-            for cell in dict.fromkeys(cells[slots < 0].tolist()):
-                position = walk(self.learner.root, self.cell_values[cell])[-1]
+            for cell, values in self._cell_values(list(dict.fromkeys(cells[slots < 0].tolist()))).items():
+                position = walk(self.learner.root, values)[-1]
                 slot = self.slot_of.get(position)
                 self.route[cell] = self._new_slots([position])[0] if slot is None else slot
             slots = self.route[cells]
@@ -557,10 +443,7 @@ class NumericCounter(_Counter):
     """Predicts and learns chunks on a ``HoeffdingTreeClassifier`` whose
     schema has no nominal attribute, keeping every float in learn order.
 
-    A list chunk is counted only when each of its instances is an
-    ``Instance`` of weight 1.0 with an in-range ``int`` label and finite
-    ``float`` values in a ``tuple``; ``Rows`` are counted as they are. The
-    chunk's values are one float64 array, and an instance is routed by a
+    The chunk's values are one float64 array, and an instance is routed by a
     walk of the flattened tree (``_flatten``) that compares
     ``values[attr] <= threshold`` in float64, as ``walk`` does.
 
@@ -609,32 +492,9 @@ class NumericCounter(_Counter):
         self.lo = state[:, lo:hi]
         self.hi = state[:, hi:]
 
-    def _prepare(self, chunk) -> bool:
-        if chunk.__class__ is Rows:
-            # a generator's rows: valid by construction, and already arrays
-            self.x = chunk.values.reshape(-1)
-            self.labels = chunk.labels
-            return True
-        n, m = len(chunk), self.n_attributes
-        if countOf(map(type, chunk), Instance) != n:
-            return False
-        values, labels, weights = zip(*chunk)
-        if (countOf(map(type, weights), float) != n or countOf(weights, 1.0) != n
-                or countOf(map(type, labels), int) != n
-                or not 0 <= min(labels) <= max(labels) < self.class_count
-                or countOf(map(type, values), tuple) != n or countOf(map(len, values), m) != n):
-            return False
-        flat = list(chain.from_iterable(values))
-        if countOf(map(type, flat), float) != n * m:
-            return False
-        x = np.frombuffer(struct.pack(f"{n * m}d", *flat))
-        # a NaN or an infinity makes the sum NaN or infinite (and so, rarely,
-        # does an overflow: that chunk, too, runs one instance at a time)
-        if not math.isfinite(x.sum()):
-            return False
-        self.x = x
-        self.labels = np.fromiter(labels, np.int64, n)
-        return True
+    def _prepare(self, chunk: Rows) -> None:
+        self.x = chunk.x.reshape(-1)
+        self.labels = chunk.labels
 
     # -- routing --------------------------------------------------------------
 

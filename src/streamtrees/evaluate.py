@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 
-from .chunks import NumericCounter, Rows, counter_for
-from .streams import ArrayStream
+from .chunks import counter_for
+from .streams import ArrayStream, Rows
 
 
 # --------------------------------------------------------------------------
@@ -104,17 +103,18 @@ def prequential_run(learner, stream, n_instances: int, snapshot_every: int = 0) 
     instances: (index of the last instance in the window, mean error inside
     the window). snapshot_every = 0 disables the series.
 
-    A ``HoeffdingTreeClassifier`` on an all-nominal or all-numeric schema,
-    and a ``HoeffdingAdaptiveTreeClassifier`` on an all-nominal one that
-    neither draws Poisson weights nor keeps replay buffers, take the stream
-    in chunks of ``CHUNK`` instances through the counter
-    ``chunks.counter_for`` gives them, which gives the same predictions and
-    the same tree; a subclass, or a learner with its own ``predict_label``
-    or ``train`` set on the object (a tracer, a recorder), sees every
-    instance instead. A numeric VFDT reads a numeric generator
-    (``streams.ArrayStream``) as arrays, unchecked, since its rows are valid
-    by construction; a stream with its own ``next_instance`` set on the
-    object is read through it, one instance at a time.
+    This is the one place a run is chunked or not. A
+    ``HoeffdingTreeClassifier`` on an all-nominal or all-numeric schema, and
+    a ``HoeffdingAdaptiveTreeClassifier`` on an all-nominal one that neither
+    draws Poisson weights nor keeps replay buffers, read a generator
+    (``streams.ArrayStream``) on their own schema in chunks of ``CHUNK``
+    rows, as arrays, through the counter ``chunks.counter_for`` gives them:
+    the same predictions and the same tree. A generator's rows are valid by
+    construction, so they go unchecked. Any other stream, a generator whose
+    ``next_instance`` is set on the object (a tracer), and any other
+    learner, a subclass or a learner with its own ``predict_label`` or
+    ``train`` set on the object (a tracer, a recorder) included, run one
+    instance at a time.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
@@ -122,7 +122,8 @@ def prequential_run(learner, stream, n_instances: int, snapshot_every: int = 0) 
         raise ValueError("snapshot_every must be >= 0")
     t0 = time.perf_counter()
     counter = counter_for(learner)
-    if counter is not None:
+    if (counter is not None and isinstance(stream, ArrayStream) and stream.schema == learner.schema
+            and stream.next_instance == stream._instances.__next__):
         errors, series = _chunked_run(counter, stream, n_instances, snapshot_every)
     else:
         errors, series = _instance_run(learner, stream, n_instances, snapshot_every)
@@ -153,34 +154,16 @@ def _instance_run(learner, stream, n_instances: int, snapshot_every: int):
 
 
 def _chunked_run(counter, stream, n_instances: int, snapshot_every: int):
-    """``_instance_run`` through a chunk counter: the same stream reads,
-    errors and series, and every deferred count written back on the way out.
-
-    A ``NumericCounter`` reads an ``ArrayStream`` as arrays while the
-    stream's ``next_instance`` is still its own; a wrapper set on it (a
-    tracer) is read through, and so sees every instance."""
-    read = None
-    if (counter.__class__ is NumericCounter and isinstance(stream, ArrayStream)
-            and stream.next_instance == stream._instances.__next__):
-        read = stream.next_arrays
-    instances = iter(stream.next_instance, None)  # ends where the stream does
+    """``_instance_run`` through a chunk counter on a generator's rows: the
+    same stream reads, errors and series, and every deferred count written
+    back on the way out."""
     errors = 0
     window_errors = 0
     series: list[tuple[int, float]] = []
     done = 0
     try:
         while done < n_instances:
-            size = min(CHUNK, n_instances - done)
-            if read is not None:
-                chunk = Rows(*read(size))
-            else:
-                chunk = []
-                try:
-                    # extend keeps what it read before an exception
-                    chunk.extend(islice(instances, size))
-                except BaseException:
-                    counter.step(chunk)  # the instances read before the stream failed
-                    raise
+            chunk = Rows(stream, *stream.next_arrays(min(CHUNK, n_instances - done)))
             wrong = counter.step(chunk)
             errors += sum(wrong)
             if snapshot_every:
@@ -192,8 +175,6 @@ def _chunked_run(counter, stream, n_instances: int, snapshot_every: int):
                     start = end
                 window_errors += sum(wrong[start:])
             done += len(chunk)
-            if len(chunk) < size:
-                raise RuntimeError(f"stream exhausted after {done} instances")
     finally:
         counter.flush()
     return errors, series

@@ -1,7 +1,7 @@
 """The chunk step for the adaptive tree: ``HatCounter`` learns the runs of
 unit-weight instances between a ``HoeffdingAdaptiveTreeClassifier``'s
-events with numpy, on the slots, instance codes, pending tables and
-write-back of ``chunks.NominalCounter``.
+events with numpy, on the cells, slots, pending tables and write-back of
+``chunks.NominalCounter``.
 
 It has a module of its own, imported by ``chunks.counter_for`` only for an
 adaptive tree: CPython keeps much of the memory that compiling a module
@@ -18,6 +18,7 @@ import numpy as np
 from . import tree
 from .chunks import _MAX_LEFT, _ONE, NominalCounter, _counted, _left, _Running
 from .detectors import AdwinDetector
+from .streams import Rows
 from .tree import SplitNode, _leaf_counter, walk
 
 # where an adaptive-tree instance learns: the slot of one leaf it reaches, the
@@ -102,15 +103,16 @@ class HatCounter(NominalCounter):
         """Each cell's program, made for the cells without one."""
         programs = self.route[cells]
         if programs.min() < 0:
-            self._programs(dict.fromkeys(cells[programs < 0].tolist()))
+            self._programs(list(dict.fromkeys(cells[programs < 0].tolist())))
             programs = self.route[cells]
         if self.tabulated != (len(self.units), len(self.programs)):
             self._tabulate()
         return programs
 
-    def _programs(self, cells) -> None:
+    def _programs(self, cells: list[int]) -> None:
         """Give each of ``cells`` its program, in one walk down the tree."""
-        units_of = {cell: [] for cell in cells}
+        values_of = self._cell_values(cells)
+        units_of = {values: [] for values in values_of.values()}
         fresh: list = []
         self._descend(self.learner._root, list(units_of), (), -1, units_of, fresh)
         if fresh:
@@ -120,29 +122,31 @@ class HatCounter(NominalCounter):
             for position, (alternate, path) in zip(leaves, fresh):
                 self.units.append(_Unit(self.slot_of[position], alternate,
                                         [place(node.detector, len(self.detector_at)) for node in path], path))
-        learner, values = self.learner, self.cell_values
-        unit_of = {id(unit.path[-1].mainline.class_dist): u for u, unit in enumerate(self.units)}
-        for cell, units in units_of.items():
-            key = tuple(units)
+        learner = self.learner
+        for cell, values in values_of.items():
+            key = tuple(units_of[values])
             program = self.program_at.get(key)
             if program is None:
                 votes: list = []
-                learner._alternate_votes(walk(learner._root, values[cell]), values[cell], votes)
+                learner._alternate_votes(walk(learner._root, values), values, votes)
+                # a voter is the unit of the program whose leaf holds that distribution
+                dists = [self.units[u].path[-1].mainline.class_dist for u in key]
                 program = self.program_at[key] = len(self.programs)
-                self.programs.append((key, [key.index(unit_of[id(dist)]) for dist in votes]))
+                self.programs.append((key, [next(i for i, dist in enumerate(dists) if dist is vote)
+                                            for vote in votes]))
             self.route[cell] = program
 
-    def _descend(self, position, cells: list, path: tuple, alternate: int, units_of: dict, fresh: list) -> None:
-        """Add the units ``cells`` reach below ``position``: the leaf each
-        reaches, then those of the alternates on the way, as
-        ``_train_subtree`` trains them."""
+    def _descend(self, position, tuples: list, path: tuple, alternate: int, units_of: dict, fresh: list) -> None:
+        """Add the units the values tuples ``tuples`` reach below
+        ``position``: the leaf each reaches, then those of the alternates on
+        the way, as ``_train_subtree`` trains them."""
         path = (*path, position)
         node = position.mainline
         if node.__class__ is SplitNode:
             groups: dict = {}
-            attr, values = node.attr, self.cell_values
-            for cell in cells:
-                groups.setdefault(values[cell][attr], []).append(cell)
+            attr = node.attr
+            for values in tuples:
+                groups.setdefault(values[attr], []).append(values)
             for value, group in groups.items():
                 self._descend(node.children[value], group, path, alternate, units_of, fresh)
         else:
@@ -150,11 +154,11 @@ class HatCounter(NominalCounter):
             if unit is None:
                 unit = self.unit_at[position] = len(self.units) + len(fresh)
                 fresh.append((alternate, path))
-            for cell in cells:
-                units_of[cell].append(unit)
+            for values in tuples:
+                units_of[values].append(unit)
         if position.alternate is not None:
             place = self.alternate_at.setdefault(position.alternate, len(self.alternate_at))
-            self._descend(position.alternate, cells, (), place, units_of, fresh)
+            self._descend(position.alternate, tuples, (), place, units_of, fresh)
 
     def _tabulate(self) -> None:
         """Lay the units and programs out in arrays: a program's units and a
@@ -176,9 +180,8 @@ class HatCounter(NominalCounter):
 
     # -- the step -------------------------------------------------------------
 
-    def step(self, chunk: list) -> list:
-        if not chunk or not self._prepare(chunk):
-            return self._one_at_a_time(chunk)
+    def step(self, chunk: Rows) -> list:
+        self._prepare(chunk)
         self.chunk = chunk
         wrong = np.zeros(len(chunk), bool)
         start = 0

@@ -2,31 +2,35 @@
 
 Every generator is a stateful, seeded instance source: ``next_instance()``
 yields one labeled Instance, and identical construction parameters (seed
-included) give bitwise-identical sequences. Instances come from blocks of
-1024: each block is sampled with PCG64 and built into Instances in C, and
-``next_instance`` hands them out from a C-level iterator. The sequence does
-not depend on how callers interleave their pulls from different streams.
+included) give bitwise-identical sequences. The sequence does not depend on
+how callers interleave their pulls from different streams.
 
-The numeric generators, ``SeaGenerator`` and ``HyperplaneGenerator``, keep
-each block as arrays (values float64 ``[1024, d]``, labels int64) read
-through one cursor. ``next_instance`` hands out Instances built from the
-rest of the current block, and ``next_arrays(n)`` hands out the next ``n``
-rows as arrays; any interleaving of the two reads the same sequence. Rows
-within one block come as read-only views of it, so a reader can keep them
-without a copy.
+Every generator is an ``ArrayStream``: it samples blocks of 1024 rows with
+PCG64 and keeps each block as arrays read through one cursor. A row is a
+numeric generator's values (``SeaGenerator``, ``HyperplaneGenerator``:
+float64 ``[1024, d]``) or a nominal generator's cells (``StaggerGenerator``,
+``AbruptDriftGenerator``: the row-major index of each values tuple, int64),
+beside int64 labels. ``next_instance`` hands out Instances built in C from
+the rest of the current block through a C-level iterator, and
+``next_arrays(n)`` hands out the next ``n`` rows as arrays; any
+interleaving of the two reads the same sequence. Rows within one block come
+as read-only views of it, so a reader can keep them without a copy.
+``Rows`` holds such a chunk of rows for the chunk step.
 
-The nominal generators, ``StaggerGenerator`` and ``AbruptDriftGenerator``,
-hand out shared Instances: every draw of one (value tuple, class) pair is the
-same object, built the first time the pair is drawn. A stream keeps at most
-``_MAX_INTERNED`` = 16,384 of them and empties that cache before a block that
-could take it past the bound. Instances are immutable, so sharing is
-invisible to learners, and equal values route the same way through a tree.
+A nominal stream hands out shared Instances: every Instance of one (value
+tuple, class) pair it builds is the same object, built the first time the
+pair is built. A stream keeps at most ``_MAX_INTERNED`` = 16,384 of them and
+empties that cache before a build that could take it past the bound.
+Instances are immutable, so sharing is invisible to learners, and equal
+values route the same way through a tree.
 
-A ``RecurrentConceptDriftStream`` reads its two sub-streams up to one block
-ahead of its own caller, so a sub-stream object must not be read anywhere
-else. It evaluates its sigmoid only inside a drift window, within 15 widths
-of a concept centre; between windows it copies whole runs of instances from
-one sub-stream and draws no uniforms.
+A ``RecurrentConceptDriftStream`` fills its blocks with runs of rows read
+from its two sub-streams by ``next_arrays``, up to one block ahead of its
+own caller, so a sub-stream object must not be read anywhere else. It
+evaluates its sigmoid only inside a drift window, within 15 widths of a
+concept centre; between windows it reads whole runs of rows from one
+sub-stream and draws no uniforms. Its Instances are its own, shared as any
+nominal stream's when its sub-streams are nominal.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
@@ -124,91 +128,13 @@ def apply_drift(table: CellTable, magnitude: float, rng: np.random.Generator) ->
 # generators
 # --------------------------------------------------------------------------
 
-class _Stream:
-    """An endless instance source built from blocks of ``_BLOCK`` instances.
-
-    ``next_instance`` is the ``__next__`` of a C-level iterator that chains
-    the blocks ``_make_block`` returns, so handing out an instance runs no
-    Python code; a block is made when the previous one runs out.
-    """
-
-    schema: Schema
-
-    def __init__(self) -> None:
-        self._instances = chain.from_iterable(iter(self._make_block, None))
-        self.next_instance = self._instances.__next__
-
-    def _make_block(self) -> list[Instance]:
-        raise NotImplementedError
-
-
-def _block(values: np.ndarray, labels: np.ndarray) -> list[Instance]:
-    """One Instance of weight 1.0 per row of ``values``, built in C."""
-    return list(map(new_instance, zip(zip(*values.T.tolist()), labels.tolist(), repeat(1.0))))
-
-
-class ArrayStream(_Stream):
-    """A stream whose blocks stay arrays, read through one cursor.
-
-    ``_sample`` gives a block: values float64 ``[_BLOCK, d]`` and labels
-    int64. Rows before the cursor ``_at`` are handed out, as arrays or as
-    Instances. ``next_instance`` stays the C-level chain: when it runs out,
-    the rest of the block is built into Instances in one go and the cursor
-    moves to the block's end. ``next_arrays`` first moves the cursor back
-    over the Instances built but not yet handed out, and drops them.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._values = self._labels = np.zeros(0)
-        self._at = 0
-        # the iterator over the Instances built last, which the chain reads
-        self._built = iter(())
-
-    def _sample(self) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def _next_block(self) -> None:
-        self._values, self._labels = self._sample()
-        self._values.flags.writeable = self._labels.flags.writeable = False
-        self._at = 0
-
-    def _make_block(self) -> Iterator[Instance]:
-        if self._at == len(self._labels):
-            self._next_block()
-        at, self._at = self._at, len(self._labels)
-        self._built = iter(_block(self._values[at:], self._labels[at:]))
-        return self._built
-
-    def next_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next ``n`` rows: values float64 ``[n, d]`` and labels int64,
-        views of the block when they lie in one, else joined copies."""
-        unread = self._built.__length_hint__()
-        if unread:
-            self._at -= unread
-            deque(self._built, 0)  # the chain finds them gone and asks for the rest
-        values, labels = [], []
-        while n:
-            if self._at == len(self._labels):
-                self._next_block()
-            at = self._at
-            self._at = end = min(at + n, len(self._labels))
-            n -= end - at
-            values.append(self._values[at:end])
-            labels.append(self._labels[at:end])
-        if len(labels) == 1:
-            return values[0], labels[0]
-        return np.concatenate(values), np.concatenate(labels)
-
-
 class _InstanceCache(dict):
     """The Instances of a nominal stream, one per ``cell * class_count + label`` key.
 
-    A cell is the row-major index of a value tuple (attribute 0 slowest). A
-    key's Instance is built the first time it is drawn, with int values, an
-    int label and weight 1.0 as ``_block`` builds them, and every later draw
-    of that key hands out the same object. The cache is emptied before a
-    block that could take it past ``_MAX_INTERNED`` entries.
+    A key's Instance is built the first time it is asked for, with int
+    values, an int label and weight 1.0, and every later ask hands out the
+    same object. The cache is emptied before a build that could take it past
+    ``_MAX_INTERNED`` entries.
     """
 
     def __init__(self, schema: Schema):
@@ -232,7 +158,100 @@ class _InstanceCache(dict):
         return list(map(self.__getitem__, (cells * self._class_count + labels).tolist()))
 
 
-class AbruptDriftGenerator(_Stream):
+class ArrayStream:
+    """An endless stream whose blocks stay arrays, read through one cursor.
+
+    ``_sample`` gives a block: rows ``x`` and labels int64, where ``x`` holds
+    a numeric stream's values, float64 ``[_BLOCK, d]``, or a nominal
+    stream's cells, int64: a cell is the row-major index of a values tuple
+    (attribute 0 slowest). Rows before the cursor ``_at`` are handed out, as
+    arrays or as Instances. ``next_instance`` is the ``__next__`` of a
+    C-level iterator that chains what ``_make_block`` returns, so handing
+    out an instance runs no Python code: when it runs out, the rest of the
+    block is built into Instances in one go and the cursor moves to the
+    block's end. ``next_arrays`` first moves the cursor back over the
+    Instances built but not yet handed out, and drops them.
+    """
+
+    def __init__(self, schema: Schema) -> None:
+        self.schema = schema
+        self._cache = None if schema.numeric_attrs else _InstanceCache(schema)
+        self._x = self._labels = np.zeros(0)
+        self._at = 0
+        # the iterator over the Instances built last, which the chain reads
+        self._built = iter(())
+        self._instances = chain.from_iterable(iter(self._make_block, None))
+        self.next_instance = self._instances.__next__
+
+    def _sample(self) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def build(self, x: np.ndarray, labels: np.ndarray) -> list[Instance]:
+        """The Instances of rows ``x`` and ``labels``, as ``next_instance``
+        hands them out: a nominal stream's shared ones, else new ones of
+        weight 1.0, built in C."""
+        if self._cache is not None:
+            return self._cache.block(x, labels)
+        return list(map(new_instance, zip(zip(*x.T.tolist()), labels.tolist(), repeat(1.0))))
+
+    def _next_block(self) -> None:
+        self._x, self._labels = self._sample()
+        self._x.flags.writeable = self._labels.flags.writeable = False
+        self._at = 0
+
+    def _make_block(self) -> Iterator[Instance]:
+        if self._at == len(self._labels):
+            self._next_block()
+        at, self._at = self._at, len(self._labels)
+        self._built = iter(self.build(self._x[at:], self._labels[at:]))
+        return self._built
+
+    def next_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``n`` rows: ``x`` and labels int64, views of the block
+        when they lie in one, else joined copies."""
+        unread = self._built.__length_hint__()
+        if unread:
+            self._at -= unread
+            deque(self._built, 0)  # the chain finds them gone and asks for the rest
+        xs, labels = [], []
+        while n:
+            if self._at == len(self._labels):
+                self._next_block()
+            at = self._at
+            self._at = end = min(at + n, len(self._labels))
+            n -= end - at
+            xs.append(self._x[at:end])
+            labels.append(self._labels[at:end])
+        if len(labels) == 1:
+            return xs[0], labels[0]
+        return np.concatenate(xs), np.concatenate(labels)
+
+
+class Rows:
+    """A chunk of a stream's rows as ``next_arrays`` gives them: ``x`` and
+    ``labels``. A generator's rows are valid by construction, so a counter
+    takes them as they are. Row ``k`` reads back as the ``Instance`` the
+    stream's ``next_instance`` would have handed out (for a nominal stream,
+    its shared one); only the rows that go through the tree or into an
+    eidetic buffer are built into Instances."""
+
+    def __init__(self, stream: ArrayStream, x: np.ndarray, labels: np.ndarray):
+        self.stream = stream
+        self.x = x
+        self.labels = labels
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, k: int) -> Instance:
+        return self.instances(slice(k, k + 1))[0]
+
+    def instances(self, at) -> list[Instance]:
+        """The Instances of rows ``at`` (an index array or a slice)."""
+        return self.stream.build(self.x[at], self.labels[at])
+
+
+class AbruptDriftGenerator(ArrayStream):
     """Nominal stream with an instantaneous switch of P(Y|X) at the drift point.
 
     A starting cell table is drawn (Gamma(1,1) value probabilities, uniform
@@ -254,14 +273,13 @@ class AbruptDriftGenerator(_Stream):
         recurrent: bool = False,
         seed: int = 1,
     ):
-        super().__init__()
         if drift_point < 1:
             raise ValueError("drift_point must be >= 1")
         cells = n_values**n_attributes
         if cells > _MAX_CELLS:
             raise ValueError(f"{n_values}**{n_attributes} = {cells} cells exceed "
                              f"the limit of {_MAX_CELLS} cells")
-        self.schema = Schema.uniform_nominal(n_attributes, n_values, class_count)
+        super().__init__(Schema.uniform_nominal(n_attributes, n_values, class_count))
         self.magnitude = magnitude
         self.drift_point = drift_point
         self.recurrent = recurrent
@@ -269,10 +287,9 @@ class AbruptDriftGenerator(_Stream):
         self.table_before = CellTable.random(self._rng, n_attributes, n_values, class_count)
         self.table_after = apply_drift(self.table_before, magnitude, self._rng)
         self._cum = [np.cumsum(p) for p in self.table_before.attribute_value_probs]
-        self._cache = _InstanceCache(self.schema)
         self._t = 0
 
-    def _make_block(self) -> list[Instance]:
+    def _sample(self) -> tuple[np.ndarray, np.ndarray]:
         u = self._rng.random((_BLOCK, self.schema.n_attributes))
         cells = np.zeros(_BLOCK, dtype=np.int64)
         for i, cum in enumerate(self._cum):
@@ -289,7 +306,7 @@ class AbruptDriftGenerator(_Stream):
             self.table_before.class_assignment[cells],
         )
         self._t += _BLOCK
-        return self._cache.block(cells, labels)
+        return cells, labels
 
 
 # STAGGER concept definitions, attributes (size, color, shape) each with
@@ -300,19 +317,17 @@ RED, GREEN, BLUE = 0, 1, 2
 SQUARE, CIRCULAR, TRIANGULAR = 0, 1, 2
 
 
-class StaggerGenerator(_Stream):
+class StaggerGenerator(ArrayStream):
     """Three ternary attributes, binary class from one of three boolean rules."""
 
     def __init__(self, function: int = 1, seed: int = 1):
-        super().__init__()
         if function not in (1, 2, 3):
             raise ValueError(f"STAGGER function must be 1..3, got {function}")
-        self.schema = Schema.uniform_nominal(3, 3, 2)
+        super().__init__(Schema.uniform_nominal(3, 3, 2))
         self.function = function
         self._rng = make_rng(seed)
-        self._cache = _InstanceCache(self.schema)
 
-    def _make_block(self) -> list[Instance]:
+    def _sample(self) -> tuple[np.ndarray, np.ndarray]:
         vals = self._rng.integers(0, 3, size=(_BLOCK, 3))
         size, color, shape = vals[:, 0], vals[:, 1], vals[:, 2]
         if self.function == 1:
@@ -321,7 +336,7 @@ class StaggerGenerator(_Stream):
             labels = (color == GREEN) | (shape == CIRCULAR)
         else:
             labels = (size == MEDIUM) | (size == LARGE)
-        return self._cache.block((size * 3 + color) * 3 + shape, labels.astype(int))
+        return (size * 3 + color) * 3 + shape, labels.astype(np.int64)
 
 
 SEA_THRESHOLDS = {1: 0.8, 2: 0.9, 3: 0.7, 4: 0.95}
@@ -331,12 +346,11 @@ class SeaGenerator(ArrayStream):
     """Three numeric attributes on [0,1]; class 1 when x0 + x1 <= threshold."""
 
     def __init__(self, function: int = 1, noise: float = 0.0, seed: int = 1):
-        super().__init__()
         if function not in SEA_THRESHOLDS:
             raise ValueError(f"SEA function must be 1..4, got {function}")
         if not 0.0 <= noise < 1.0:
             raise ValueError(f"noise fraction {noise} outside [0, 1)")
-        self.schema = Schema.unit_numeric(3)
+        super().__init__(Schema.unit_numeric(3))
         self.function = function
         self.threshold = SEA_THRESHOLDS[function]
         self.noise = noise
@@ -368,7 +382,6 @@ class HyperplaneGenerator(ArrayStream):
         noise: float = 0.0,
         seed: int = 1,
     ):
-        super().__init__()
         if _BLOCK * n_attributes > _MAX_CELLS:
             raise ValueError(f"{n_attributes} attributes make blocks of over {_MAX_CELLS} cells")
         if drift_attributes > n_attributes:
@@ -379,7 +392,7 @@ class HyperplaneGenerator(ArrayStream):
             raise ValueError(f"sigma {sigma} outside [0, 1]")
         if not math.isfinite(magnitude):
             raise ValueError(f"drift magnitude {magnitude} is not finite")
-        self.schema = Schema.unit_numeric(n_attributes)
+        super().__init__(Schema.unit_numeric(n_attributes))
         self.n_attributes = n_attributes
         self.drift_attributes = drift_attributes
         self.magnitude = magnitude
@@ -410,7 +423,7 @@ class HyperplaneGenerator(ArrayStream):
         return x, labels
 
 
-class RecurrentConceptDriftStream(_Stream):
+class RecurrentConceptDriftStream(ArrayStream):
     """Sigmoid mixture of two sub-streams with drift recurring every period.
 
     Concept centers sit at ``position + m * period``; around center m the
@@ -427,8 +440,7 @@ class RecurrentConceptDriftStream(_Stream):
             raise ValueError("sub-streams must share a schema")
         if position < 1 or period < 1 or width < 1:
             raise ValueError("position, period and width must be >= 1")
-        super().__init__()
-        self.schema = base.schema
+        super().__init__(base.schema)
         self.base = base
         self.drift = drift
         self.position = position
@@ -436,7 +448,6 @@ class RecurrentConceptDriftStream(_Stream):
         self.width = width
         self._rng = make_rng(seed)
         self._t = 0
-        self._sources = (base._instances, drift._instances)
 
     def prob_drift_stream(self, t: int) -> float:
         """Probability that instance t comes from the second (drift) stream."""
@@ -451,7 +462,7 @@ class RecurrentConceptDriftStream(_Stream):
             sig = 1.0 / (1.0 + math.exp(-z))
         return sig if m % 2 == 0 else 1.0 - sig
 
-    def _make_block(self) -> list[Instance]:
+    def _sample(self) -> tuple[np.ndarray, np.ndarray]:
         t0 = self._t
         self._t += _BLOCK
         # prob_drift_stream over the block: outside a drift window (|z| > 60)
@@ -470,9 +481,11 @@ class RecurrentConceptDriftStream(_Stream):
         draws = iter(self._rng.random(sum(0.0 < p < 1.0 for p in probs)).tolist())
         for i, p in zip(window, probs):
             from_drift[i] = p >= 1.0 or (p > 0.0 and next(draws) < p)
-        # each run of instances from one sub-stream is copied whole
+        # each run of rows from one sub-stream is read whole
         bounds = [0, *(np.flatnonzero(from_drift[1:] != from_drift[:-1]) + 1).tolist(), _BLOCK]
-        block: list[Instance] = []
-        for start, end in zip(bounds, bounds[1:]):
-            block += islice(self._sources[int(from_drift[start])], end - start)
-        return block
+        runs = [(self.drift if from_drift[start] else self.base).next_arrays(end - start)
+                for start, end in zip(bounds, bounds[1:])]
+        if len(runs) == 1:
+            return runs[0]
+        xs, labels = zip(*runs)
+        return np.concatenate(xs), np.concatenate(labels)

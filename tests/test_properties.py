@@ -3,6 +3,7 @@
 import math
 import operator
 from functools import cache, partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from streamtrees.hat import _VOTE_MODES, VOTE_MULTI, HatConfig, HoeffdingAdaptiv
 from streamtrees.hatchunks import HatCounter
 from streamtrees.schema import Instance, NominalAttribute, NumericAttribute, Schema
 from streamtrees.specparse import build_generator, build_stream, parse_stream_spec
-from streamtrees.streams import AbruptDriftGenerator
+from streamtrees.streams import AbruptDriftGenerator, ArrayStream
 from streamtrees.tree import (
     _NUMERIC_SPLIT_POINTS,
     _SQRT2,
@@ -597,9 +598,18 @@ class _Twins:
         self.state = hat_state if isinstance(self.trees[0], HoeffdingAdaptiveTreeClassifier) else tree_state
 
     def run(self, n, snapshot_every=500):
-        chunked = prequential_run(self.trees[0], self.streams[0], n, snapshot_every)
+        """Run both trees on ``n`` more instances; the chunked run must hand
+        every one of them to its counter's ``step``, or the two runs would
+        be one loop compared with itself."""
+        kind = type(counter_for(self.trees[0]))
+        stepped = []
+        step = kind.step
+        with mock.patch.object(kind, "step", lambda counter, chunk: stepped.append(len(chunk)) or step(counter, chunk)):
+            chunked = prequential_run(self.trees[0], self.streams[0], n, snapshot_every)
+        assert sum(stepped) == n
         twin = per_instance_run(self.trees[1], self.streams[1], n, snapshot_every)
         assert (chunked.final_error, chunked.error_series) == twin
+        return chunked
 
     def train(self, instances):
         for tree, stream in zip(self.trees, self.streams):
@@ -626,7 +636,8 @@ def test_chunk_step_matches_per_instance_twin(config, row, seed, sizes):
 
 
 class _ListStream:
-    """Hands out a list of instances, then None, or raises ``then``."""
+    """Hands out a list of instances, then None, or raises ``then``. It is
+    no generator, so a run on it goes one instance at a time."""
 
     def __init__(self, schema, instances, then=None):
         self.schema = schema
@@ -640,14 +651,27 @@ class _ListStream:
         return inst
 
 
-def _twin_lists(row, n, change=None, then=None):
-    """Two list streams of the first ``n`` instances of a row, with
-    ``change(k, inst)`` applied to each."""
+def _twin_lists(row, n, then=None):
+    """Two list streams of the first ``n`` instances of a row."""
     stream = build_stream(row)
     instances = [stream.next_instance() for _ in range(n)]
-    if change is not None:
-        instances = [change(k, inst) for k, inst in enumerate(instances)]
     return [_ListStream(stream.schema, instances, then) for _ in range(2)]
+
+
+class _FixedRows(ArrayStream):
+    """A generator that serves the rows of ``instances`` (valid, of weight
+    1.0) as arrays or as instances, over and over; a chunked run reads it
+    as it reads any generator."""
+
+    def __init__(self, schema, instances):
+        super().__init__(schema)
+        x = np.array([inst.values for inst in instances])
+        if not schema.numeric_attrs:
+            x = np.ravel_multi_index(x.T, [attr.n_values for attr in schema.attributes])
+        self._rows = x, np.array([inst.class_label for inst in instances], np.int64)
+
+    def _sample(self):
+        return self._rows
 
 
 def test_chunk_step_after_fractional_weight_history():
@@ -661,31 +685,20 @@ def test_chunk_step_after_fractional_weight_history():
     assert len(twins.trees[0].leaves()) > 1
 
 
-@pytest.mark.parametrize("bad", [
-    lambda inst: Instance(inst.values, inst.class_label, 2.0),
-    lambda inst: Instance(inst.values, np.int64(inst.class_label)),
-    lambda inst: Instance(list(inst.values), inst.class_label),
-], ids=["weight-2", "numpy-label", "list-values"])
-def test_chunk_step_takes_an_invalid_chunk_one_instance_at_a_time(bad):
-    row = NOMINAL_GOLDEN_ROWS[1]
-    n = 3 * CHUNK
-    streams = _twin_lists(row, n, lambda k, inst: bad(inst) if k == CHUNK + 17 else inst)
-    twins = _Twins(row, StrategyConfig(eidetic=True), streams=streams)
-    twins.run(n)
-    twins.assert_equal()
-    assert len(twins.trees[0].leaves()) > 1
-
-
 @pytest.mark.parametrize("then", [None, KeyError("stream failed")], ids=["exhausted", "raises"])
 def test_chunk_step_when_the_stream_ends_mid_chunk(then):
+    """A stream that is no generator never reaches a counter: a run on it
+    learns one instance at a time up to where it ends or raises, as the
+    loop does."""
     row = NOMINAL_GOLDEN_ROWS[0]
     n = CHUNK + 1000
     streams = _twin_lists(row, n, then=then)
     twins = _Twins(row, StrategyConfig(eidetic=True), streams=streams)
     errors = []
     for tree, stream, run in zip(twins.trees, streams, (prequential_run, per_instance_run)):
-        with pytest.raises((RuntimeError, KeyError)) as caught:
-            run(tree, stream, 2 * CHUNK, 100)
+        with mock.patch.object(NominalCounter, "step", side_effect=AssertionError("counted")):
+            with pytest.raises((RuntimeError, KeyError)) as caught:
+                run(tree, stream, 2 * CHUNK, 100)
         errors.append((type(caught.value), str(caught.value)))
     assert errors[0] == errors[1]
     assert errors[0][0] is (RuntimeError if then is None else KeyError)
@@ -768,12 +781,9 @@ def test_hat_chunk_step_adds_votes_in_path_order():
         return hat
 
     instances = [Instance((0, 0), 0)] + [Instance((1, 1), 1)] * 9
-    chunked, twin = grown(), grown()
-    result = prequential_run(chunked, _ListStream(schema, instances), len(instances), 1)
-    assert (result.final_error, result.error_series) == per_instance_run(twin, _ListStream(schema, instances),
-                                                                         len(instances), 1)
-    assert result.error_series[0] == (1, 0.0)
-    assert hat_state(chunked) == hat_state(twin)
+    twins = _Twins(None, None, streams=[_FixedRows(schema, instances) for _ in range(2)], make=lambda _: grown())
+    assert twins.run(len(instances), 1).error_series[0] == (1, 0.0)
+    twins.assert_equal()
 
 
 @pytest.mark.parametrize("config", [
@@ -817,7 +827,7 @@ def test_hat_chunk_step_on_quiet_windows_and_bursts(config, seed):
     detector rows, sums and ticks included."""
     instances = _sparse_error_instances(seed)
     schema = Schema.uniform_nominal(3, 2, 2)
-    twins = _hat_twins(None, config, seed, [_ListStream(schema, instances) for _ in range(2)])
+    twins = _hat_twins(None, config, seed, [_FixedRows(schema, instances) for _ in range(2)])
     left = len(instances)
     sizes = [500, 1, CHUNK - 1, 33, CHUNK + 1, 700]
     while left:
@@ -892,7 +902,7 @@ def test_numeric_chunk_step_keeps_the_first_of_equal_zero_bounds():
                 for sign in (1.0, -1.0))
         instances.append(Instance((a, b), int(a > 0.5)))
     schema = Schema.unit_numeric(2)
-    twins = _Twins(None, StrategyConfig(), streams=[_ListStream(schema, instances) for _ in range(2)])
+    twins = _Twins(None, StrategyConfig(), streams=[_FixedRows(schema, instances) for _ in range(2)])
     for _ in range(3):
         twins.run(500)
     twins.assert_equal()
@@ -914,44 +924,6 @@ def test_numeric_chunk_step_adds_in_learn_order_above_2_53():
     assert max(twins.trees[0].root.mainline.class_dist) == 2.0**53
 
 
-def _with_value(inst, value):
-    return Instance((value,) + inst.values[1:], inst.class_label, inst.weight)
-
-
-@pytest.mark.parametrize("bad, raises", [
-    (lambda inst: _with_value(inst, math.nan), True),
-    (lambda inst: _with_value(inst, 1), False),
-    (lambda inst: Instance(inst.values, inst.class_label, 2.0), False),
-], ids=["nan", "int-value", "weight-2"])
-def test_numeric_chunk_with_a_bad_instance_runs_one_instance_at_a_time(bad, raises, monkeypatch):
-    """A call whose chunk holds one NaN, one ``int`` value or one weight of
-    2.0 predicts every instance through ``predict_label`` (a NaN then makes
-    ``train`` raise), and leaves the tree its twin has."""
-    row = NUMERIC_GOLDEN_ROWS[0]
-    n = 500
-    streams = _twin_lists(row, 4 * n, lambda k, inst: bad(inst) if k == n + 17 else inst)
-    twins = _Twins(row, StrategyConfig(eidetic=True), streams=streams)
-    chunked = twins.trees[0]
-    predicted = []
-    predict = HoeffdingTreeClassifier.predict_label
-    monkeypatch.setattr(HoeffdingTreeClassifier, "predict_label",
-                        lambda tree, inst: predicted.append(tree is chunked) or predict(tree, inst))
-    twins.run(n)
-    assert 0 < sum(predicted) < n  # the first call is counted in a chunk
-    predicted.clear()
-    if raises:
-        # the chunked run has read the rest of the chunk: compare the trees here
-        for tree, stream, run in zip(twins.trees, streams, (prequential_run, per_instance_run)):
-            with pytest.raises(ValueError, match="finite"):
-                run(tree, stream, n, 100)
-        assert sum(predicted) == 18
-    else:
-        twins.run(n)
-        assert sum(predicted) == n
-        twins.run(n)
-    twins.assert_equal()
-
-
 @pytest.mark.parametrize("row", [NOMINAL_GOLDEN_ROWS[0], NUMERIC_GOLDEN_ROWS[0]])
 def test_a_predict_label_recorder_sees_every_instance(row):
     """A learner with its own predict_label or train runs one instance at a
@@ -966,20 +938,13 @@ def test_a_predict_label_recorder_sees_every_instance(row):
 
 
 # --------------------------------------------------------------------------
-# numeric generators' arrays against checked lists and the per-instance loop
+# generators' arrays against the per-instance loop
 # --------------------------------------------------------------------------
 
-ARRAY_ROWS = [NUMERIC_GOLDEN_ROWS[0], "SEAGenerator -i 2 -f 2 -n 0.1"]
+ARRAY_ROWS = [NUMERIC_GOLDEN_ROWS[0], "SEAGenerator -i 2 -f 2 -n 0.1", *NOMINAL_GOLDEN_ROWS,
+              "RecurrentConceptDriftStream -x 3000 -y 3000 -z 100 -s (SEAGenerator -i 2 -f 2) "
+              "-d (SEAGenerator -i 3 -f 3)"]
 ARRAY_CALLS = [3000] + [1, 500, CHUNK - 1, CHUNK + 1] * 2
-
-
-class _InstancesOnly:
-    """A stream seen through its ``next_instance`` alone: a chunked run
-    reads it as lists of instances and checks them (``_prepare``)."""
-
-    def __init__(self, stream):
-        self.schema = stream.schema
-        self.next_instance = stream.next_instance
 
 
 @pytest.mark.parametrize("config", [
@@ -988,31 +953,29 @@ class _InstancesOnly:
     StrategyConfig(counter_mode="node_time"),
 ], ids=["default", "eidetic", "node_time"])
 @pytest.mark.parametrize("row", ARRAY_ROWS)
-def test_array_chunks_match_checked_chunks_and_the_per_instance_loop(row, config):
-    """A numeric VFDT fed a generator's arrays, the same stream read as
-    checked lists of instances, and the per-instance loop give the same
-    errors, series, dump and leaf fields, call by call."""
-    streams = [build_stream(row) for _ in range(3)]
+def test_array_chunks_match_the_per_instance_loop(row, config):
+    """A VFDT fed a generator's arrays (numeric values, or nominal cells)
+    and the per-instance loop give the same errors, series, dump and leaf
+    fields, call by call, and every instance is read as arrays."""
+    streams = [build_stream(row) for _ in range(2)]
     reads = []
     next_arrays = streams[0].next_arrays
     streams[0].next_arrays = lambda n: reads.append(n) or next_arrays(n)
-    trees = [HoeffdingTreeClassifier(streams[0].schema, config) for _ in range(3)]
-    listed = _InstancesOnly(streams[1])
+    trees = [HoeffdingTreeClassifier(streams[0].schema, config) for _ in range(2)]
     for n in ARRAY_CALLS:
         arrays = prequential_run(trees[0], streams[0], n, 100)
-        checked = prequential_run(trees[1], listed, n, 100)
-        assert (arrays.final_error, arrays.error_series) == (checked.final_error, checked.error_series)
-        assert (arrays.final_error, arrays.error_series) == per_instance_run(trees[2], streams[2], n, 100)
+        assert (arrays.final_error, arrays.error_series) == per_instance_run(trees[1], streams[1], n, 100)
     assert sum(reads) == sum(ARRAY_CALLS)
-    assert tree_state(trees[0]) == tree_state(trees[1]) == tree_state(trees[2])
+    assert tree_state(trees[0]) == tree_state(trees[1])
     assert len(trees[0].leaves()) > 1
 
 
-def test_a_next_instance_wrapper_on_a_numeric_generator_sees_every_instance():
+@pytest.mark.parametrize("row", [ARRAY_ROWS[1], *NOMINAL_GOLDEN_ROWS, ARRAY_ROWS[-1]],
+                         ids=["sea", "stagger-mixture", "abrupt", "sea-mixture"])
+def test_a_next_instance_wrapper_on_a_generator_sees_every_instance(row):
     """A generator whose ``next_instance`` is replaced on the object (a
     tracer) is read through that wrapper, instance by instance, and never
-    as arrays."""
-    row = ARRAY_ROWS[1]
+    as arrays: numeric, nominal and mixture alike."""
     stream, twin = build_stream(row), build_stream(row)
     seen = []
     next_instance = stream.next_instance
@@ -1023,7 +986,7 @@ def test_a_next_instance_wrapper_on_a_numeric_generator_sees_every_instance():
 
     stream.next_arrays = no_arrays
     tree, twin_tree = HoeffdingTreeClassifier(stream.schema), HoeffdingTreeClassifier(stream.schema)
-    assert type(counter_for(tree)) is NumericCounter
+    assert type(counter_for(tree)) in (NominalCounter, NumericCounter)
     result = prequential_run(tree, stream, 2 * CHUNK + 5, 500)
     assert len(seen) == 2 * CHUNK + 5
     assert (result.final_error, result.error_series) == per_instance_run(twin_tree, twin, 2 * CHUNK + 5, 500)

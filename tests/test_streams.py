@@ -20,6 +20,7 @@ from streamtrees.streams import (
     HyperplaneGenerator,
     SEA_THRESHOLDS,
     RecurrentConceptDriftStream,
+    Rows,
     SeaGenerator,
     StaggerGenerator,
     _BLOCK,
@@ -312,25 +313,47 @@ def test_wrapper_requires_matching_schemas():
 # nominal streams hand out one shared Instance per distinct draw
 # --------------------------------------------------------------------------
 
+def _read_at_events(stream, calls=(700, 1, 2 * _BLOCK)):
+    """Instances of ``stream`` read the chunk step's way: rows as arrays,
+    then single rows and a few in one go built into instances (as at
+    events and buffer writes), then a few through ``next_instance``."""
+    drawn = []
+    for n in calls:
+        rows = Rows(stream, *stream.next_arrays(n))
+        drawn += [rows[k] for k in range(0, n, 7)]
+        drawn += rows.instances(np.arange(0, n, 3))
+        drawn += take(stream, 5)
+    return drawn
+
+
+@pytest.mark.parametrize("read", [partial(take, n=3 * _BLOCK), _read_at_events], ids=["instances", "arrays"])
 @pytest.mark.parametrize(
     "make",
-    [lambda: StaggerGenerator(2, seed=3), lambda: AbruptDriftGenerator(3, 3, 4, 1.0, 700, True, seed=3)],
-    ids=["stagger", "abrupt"],
+    [lambda: StaggerGenerator(2, seed=3), lambda: AbruptDriftGenerator(3, 3, 4, 1.0, 700, True, seed=3),
+     lambda: _wrapper(900, 700, 40)],
+    ids=["stagger", "abrupt", "stagger-mixture"],
 )
-def test_equal_nominal_draws_are_one_object(make):
-    drawn = take(make(), 3 * _BLOCK)
+def test_equal_nominal_draws_are_one_object(make, read):
+    drawn = read(make())
     first = {}
     for inst in drawn:
         assert first.setdefault((inst.values, inst.class_label), inst) is inst
     assert len(first) < len(drawn)  # some draws were repeats
 
 
-def test_instance_cache_never_exceeds_its_bound():
+def _build_each_row(stream, n):
+    rows = Rows(stream, *stream.next_arrays(n))
+    for k in range(n):
+        rows[k]
+
+
+@pytest.mark.parametrize("read", [take, _build_each_row], ids=["instances", "arrays"])
+def test_instance_cache_never_exceeds_its_bound(read):
     # 2**20 cells, so almost every draw is a new (cell, class) key
     gen = AbruptDriftGenerator(20, 2, 2, magnitude=0.0, drift_point=10**9, seed=5)
     largest = 0
     for _ in range(3 * _MAX_INTERNED // _BLOCK):
-        take(gen, _BLOCK)
+        read(gen, _BLOCK)
         assert len(gen._cache) <= _MAX_INTERNED
         largest = max(largest, len(gen._cache))
     assert largest > _MAX_INTERNED - _BLOCK  # the cache filled up to the bound, then was emptied
@@ -543,12 +566,18 @@ def test_interleaved_pulls_leave_each_sequence_unchanged(pulls):
 
 
 # --------------------------------------------------------------------------
-# numeric generators: one cursor for Instances and arrays
+# every generator: one cursor for Instances and arrays
 # --------------------------------------------------------------------------
 
 ARRAY_STREAMS = {
     "hyperplane-drift-noise": lambda: HyperplaneGenerator(10, 4, 0.01, 0.1, 0.1, seed=5),
     "sea-noise": lambda: SeaGenerator(3, noise=0.1, seed=4),
+    "stagger": lambda: StaggerGenerator(2, seed=3),
+    "abrupt": lambda: AbruptDriftGenerator(3, 4, 5, 0.5, 1500, seed=3),
+    "abrupt-recurrent": lambda: AbruptDriftGenerator(3, 4, 5, 0.5, 700, True, seed=3),
+    "stagger-mixture": lambda: _recurrent((RecurrentConceptDriftStream, StaggerGenerator), 900, 700, 40, True),
+    "sea-mixture": lambda: RecurrentConceptDriftStream(SeaGenerator(2, 0.1, seed=2), SeaGenerator(3, seed=3),
+                                                       900, 700, 40, seed=1),
 }
 
 
@@ -557,22 +586,36 @@ def _packed(instances):
     return b"".join(struct.pack(f"{len(inst.values)}d", *inst.values) for inst in instances)
 
 
+def _rows_of(schema, instances):
+    """The rows ``next_arrays`` gives for ``instances``: their values, or
+    for a nominal stream the row-major cells of their values."""
+    values = np.array([inst.values for inst in instances])
+    if schema.numeric_attrs:
+        return values
+    return np.ravel_multi_index(values.T, [attr.n_values for attr in schema.attributes])
+
+
 @pytest.mark.parametrize("make", ARRAY_STREAMS.values(), ids=ARRAY_STREAMS)
 @settings(max_examples=30, deadline=None)
 @given(reads=st.lists(st.tuples(st.booleans(), st.integers(1, 2500)), max_size=10))
 def test_array_reads_interleave_with_instance_reads(make, reads):
     """Any interleaving of ``next_arrays`` and ``next_instance``, across
     block boundaries, reads the sequence a ``next_instance``-only twin
-    reads, float for float, with the same ``int`` labels."""
+    reads, float for float, with the same ``int`` labels; a row read as an
+    array builds back into the instance the twin reads."""
     stream, twin = make(), make()
     for arrays, n in reads:
         want = take(twin, n)
         if arrays:
-            values, labels = stream.next_arrays(n)
-            assert values.dtype == np.float64 and values.shape == (n, len(want[0].values))
+            x, labels = stream.next_arrays(n)
+            expected = _rows_of(stream.schema, want)
+            assert x.dtype == expected.dtype and x.shape == expected.shape
+            assert x.tobytes() == expected.tobytes()
             assert labels.dtype == np.int64 and labels.shape == (n,)
-            assert values.tobytes() == _packed(want)
             assert labels.tolist() == [inst.class_label for inst in want]
+            rows = Rows(stream, x, labels)
+            assert rows.instances(np.arange(n)) == want
+            assert rows[n - 1] == want[-1] and type(rows[0].class_label) is int
         else:
             got = take(stream, n)
             assert got == want
@@ -586,16 +629,23 @@ def test_array_reads_interleave_with_instance_reads(make, reads):
     *ARRAY_STREAMS.values(),
     lambda: HyperplaneGenerator(5, 5, 0.1, 0.5, 0.2, seed=7),
     *(partial(SeaGenerator, function, 0.05, seed=function) for function in SEA_THRESHOLDS),
-], ids=[*ARRAY_STREAMS, "hyperplane-fast-drift", *(f"sea-f{f}" for f in SEA_THRESHOLDS)])
+    lambda: AbruptDriftGenerator(5, 5, 5, 1.0, 3000, True, seed=2),
+], ids=[*ARRAY_STREAMS, "hyperplane-fast-drift", *(f"sea-f{f}" for f in SEA_THRESHOLDS), "abrupt-5x5x5"])
 def test_array_blocks_hold_what_the_counter_no_longer_checks(make):
     """The chunk step takes a generator's arrays unchecked, so every block
-    must hold finite values in [0, 1) and labels in range; the views it
-    hands out are read-only."""
+    must hold finite values in [0, 1), or cells in ``[0, n_cells)``, and
+    labels in range; the views it hands out are read-only."""
     stream = make()
+    schema = stream.schema
     for _ in range(40):
-        values, labels = stream.next_arrays(_BLOCK)
-        assert values.shape == (_BLOCK, stream.schema.n_attributes)
-        assert np.isfinite(values).all()
-        assert values.min() >= 0.0 and values.max() < 1.0
-        assert labels.min() >= 0 and labels.max() < stream.schema.class_count
-        assert not values.flags.writeable and not labels.flags.writeable
+        x, labels = stream.next_arrays(_BLOCK)
+        if schema.numeric_attrs:
+            assert x.dtype == np.float64 and x.shape == (_BLOCK, schema.n_attributes)
+            assert np.isfinite(x).all()
+            assert x.min() >= 0.0 and x.max() < 1.0
+        else:
+            assert x.dtype == np.int64 and x.shape == (_BLOCK,)
+            assert x.min() >= 0 and x.max() < math.prod(attr.n_values for attr in schema.attributes)
+        assert labels.dtype == np.int64
+        assert labels.min() >= 0 and labels.max() < schema.class_count
+        assert not x.flags.writeable and not labels.flags.writeable
