@@ -11,8 +11,7 @@ check; the instance that reaches the check goes through the tree's own
 ``predict_label`` and ``train``, so evaluation, splitting, evisceration and
 replay happen in ``learn_at_leaf`` alone. ``flush`` writes every deferred
 update back. Leaves learn independently, so the instances after a check go
-to the next pass of the same chunk, which routes them again, or, when only a
-few are left, through the tree one at a time.
+to the next pass of the same chunk, which routes them again.
 
 Two counters share that hand-off and differ in how they route and count:
 
@@ -28,7 +27,8 @@ Two counters share that hand-off and differ in how they route and count:
 A ``HoeffdingAdaptiveTreeClassifier`` on a schema without numeric
 attributes is counted by ``hatchunks.HatCounter``, on ``NominalCounter``'s
 cells, slots, pending tables and write-back, in runs between the events
-that change the tree.
+that change the tree. Both count a leaf's rows with the same two methods:
+``_running`` gives their running class counts and ``_add`` defers them.
 
 ``counter_for`` picks one, or none: a mixed schema, another learner, or a
 learner with its own ``predict_label`` or ``train`` (a tracer or a recorder
@@ -68,9 +68,6 @@ _MAX_LEFT = 2**15 - 1
 # type differs from the table's
 _ONE = np.int16(1)
 
-# a pass costs about as much as this many instances through the tree: fewer
-# instances left after checks take that way
-_MIN_PASS = 64
 # the most instances one numeric pass counts: its padded running sums hold
 # (longest leaf run) x (leaves) cells, at most a quarter of this squared
 _NUMERIC_PASS = 512
@@ -176,7 +173,7 @@ class _Counter:
         self.positions: list = []
         self.slot_of: dict = {}
         self.free: list[int] = []
-        self._unroute(None, True)
+        self._unroute(None)
 
     def _grow(self, n: int) -> None:
         """Give every slot table ``n`` rows."""
@@ -244,22 +241,21 @@ class _Counter:
         wrong = learner.predict_label(inst) != inst.class_label
         learner.train(inst)
         if self.positions[slot].mainline.__class__ is SplitNode:
-            self._release(slot, True)
+            self._release(slot)
         else:
             self._refresh([slot])
         return wrong
 
-    def _release(self, slot: int, split: bool) -> None:
-        """Drop a slot with nothing deferred, and the routes to it."""
+    def _release(self, slot: int) -> None:
+        """Drop the slot of a leaf that split, and the routes to it."""
         del self.slot_of[self.positions[slot]]
         self.positions[slot] = None
         self.free.append(slot)
-        self._unroute(slot, split)
+        self._unroute(slot)
 
     def step(self, chunk: Rows) -> list:
         """Predict, then learn, each row of ``chunk`` in order; returns
         whether each prediction was wrong."""
-        learner = self.learner
         self._prepare(chunk)
         self.chunk = chunk
         self.buffer_slot = np.full(len(chunk), -1, np.int64)
@@ -269,8 +265,7 @@ class _Counter:
         # learn independently, so the instances after a check wait for the
         # next pass, which routes them again: a split reroutes only the
         # instances that reached the split leaf. A pass takes at most PASS
-        # instances, the first ones left; when fewer than _MIN_PASS are
-        # left and all of them follow a check, they go through the tree.
+        # instances, the first ones left.
         todo = np.arange(len(chunk))
         while todo.size:
             now, rest = todo[:self.PASS], todo[self.PASS:]
@@ -290,16 +285,6 @@ class _Counter:
             later = np.zeros(len(now), bool)
             later[order[rank > limit]] = True
             todo = np.concatenate([now[later], rest])
-            if not rest.size and todo.size < _MIN_PASS:
-                # the tree takes them: drop their leaves' slots, read back
-                # at the checks, first (a split leaf's slot is gone)
-                for slot in set(by_slot[rank > limit].tolist()):
-                    if self.positions[slot] is not None:
-                        self._release(slot, False)
-                for k, inst in zip(todo.tolist(), chunk.instances(todo)):
-                    wrong[k] = learner.predict_label(inst) != inst.class_label
-                    learner.train(inst)
-                break
         self._write_buffers(None)
         return wrong.tolist()
 
@@ -373,7 +358,7 @@ class NominalCounter(_Counter):
             slots = self.route[cells]
         return slots
 
-    def _unroute(self, slot: int | None, split: bool) -> None:
+    def _unroute(self, slot: int | None) -> None:
         """Forget the routes to a slot, or to every slot."""
         if slot is None:
             self.route.fill(-1)
@@ -414,27 +399,40 @@ class NominalCounter(_Counter):
     def _limits(self, index, gslots, rank, lengths):
         return np.repeat(self.left[gslots], lengths)
 
+    def _running(self, slots, labels, first):
+        """The running class counts of rows grouped by their leaves'
+        ``slots``, in stream order within a group: the leaf's counts plus
+        the ``labels`` of the group's earlier rows. ``first`` is the first
+        row of each row's group. Computed in place: these arrays are a
+        step's largest."""
+        onehot = np.zeros((len(slots), self.class_count), np.int32)
+        onehot[np.arange(len(slots)), labels] = 1
+        before = np.cumsum(onehot, axis=0, dtype=np.int32)
+        before -= onehot
+        before -= before[first]
+        running = self.dist[slots]
+        running += before
+        return running
+
+    def _add(self, index, slots) -> None:
+        """Defer the counts of rows ``index`` of the chunk to their leaves'
+        ``slots``: class counts, instances and pending-table cells."""
+        np.add.at(self.dist, (slots, self.labels[index]), 1.0)
+        added = np.bincount(slots, minlength=len(self.count))
+        self.count += added
+        self.left -= added
+        # each row's pending cells, in its slot's row of the table
+        cells = self.rows[index]
+        cells += (slots * self.pending.shape[1])[:, None]
+        np.add.at(self.pending.reshape(-1), cells.ravel(), _ONE)
+
     def _count(self, index, slots, rank, wrong) -> None:
         """Predict and defer the counts of instances ``index`` of the chunk,
         grouped by their leaves' ``slots``, in stream order within a group."""
         label = self.labels[index]
-        # running class counts: the leaf's, plus the labels counted there
-        # earlier in this pass (in place: these arrays are the step's largest)
-        onehot = np.zeros((len(index), self.class_count), np.int32)
-        onehot[np.arange(len(index)), label] = 1
-        before = np.cumsum(onehot, axis=0, dtype=np.int32)
-        before -= onehot
-        before -= before[np.arange(len(index)) - rank]
-        running = self.dist[slots]
-        running += before
+        running = self._running(slots, label, np.arange(len(index)) - rank)
         wrong[index] = running.argmax(axis=1) != label
-        np.add.at(self.dist, (slots, label), 1.0)
-        added = np.bincount(slots, minlength=len(self.count))
-        self.count += added
-        self.left -= added
-        flat = self.rows[index]
-        flat += (slots * self.pending.shape[1])[:, None]
-        np.add.at(self.pending.reshape(-1), flat.ravel(), _ONE)
+        self._add(index, slots)
         buffered = self.buffers[slots]
         self.buffer_slot[index[buffered]] = slots[buffered]
 
@@ -546,12 +544,10 @@ class NumericCounter(_Counter):
             slots = self.node_slot[node]
         return slots
 
-    def _unroute(self, slot: int | None, split: bool) -> None:
-        """Forget the routes to a slot, or, after a split, the flattened tree."""
-        if split:
-            self.flat = None
-        else:
-            self.node_slot[self.node_slot == slot] = -1
+    def _unroute(self, slot: int | None) -> None:
+        """Forget the flattened tree: a slot is only dropped when its leaf
+        split."""
+        self.flat = None
 
     # -- leaves ---------------------------------------------------------------
 

@@ -103,18 +103,22 @@ def prequential_run(learner, stream, n_instances: int, snapshot_every: int = 0) 
     instances: (index of the last instance in the window, mean error inside
     the window). snapshot_every = 0 disables the series.
 
-    This is the one place a run is chunked or not. A
-    ``HoeffdingTreeClassifier`` on an all-nominal or all-numeric schema, and
-    a ``HoeffdingAdaptiveTreeClassifier`` on an all-nominal one that neither
-    draws Poisson weights nor keeps replay buffers, read a generator
-    (``streams.ArrayStream``) on their own schema in chunks of ``CHUNK``
-    rows, as arrays, through the counter ``chunks.counter_for`` gives them:
-    the same predictions and the same tree. A generator's rows are valid by
+    The run is one loop over chunks of ``CHUNK`` instances, in which the
+    learner steps a chunk and returns whether each prediction was wrong.
+    There are two kinds of step, and this is the one place that picks one.
+    A ``HoeffdingTreeClassifier`` on an all-nominal or all-numeric schema,
+    and a ``HoeffdingAdaptiveTreeClassifier`` on an all-nominal one that
+    neither draws Poisson weights nor keeps replay buffers, step a
+    generator's (``streams.ArrayStream``) rows on their own schema, as
+    arrays, through the counter ``chunks.counter_for`` gives them: the same
+    predictions and the same tree. A generator's rows are valid by
     construction, so they go unchecked. Any other stream, a generator whose
     ``next_instance`` is set on the object (a tracer), and any other
     learner, a subclass or a learner with its own ``predict_label`` or
-    ``train`` set on the object (a tracer, a recorder) included, run one
-    instance at a time.
+    ``train`` set on the object (a tracer, a recorder) included, step one
+    instance at a time through ``next_instance``, ``predict_label`` and
+    ``train``. Every deferred count of a counter is written back on the way
+    out, also when the run raises.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
@@ -122,62 +126,52 @@ def prequential_run(learner, stream, n_instances: int, snapshot_every: int = 0) 
         raise ValueError("snapshot_every must be >= 0")
     t0 = time.perf_counter()
     counter = counter_for(learner)
-    if (counter is not None and isinstance(stream, ArrayStream) and stream.schema == learner.schema
-            and stream.next_instance == stream._instances.__next__):
-        errors, series = _chunked_run(counter, stream, n_instances, snapshot_every)
-    else:
-        errors, series = _instance_run(learner, stream, n_instances, snapshot_every)
-    wall = time.perf_counter() - t0
-    return PrequentialResult(errors / n_instances, series, wall)
-
-
-def _instance_run(learner, stream, n_instances: int, snapshot_every: int):
-    predict = learner.predict_label
-    train = learner.train
-    next_instance = stream.next_instance
-    errors = 0
-    window_errors = 0
-    series: list[tuple[int, float]] = []
-    for i in range(1, n_instances + 1):
-        inst = next_instance()
-        if inst is None:
-            raise RuntimeError(f"stream exhausted after {i - 1} instances")
-        wrong = predict(inst) != inst.class_label
-        errors += wrong
-        train(inst)
-        if snapshot_every:
-            window_errors += wrong
-            if i % snapshot_every == 0:
-                series.append((i, window_errors / snapshot_every))
-                window_errors = 0
-    return errors, series
-
-
-def _chunked_run(counter, stream, n_instances: int, snapshot_every: int):
-    """``_instance_run`` through a chunk counter on a generator's rows: the
-    same stream reads, errors and series, and every deferred count written
-    back on the way out."""
+    if counter is not None and not (isinstance(stream, ArrayStream) and stream.schema == learner.schema
+                                    and stream.next_instance == stream._instances.__next__):
+        counter = None
     errors = 0
     window_errors = 0
     series: list[tuple[int, float]] = []
     done = 0
     try:
         while done < n_instances:
-            chunk = Rows(stream, *stream.next_arrays(min(CHUNK, n_instances - done)))
-            wrong = counter.step(chunk)
+            n = min(CHUNK, n_instances - done)
+            if counter is None:
+                wrong = _instance_step(learner, stream, done, n)
+            else:
+                wrong = counter.step(Rows(stream, *stream.next_arrays(n)))
             errors += sum(wrong)
             if snapshot_every:
                 start = 0
-                for end in range(snapshot_every - done % snapshot_every, len(chunk) + 1, snapshot_every):
+                for end in range(snapshot_every - done % snapshot_every, n + 1, snapshot_every):
                     window_errors += sum(wrong[start:end])
                     series.append((done + end, window_errors / snapshot_every))
                     window_errors = 0
                     start = end
                 window_errors += sum(wrong[start:])
-            done += len(chunk)
+            done += n
     finally:
-        counter.flush()
-    return errors, series
+        if counter is not None:
+            counter.flush()
+    wall = time.perf_counter() - t0
+    return PrequentialResult(errors / n_instances, series, wall)
+
+
+def _instance_step(learner, stream, done: int, n: int) -> list:
+    """Read, predict and learn ``n`` instances one at a time, each learned
+    before the next is read; returns whether each prediction was wrong.
+    ``done`` is the number of instances the run learned before them."""
+    predict = learner.predict_label
+    train = learner.train
+    next_instance = stream.next_instance
+    wrong = []
+    for i in range(done, done + n):
+        inst = next_instance()
+        if inst is None:
+            raise RuntimeError(f"stream exhausted after {i} instances")
+        wrong.append(predict(inst) != inst.class_label)
+        train(inst)
+    return wrong
 
 
 def averaged_series(series_list: list[list[tuple[int, float]]]) -> list[tuple[int, float]]:

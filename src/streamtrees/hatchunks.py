@@ -1,7 +1,7 @@
 """The chunk step for the adaptive tree: ``HatCounter`` learns the runs of
 unit-weight instances between a ``HoeffdingAdaptiveTreeClassifier``'s
-events with numpy, on the cells, slots, pending tables and write-back of
-``chunks.NominalCounter``.
+events with numpy, on the cells, slots, pending tables, row counting
+(``_running`` and ``_add``) and write-back of ``chunks.NominalCounter``.
 
 It has a module of its own, imported by ``chunks.counter_for`` only for an
 adaptive tree: CPython keeps much of the memory that compiling a module
@@ -16,7 +16,7 @@ from itertools import chain
 import numpy as np
 
 from . import tree
-from .chunks import _MAX_LEFT, _ONE, NominalCounter, _counted, _left, _Running
+from .chunks import _MAX_LEFT, NominalCounter, _counted, _left, _Running
 from .detectors import AdwinDetector
 from .streams import Rows
 from .tree import SplitNode, _leaf_counter, walk
@@ -73,7 +73,7 @@ class HatCounter(NominalCounter):
     discard) or eviscerated a leaf, the rest of the chunk is routed afresh.
     """
 
-    def _unroute(self, slot: int | None, split: bool) -> None:
+    def _unroute(self, slot: int | None) -> None:
         """Forget every program: units by leaf position, programs by their
         units, and the places of the detectors and alternates they read."""
         self.route.fill(-1)
@@ -93,9 +93,9 @@ class HatCounter(NominalCounter):
         slots = [slot for slot in dict.fromkeys(map(self.slot_of.get, positions)) if slot is not None]
         for slot in slots:
             if self.positions[slot].mainline.__class__ is SplitNode:
-                self._release(slot, True)
+                self._release(slot)
         self._refresh([slot for slot in slots if self.positions[slot] is not None])
-        self._unroute(None, True)
+        self._unroute(None)
 
     # -- programs -------------------------------------------------------------
 
@@ -185,13 +185,8 @@ class HatCounter(NominalCounter):
         self.chunk = chunk
         wrong = np.zeros(len(chunk), bool)
         start = 0
-        try:
-            while start < len(chunk):
-                start = self._runs_from(start, wrong)
-        except BaseException:
-            # the slots may no longer match their leaves
-            self.flush()
-            raise
+        while start < len(chunk):
+            start = self._runs_from(start, wrong)
         return wrong.tolist()
 
     def _runs_from(self, start: int, wrong) -> int:
@@ -281,15 +276,8 @@ class _Run:
         self.by_slot = by_slot = t_slot[order]
         self.s_length = np.bincount(t_slot, minlength=n_slots)
         self.s_first = np.cumsum(self.s_length) - self.s_length
-        self.base = base = np.repeat(self.s_first, self.s_length)
         self.s_label = s_label = t_label[order]
-        onehot = np.zeros((n, counter.class_count), np.int32)
-        onehot[np.arange(n), s_label] = 1
-        before = np.cumsum(onehot, axis=0, dtype=np.int32)
-        before -= onehot
-        before -= before[base]
-        self.running = running = counter.dist[by_slot]
-        running += before
+        self.running = running = counter._running(by_slot, s_label, np.repeat(self.s_first, self.s_length))
         self.where = where = np.empty(n, np.int64)  # each touch's place by slot
         where[order] = np.arange(n)
         self.t_pred = running.argmax(axis=1)[where]
@@ -371,8 +359,6 @@ class _Run:
         s_first, s_length = self.s_first, self.s_length
         self.s_inst = s_inst = np.append(self.t_inst[self.order], m)
         self.s_key = self.by_slot * (m + 1) + s_inst[:-1]  # ascending: slot, then instance
-        self.s_flat = counter.rows[self.start + s_inst[:-1]]  # each touch's pending-table cells
-        self.s_flat += (self.by_slot * counter.pending.shape[1])[:, None]
         self.s_done = np.zeros(n_slots, np.int64)
         self.g_rank = g_rank = counter.left.copy()  # the rank of each slot's next grace check
         self.grace = np.where(g_rank < s_length, s_inst[np.minimum(s_first + g_rank, n)], m)
@@ -471,15 +457,13 @@ class _Run:
         span = slice(touch, touch + self.sizes[event])
         route = self.t_slot[span].tolist()
         units = [counter.units[u] for u in self.t_unit[span].tolist()]
-        flat = counter.pending.reshape(-1)
+        new: list[int] = []
         for slot, r in zip(route, self.where[span].tolist()):
-            a, done = self.s_first[slot], self.s_done[slot]
-            if r > a + done:
-                counter.dist[slot] = self.running[r]
-                counter.count[slot] += r - a - done
-                counter.left[slot] -= r - a - done
-                np.add.at(flat, self.s_flat[a + done:r].ravel(), _ONE)
+            a = int(self.s_first[slot])
+            new += range(a + int(self.s_done[slot]), r)
             self.s_done[slot] = r - a + 1
+        if new:
+            counter._add(self.start + self.s_inst[new], self.by_slot[new])
         counter._write_back([slot for slot in route if counter.count[slot]])
         alternates, a_done = counter.alternates, self.a_done
         for unit, r in zip(units, self.t_arank[span].tolist()):
@@ -521,10 +505,7 @@ class _Run:
         if added.any():
             new = np.repeat(self.s_first + self.s_done - np.cumsum(added) + added, added)
             new += np.arange(len(new))
-            np.add.at(counter.dist, (self.by_slot[new], self.s_label[new]), 1.0)
-            counter.count += added
-            counter.left -= added
-            np.add.at(counter.pending.reshape(-1), self.s_flat[new].ravel(), _ONE)
+            counter._add(self.start + self.s_inst[new], self.by_slot[new])
         alternates = counter.alternates
         if alternates:
             trained = self.t_alt[:self.first[end] if end < m else self.n_touches] + 1

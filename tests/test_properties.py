@@ -937,6 +937,50 @@ def test_a_predict_label_recorder_sees_every_instance(row):
     assert len(seen) == 2 * CHUNK + 5
 
 
+# learners that never reach a counter: a VFDT with a label recorder on the
+# object, an adaptive tree on a numeric row, and a VFDT on a list stream
+ONE_AT_A_TIME = st.one_of(
+    st.tuples(st.just("recorder"), st.sampled_from(GOLDEN_ROWS)),
+    st.tuples(st.just("numeric-hat"), st.sampled_from(NUMERIC_GOLDEN_ROWS)),
+    st.tuples(st.just("list"), st.sampled_from(GOLDEN_ROWS)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind_row=ONE_AT_A_TIME, seed=st.integers(0, 3), sizes=CALL_SIZES,
+       snapshot_every=st.sampled_from([0, 1, 7, 500, CHUNK + 1]))
+def test_one_at_a_time_step_matches_per_instance_twin(kind_row, seed, sizes, snapshot_every):
+    """A run that steps one instance at a time, in chunks, gives the
+    per-instance loop's errors, series and tree, whatever the call split
+    and the window, windows across chunk and call boundaries included."""
+    kind, row = kind_row
+    streams = [build_stream(row, seed) for _ in range(2)]
+    schema = streams[0].schema
+    if kind == "numeric-hat":
+        trees = [HoeffdingAdaptiveTreeClassifier(schema, seed=seed) for _ in range(2)]
+    else:
+        trees = [HoeffdingTreeClassifier(schema) for _ in range(2)]
+    if kind == "recorder":
+        labels = []
+        predict = trees[0].predict_label
+        trees[0].predict_label = lambda inst: labels.append(predict(inst)) or labels[-1]
+    if kind == "list":
+        instances = take(streams[0], sum(sizes))
+        streams = [_ListStream(schema, instances) for _ in range(2)]
+    counted = AssertionError("counted")
+    with (mock.patch.object(NominalCounter, "step", side_effect=counted),
+          mock.patch.object(NumericCounter, "step", side_effect=counted),
+          mock.patch.object(HatCounter, "step", side_effect=counted)):
+        for n in sizes:
+            result = prequential_run(trees[0], streams[0], n, snapshot_every)
+            assert (result.final_error, result.error_series) == per_instance_run(trees[1], streams[1], n,
+                                                                                 snapshot_every)
+    state = hat_state if kind == "numeric-hat" else tree_state
+    assert state(trees[0]) == state(trees[1])
+    if kind == "recorder":
+        assert len(labels) == sum(sizes)
+
+
 # --------------------------------------------------------------------------
 # generators' arrays against the per-instance loop
 # --------------------------------------------------------------------------
