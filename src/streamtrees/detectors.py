@@ -1,4 +1,4 @@
-"""Adaptive-windowing change detection over a stream of values in [0, 1].
+"""Adaptive-windowing change detection over a stream of error bits.
 
 The detector interface the adaptive tree uses is three methods:
 ``add_element``, ``estimate`` and the ``width`` property. ``AdwinDetector``
@@ -6,37 +6,30 @@ is the one implementation. Its window is an exponential histogram that
 keeps at most 5 buckets per capacity. A detector is never reset: the
 adaptive tree builds a new one. The adaptive tree's chunk step adds runs of
 error bits at once through ``_add_bits``, which leaves a detector as
-``add_element`` would. Most checks are cleared by a bound on the window's
-minority mass and make no fold and no scan (see ``AdwinDetector``).
+``add_element`` would. Every sum a detector holds is a whole number, so
+sums add exactly in any order. Most checks are cleared by a bound on the
+window's minority mass and make no fold and no scan (see
+``AdwinDetector``).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import reduce
 
 # the relative margin by which a certificate's bounds are widened: the
 # scan's divisions and square root round by a few units in the last place
 _MARGIN = 2.0**-20
 
 
-def _drift(ticks: int) -> float:
-    """How far ``total_sum``, or any sum of a detector's buckets, may have
-    rounded away from the exact sum after ``ticks`` insertions in all:
-    2**-53 of a sum of at most ``ticks`` at each of fewer than 2 * ticks
-    additions and subtractions, and at each level of a bucket's or a head's
-    sum, twice over. Sums of bits are exact and do not drift at all."""
-    return ticks * (ticks + 1024) * 2.0**-50
-
-
 class AdwinDetector:
-    """Adaptive window backed by an exponential histogram.
+    """Adaptive window over error bits, backed by an exponential histogram.
 
-    Elements are kept in buckets whose capacities are powers of two, with at
-    most ``MAX_BUCKETS`` buckets per capacity class, the M of Bifet and
-    Gavaldà's ADWIN. At each check the window is repeatedly cut at the
-    oldest bucket boundary where the two sub-window means differ by at least
+    Elements are the bits 0 and 1, kept in buckets whose capacities are
+    powers of two, with at most ``MAX_BUCKETS`` buckets per capacity
+    class, the M of Bifet and Gavaldà's ADWIN. At each check the window is
+    repeatedly cut at the oldest bucket boundary where the two sub-window
+    means differ by at least
 
         eps_cut = sqrt((1 / (2 m)) * ln(4 / delta'))
 
@@ -54,7 +47,7 @@ class AdwinDetector:
     head's and the tail's element counts at a boundary, diff for the
     difference of their means, and r = min(S, n - S) for the window's
     minority mass (S its sum, n its width). Then eps_cut^2 = L / (2 m) >
-    L / (2 min(h, t)), and, for any values in [0, 1]:
+    L / (2 min(h, t)), and, for bits:
 
         diff <= 1                so a cut needs min(h, t) > L / 2,
         diff <= r / min(h, t)    so a cut needs min(h, t) < 2 r^2 / L,
@@ -63,17 +56,15 @@ class AdwinDetector:
     their complements do. So a window with r <= L / 2 cannot cut: with L
     at least ln(4 / DELTA), about 7.6, that is a window of bits with at
     most 3 minority values. Nor can a window with a small sum whose two
-    ends hold little of it (``_quiet_ends``). Every bound is widened by
-    ``_MARGIN`` for the scan's rounding and by ``_drift`` for the rounding
-    that sums gather on values other than 0 and 1 (sums of bits are
-    exact), so no rounding flips a result.
+    ends hold little of it (``_quiet_ends``). Every sum is a whole number
+    held exactly, and every bound is widened by ``_MARGIN`` for the scan's
+    rounding, so no rounding flips a result.
 
     A check that either certificate clears at the smallest L, before any
     fold, neither folds nor scans: row 0 keeps its entries until the next
     scan, until it holds more than ``_PENDING``, or until ``_rows`` is
-    read. A scan that runs still adds the head sums oldest first, so every
-    float it tests is the same, but it tests only the rows that hold a
-    boundary whose smaller side holds fewer than hi = 2 r^2 / L elements:
+    read. A scan that runs tests only the rows that hold a boundary whose
+    smaller side holds fewer than hi = 2 r^2 / L elements:
     where the window holds few minority values, the rows at its two ends.
     At each boundary it tests, the divisions and the square root run only
     when a test by products alone does not rule a cut out (``_find_cut``).
@@ -93,13 +84,13 @@ class AdwinDetector:
     def __init__(self):
         # _buckets[i] holds the sums of buckets of exactly 2**i elements,
         # oldest first; row 0 may hold entries not folded yet
-        self._buckets: list[list[float]] = [[]]
+        self._buckets: list[list[int]] = [[]]
         self.total_count = 0
-        self.total_sum = 0.0
+        self.total_sum = 0
         self._ticks = 0
 
     @property
-    def _rows(self) -> list[list[float]]:
+    def _rows(self) -> list[list[int]]:
         """The bucket rows with every pending entry folded in."""
         self._fold()
         return self._buckets
@@ -114,10 +105,10 @@ class AdwinDetector:
             raise ValueError("empty detector has no estimate")
         return self.total_sum / self.total_count
 
-    def add_element(self, x: float) -> bool:
-        """Append x; return True when at least one cut dropped old data."""
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"element {x} outside [0, 1]")
+    def add_element(self, x: int) -> bool:
+        """Append the bit x; return True when at least one cut dropped old data."""
+        if x != 0 and x != 1:
+            raise ValueError(f"element {x} is not an error bit, 0 or 1")
         self._buckets[0].append(x)
         self.total_count += 1
         self.total_sum += x
@@ -129,32 +120,31 @@ class AdwinDetector:
             return False
         return self._cut()
 
-    def _span(self, log_term: float, total_sum: float, total_count: int, ticks: int) -> tuple[float, float]:
-        """(lo, hi): a boundary can cut only where lo < min(h, t) < hi, for
-        a window of these totals after ``ticks`` insertions in all."""
-        mass = min(total_sum, total_count - total_sum) + _drift(ticks)
+    def _span(self, log_term: float, total_sum: int, total_count: int) -> tuple[float, float]:
+        """(lo, hi): a boundary can cut only where lo < min(h, t) < hi, in a
+        window of these totals."""
+        mass = min(total_sum, total_count - total_sum)
         return 0.5 * log_term * (1.0 - _MARGIN), 2.0 * mass * mass / log_term * (1.0 + _MARGIN)
 
-    def _cannot_cut(self, total_sum: float, total_count: int, ticks: int) -> bool:
+    def _cannot_cut(self, total_sum: int, total_count: int) -> bool:
         """Whether no check of a window with these totals can cut, whatever
         its buckets: r <= L / 2 at the smallest L, that of at most two
         buckets, which holds before any fold. Less the margin, it leaves
         ``_span``'s window empty."""
-        mass = min(total_sum, total_count - total_sum) + _drift(ticks)
+        mass = min(total_sum, total_count - total_sum)
         return mass <= 0.5 * math.log(4.0 / self.DELTA) * (1.0 - _MARGIN)
 
     def _clear(self) -> bool:
         """Whether the window as it stands cannot cut, folded or not."""
-        total, total_sum, ticks = self.total_count, self.total_sum, self._ticks
-        if self._cannot_cut(total_sum, total, ticks):
+        total, total_sum = self.total_count, self.total_sum
+        if self._cannot_cut(total_sum, total):
             return True
         # _quiet_ends' premise, tested here: windows that hold many errors
         # fail it at every check
         log_term = math.log(4.0 / self.DELTA)
-        drift = _drift(ticks)
-        return 4.0 * (total_sum + drift) ** 2 <= total * log_term * (1.0 - _MARGIN) and self._quiet_ends(log_term, drift)
+        return 4.0 * total_sum * total_sum <= total * log_term * (1.0 - _MARGIN) and self._quiet_ends(log_term)
 
-    def _quiet_ends(self, log_term: float, drift: float) -> bool:
+    def _quiet_ends(self, log_term: float) -> bool:
         """Whether the window cannot cut because its sum S is small and
         neither end of it holds enough of that sum.
 
@@ -168,12 +158,12 @@ class AdwinDetector:
         neighbouring buckets, so every boundary of the folded window is
         one of the unfolded window's, and the bound needs no fold.
         ``_clear`` tests 4 S^2 <= n L, widened, before it calls this."""
-        lo, hi = self._span(log_term, self.total_sum, self.total_count, self._ticks)
-        limit = lo * (1.0 - _MARGIN) - drift
+        lo, hi = self._span(log_term, self.total_sum, self.total_count)
+        limit = lo * (1.0 - _MARGIN)
         rows = self._buckets
         # the sum of the oldest buckets up to the last boundary whose head
         # holds at most hi elements, then that of the youngest
-        count, mass = 0, 0.0
+        count, mass = 0, 0
         for level in range(len(rows) - 1, -1, -1):
             row = rows[level]
             k = min(len(row), int((hi - count) / (1 << level)))
@@ -183,7 +173,7 @@ class AdwinDetector:
             count += k << level
         if mass > limit:
             return False
-        count, mass = 0, 0.0
+        count, mass = 0, 0
         for level, row in enumerate(rows):
             k = min(len(row), int((hi - count) / (1 << level)))
             mass += sum(row[len(row) - k:])
@@ -215,20 +205,19 @@ class AdwinDetector:
             del row[:n2]
 
     def _add_bits(self, bits: list) -> int:
-        """Add ``bits``, each 0.0 or 1.0, in order, as ``add_element`` would,
+        """Add ``bits``, each 0 or 1, in order, as ``add_element`` would,
         up to the first one whose check would cut, and return how many were
         added: ``len(bits)`` when no check cuts. The detector is then as
         that many ``add_element`` calls leave it, and the bit that would cut
         is left for ``add_element``.
 
-        Every bucket sum is then a whole number below 2**53, so a run of
-        bits adds to ``total_sum`` at once, exactly. When the certificate
-        clears the window at the run's end, the whole run goes in at once:
-        the minority mass and the tick count only grow along a run, and a
-        cut would only shrink the mass, so no check in it can cut."""
+        A run of bits adds to ``total_sum`` at once, exactly. When the
+        certificate clears the window at the run's end, the whole run goes
+        in at once: the minority mass only grows along a run, and a cut
+        would only shrink it, so no check in it can cut."""
         n = len(bits)
         ones = sum(bits)
-        if self._cannot_cut(self.total_sum + ones, self.total_count + n, self._ticks + n):
+        if self._cannot_cut(self.total_sum + ones, self.total_count + n):
             self._buckets[0] += bits
             self.total_count += n
             self.total_sum += ones
@@ -247,37 +236,29 @@ class AdwinDetector:
                 self.total_sum += sum(run)
                 self._ticks += free
                 added += free
-            if added == n or self._check(bits[added], True):
+            if added == n or self._check(bits[added]):
                 return added
             added += 1
 
-    def _cuts_with(self, x: float) -> bool:
-        """Whether ``add_element(x)`` would cut now; leaves the detector as it is."""
-        return (self._ticks + 1) % self.CHECK_INTERVAL == 0 and self._check(x, False)
-
-    def _check(self, x: float, keep: bool) -> bool:
+    def _check(self, x: int) -> bool:
         """Add ``x``, which reaches a check; whether the check would cut.
-        Undone when it would, or when ``keep`` is false."""
-        before = self.total_count, self.total_sum, self._ticks
+        Undone when it would."""
         rows = self._buckets
         rows[0].append(x)
         self.total_count += 1
         self.total_sum += x
         self._ticks += 1
         if self._clear():
-            if keep:
-                self._settle()
-                return False
-            rows[0].pop()
-            cuts = False
-        else:
-            kept = [rows[0][:-1], *(row[:] for row in rows[1:])]  # the rows without x
-            cuts = self._first_cut() != 0
-            if keep and not cuts:
-                return False
-            self._buckets = kept
-        self.total_count, self.total_sum, self._ticks = before
-        return cuts
+            self._settle()
+            return False
+        kept = [rows[0][:-1], *(row[:] for row in rows[1:])]  # the rows without x
+        if not self._first_cut():
+            return False
+        self._buckets = kept
+        self.total_count -= 1
+        self.total_sum -= x
+        self._ticks -= 1
+        return True
 
     def _cut(self) -> bool:
         cut_any = False
@@ -314,7 +295,7 @@ class AdwinDetector:
         log_term = math.log(4.0 / dprime)
         total = self.total_count
         total_sum = self.total_sum
-        lo, hi = self._span(log_term, total_sum, total, self._ticks)
+        lo, hi = self._span(log_term, total_sum, total)
         if hi <= lo:
             return 0
         # scan boundaries oldest-first: head = prefix (older), tail = rest
@@ -331,8 +312,8 @@ class AdwinDetector:
             bcount = float(1 << level)
             if middle and head_count + bcount >= hi <= total - head_count - len(row) * bcount:
                 # both sides of each boundary in this row hold hi elements or
-                # more, so none can cut: add the row's sums, in order
-                head_sum = reduce(operator.add, row, head_sum)
+                # more, so none can cut: add the row's sums
+                head_sum += sum(row)
                 head_count += len(row) * bcount
                 k += len(row)
                 continue
@@ -354,13 +335,12 @@ class AdwinDetector:
         return 0
 
     def _drop_oldest(self, k: int) -> None:
-        """Drop the k oldest buckets, subtracting their sums oldest first."""
+        """Drop the k oldest buckets and subtract their sums."""
         rows = self._buckets
         for level in range(len(rows) - 1, -1, -1):
             row = rows[level]
             n = min(k, len(row))
-            for bsum in row[:n]:
-                self.total_sum -= bsum
+            self.total_sum -= sum(row[:n])
             self.total_count -= n << level
             del row[:n]
             k -= n

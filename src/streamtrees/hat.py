@@ -158,7 +158,7 @@ class HoeffdingAdaptiveTreeClassifier:
         if path is None:
             path = walk(hnode, instance.values)
         leaf_node = path[-1]
-        bit = 1.0 if argmax_label(leaf_node.mainline.class_dist) != instance.class_label else 0.0
+        bit = 1 if argmax_label(leaf_node.mainline.class_dist) != instance.class_label else 0
         cfg = self.config
         for nd in path:
             if nd.detector.add_element(bit) and depth < cfg.alternate_depth_cap:

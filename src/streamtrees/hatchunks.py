@@ -33,9 +33,6 @@ _Unit = namedtuple("_Unit", "slot alternate detectors path")
 _SMALL = 512
 # the unit that pads a program's voters: it lands past every touch
 _PAST = 2**40
-# an error bit as the float a detector takes: every bit held in a detector's
-# row 0 is one of these two objects, not a float of its own
-_BITS = np.array([0.0, 1.0], object)
 
 
 def _stable_order(keys, bound: int):
@@ -57,11 +54,12 @@ class HatCounter(NominalCounter):
     leaves with the detectors on its path, and a cell's *program* is its
     units and, in ``_vote``'s order, the units whose leaves vote. An *event*
     is an instance that reaches a grace check at one of its leaves, an
-    alternate's replacement check, or a detector check that would cut; only
-    events change the tree. Between two events every program is fixed, so
-    each bit, vote and count is arithmetic on running class counts: leaf
-    counts are whole numbers, which add exactly in any grouping, and each
-    vote normalises and adds in ``_vote``'s order. Detectors take their bits
+    alternate's replacement check, a detector check that would cut, or
+    checks at several of its detectors; only events can change the tree.
+    Between two events every program is fixed, so each bit, vote and count
+    is arithmetic on running class counts: leaf counts are whole numbers,
+    which add exactly in any grouping, and each vote normalises and adds in
+    ``_vote``'s order. Detectors take their bits, the ints 0 and 1,
     through ``AdwinDetector._add_bits``, which makes each check as
     ``add_element`` does. A grace check at a leaf that stays pure only sets
     its ``counter_at_last_eval``, which the counter does itself.
@@ -281,8 +279,8 @@ class _Run:
         self.where = where = np.empty(n, np.int64)  # each touch's place by slot
         where[order] = np.arange(n)
         self.t_pred = running.argmax(axis=1)[where]
-        # each touch's error bit, 1.0 when its leaf's prediction is wrong
-        self.t_bit = np.not_equal(self.t_pred, t_label, out=np.empty(n))
+        # each touch's error bit, 1 when its leaf's prediction is wrong
+        self.t_bit = (self.t_pred != t_label).astype(np.intp)
 
     def _predictions(self, programs):
         """Each instance's prediction: its mainline leaf's, or ``_vote``'s
@@ -322,7 +320,7 @@ class _Run:
         e_det = e_det[e_order]
         e_inst = np.repeat(self.t_inst, d_count)[e_order]
         e_bit = np.repeat(self.t_bit, d_count)[e_order]
-        self.bits = _BITS[e_bit.astype(np.intp)].tolist()
+        self.bits = e_bit.tolist()
         d_start = np.searchsorted(e_det, np.arange(n_detectors))
         ticks = np.fromiter((detector._ticks for detector in detectors), np.int64, n_detectors) - d_start
         ticks = ticks[e_det]
@@ -336,8 +334,8 @@ class _Run:
         if checked:
             added = np.bincount(e_det, minlength=n_detectors).tolist()
             ones = np.bincount(e_det, e_bit, n_detectors).tolist()
-            cleared = {d for d in set(checked) if detectors[d]._cannot_cut(
-                detectors[d].total_sum + ones[d], detectors[d].total_count + added[d], detectors[d]._ticks + added[d])}
+            cleared = {d for d in set(checked)
+                       if detectors[d]._cannot_cut(detectors[d].total_sum + ones[d], detectors[d].total_count + added[d])}
             if cleared:
                 checks = np.array([at for at, d in zip(checks.tolist(), checked) if d not in cleared], np.int64)
         # in stream order: by instance, then by detector, as entries are laid out
@@ -398,32 +396,21 @@ class _Run:
 
     def _checks_before(self, bound: int) -> int:
         """Make the detector checks before instance ``bound``, in stream
-        order; returns the instance of the first that would cut, or
-        ``bound``."""
+        order; returns the instance of the first that would cut, or of the
+        first with several checks, which the tree makes, or ``bound``."""
         check_inst, check_det, check_at = self.check_inst, self.check_det, self.check_at
         detectors, bits, done = self.counter.detectors, self.bits, self.d_done
         k, n = self.k, len(check_at)
         while k < n and check_inst[k] < bound:
-            i = check_inst[k]
-            group = k + 1
-            while group < n and check_inst[group] == i:
-                group += 1
-            if group == k + 1:
-                d, at = check_det[k], check_at[k]
-                done[d] += detectors[d]._add_bits(bits[done[d]:at + 1])
-                if done[d] <= at:
-                    bound = i
-                    break
-            else:
-                # several checks on one instance: none is made unless none cuts
-                for d, at in zip(check_det[k:group], check_at[k:group]):
-                    done[d] += detectors[d]._add_bits(bits[done[d]:at])
-                if any(detectors[d]._cuts_with(bits[at]) for d, at in zip(check_det[k:group], check_at[k:group])):
-                    bound = i
-                    break
-                for d, at in zip(check_det[k:group], check_at[k:group]):
-                    done[d] += detectors[d]._add_bits(bits[at:at + 1])
-            k = group
+            if k + 1 < n and check_inst[k + 1] == check_inst[k]:
+                bound = check_inst[k]
+                break
+            d, at = check_det[k], check_at[k]
+            done[d] += detectors[d]._add_bits(bits[done[d]:at + 1])
+            if done[d] <= at:
+                bound = check_inst[k]
+                break
+            k += 1
         self.k = k
         return bound
 

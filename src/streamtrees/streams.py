@@ -384,8 +384,8 @@ class HyperplaneGenerator(ArrayStream):
     ):
         if _BLOCK * n_attributes > _MAX_CELLS:
             raise ValueError(f"{n_attributes} attributes make blocks of over {_MAX_CELLS} cells")
-        if drift_attributes > n_attributes:
-            raise ValueError("drift_attributes cannot exceed n_attributes")
+        if not 0 <= drift_attributes <= n_attributes:
+            raise ValueError(f"drift_attributes {drift_attributes} outside [0, {n_attributes}]")
         if not 0.0 <= noise < 1.0:
             raise ValueError(f"noise fraction {noise} outside [0, 1)")
         if not 0.0 <= sigma <= 1.0:

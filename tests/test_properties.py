@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamtrees.chunks import NominalCounter, NumericCounter, counter_for
+from streamtrees.detectors import AdwinDetector
 from streamtrees.evaluate import CHUNK, prequential_run
 from streamtrees.hat import _VOTE_MODES, VOTE_MULTI, HatConfig, HoeffdingAdaptiveTreeClassifier
-from streamtrees.hatchunks import HatCounter
+from streamtrees.hatchunks import HatCounter, _Run
 from streamtrees.schema import Instance, NominalAttribute, NumericAttribute, Schema
 from streamtrees.specparse import build_generator, build_stream, parse_stream_spec
 from streamtrees.streams import AbruptDriftGenerator, ArrayStream
@@ -433,19 +434,15 @@ def test_drift_free_resplit_agreement(seed, n_attrs, n_values, classes):
     seed=st.integers(min_value=0, max_value=10**6),
     phases=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5),
     phase_length=st.integers(min_value=1, max_value=400),
-    uniform=st.booleans(),
     delta=st.floats(min_value=1e-4, max_value=0.5),
     check_interval=st.integers(min_value=1, max_value=70),
 )
-def test_adwin_matches_per_insert_reference(
-    seed, phases, phase_length, uniform, delta, check_interval
-):
+def test_adwin_matches_per_insert_reference(seed, phases, phase_length, delta, check_interval):
     """The batch-folding detector equals per-insert compression bit for bit."""
     rng = _rng(seed)
     xs = []
     for p in phases:
-        draws = rng.random(phase_length)
-        xs.extend(float(x) for x in (draws * p if uniform else draws < p))
+        xs.extend((rng.random(phase_length) < p).astype(int).tolist())
     assert_matches_reference(xs, delta, check_interval)
 
 
@@ -799,6 +796,39 @@ def test_hat_chunk_step_with_train_calls_between_runs(config):
         twins.train(None)
     twins.assert_equal()
     assert twins.trees[0]._n_sprouts > 0
+
+
+@pytest.mark.parametrize("check_interval", [1, 2])
+@pytest.mark.parametrize("row", [NOMINAL_GOLDEN_ROWS[0], NESTED_ROW], ids=["golden", "nested"])
+def test_hat_chunk_step_with_several_checks_on_one_instance_matches_twin(row, check_interval):
+    """With a check at every insertion or every other one, an instance
+    often reaches checks at two or more detectors of its route. The chunk
+    step sends such an instance through the tree, as it does every other
+    event, and ends each call as the per-instance twin does. Both trees'
+    detectors take error bits, the ints 0 and 1, so every bucket sum and
+    window sum is an int."""
+    several = []
+    entries = _Run._entries
+
+    def counted(run):
+        entries(run)
+        several.append(len(run.check_inst) - len(set(run.check_inst)))
+
+    config = HatConfig(voting_mode=VOTE_MULTI, alternate_depth_cap=10)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AdwinDetector, "CHECK_INTERVAL", check_interval)
+        mp.setattr(_Run, "_entries", counted)
+        twins = _hat_twins(row, config)
+        for n in (6000, 1, 500, CHUNK + 1, 500):
+            twins.run(n)
+            twins.assert_equal()
+    assert sum(several) > 0
+    assert twins.trees[0]._n_sprouts > 0
+    for tree in twins.trees:
+        detectors = [position.detector for position, _, _ in positions(tree._root)]
+        assert len(detectors) > 1 and any(det.total_sum for det in detectors)
+        assert all(type(det.total_sum) is int for det in detectors)
+        assert all(type(bsum) is int for det in detectors for sums in det._rows for bsum in sums)
 
 
 def _sparse_error_instances(seed):

@@ -263,8 +263,9 @@ def test_hyperplane_deterministic_and_balanced():
 
 
 def test_hyperplane_rejects_bad_drift_count():
-    with pytest.raises(ValueError):
-        HyperplaneGenerator(n_attributes=5, drift_attributes=6)
+    for drift_attributes in (6, -1):
+        with pytest.raises(ValueError, match="drift_attributes"):
+            HyperplaneGenerator(n_attributes=5, drift_attributes=drift_attributes)
 
 
 # --------------------------------------------------------------------------
