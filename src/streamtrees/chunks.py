@@ -22,7 +22,8 @@ Two counters share that hand-off and differ in how they route and count:
   float in learn order: a running sum is an ``np.cumsum`` along a padded
   axis from the leaf's own start value, which adds in the order the loop
   adds, and each (leaf, class) Welford chain takes its k-th instance in one
-  numpy step, with ``NodeStatistics.observe``'s expressions.
+  numpy step, with ``NodeStatistics.observe``'s expressions
+  (``tree.welford``, which a split's replay uses too).
 
 A ``HoeffdingAdaptiveTreeClassifier`` on a schema without numeric
 attributes is counted by ``hatchunks.HatCounter``, on ``NominalCounter``'s
@@ -37,7 +38,8 @@ that must see every instance) runs one instance at a time.
 A chunk is ``streams.Rows``: a generator's rows as arrays, valid by
 construction and taken as they are (``evaluate.prequential_run`` hands a
 counter nothing else). A row is built into an ``Instance`` only when it
-goes through the tree or into an eidetic leaf's buffer.
+goes through the tree; an eidetic leaf's buffer takes its counted rows
+straight from the chunk's arrays (``_Counter.values``).
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import math
 import struct
 from collections import namedtuple
 from itertools import accumulate, chain, repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from . import tree
 from .hat import HoeffdingAdaptiveTreeClassifier
 from .schema import Instance
 from .streams import Rows
-from .tree import HoeffdingTreeClassifier, SplitNode, _leaf_counter, walk
+from .tree import HoeffdingTreeClassifier, SplitNode, _leaf_counter, _runs, extend_buffers, walk, welford
 
 # a nominal leaf is counted while its counts are whole numbers below this:
 # adding 1.0s to them stays exact until they pass 2**53, 2**52 instances later
@@ -72,7 +73,6 @@ _ONE = np.int16(1)
 # (longest leaf run) x (leaves) cells, at most a quarter of this squared
 _NUMERIC_PASS = 512
 
-_values_of = itemgetter(0)
 # the running sums of a numeric pass, in the fields _leaf_counter reads
 _Running = namedtuple("_Running", "total_weight node_time")
 
@@ -134,24 +134,13 @@ def _left(since) -> int:
     return min(max(0, math.ceil(tree.GRACE_PERIOD - since) - 1), _MAX_LEFT)
 
 
-def _runs(keys):
-    """The start and the length of each run of equal entries of ``keys``."""
-    first = np.empty(len(keys), bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    lengths = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
-    lengths[-1] = len(keys) - starts[-1]
-    return starts, lengths
-
-
 class _Counter:
     """What both counters share: slots, the pass loop and the grace-check
     hand-off. A slot is a leaf's row in the counter's numpy tables of
     deferred updates; every table has one row per slot, ``count`` (the
     instances deferred) and ``buffers`` (whether the leaf buffers) among
-    them. ``TABLES`` names the others."""
+    them. ``TABLES`` names the others. ``values`` holds the chunk's rows as
+    an ``(n, attributes)`` array, which eidetic leaves buffer."""
 
     TABLES: tuple[str, ...] = ()
     SLOTS = 16  # slots before the tables first grow
@@ -203,25 +192,21 @@ class _Counter:
         marks = self.buffer_slot
         if slot is None:
             taken = np.flatnonzero(marks >= 0)
+            if not taken.size:
+                return
+            # stable: each leaf's rows keep their stream order
             taken = taken[np.argsort(marks[taken], kind="stable")]
+            slots = marks[taken]
+            cuts = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), len(taken)]
+            owners = slots[cuts[:-1]].tolist()
         else:
             taken = np.flatnonzero(marks == slot)
-        if not taken.size:
-            return
-        slots = marks[taken]
+            if not taken.size:
+                return
+            cuts, owners = [0, len(taken)], [slot]
         marks[taken] = -1
-        cuts = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), len(taken)]
-        values = list(map(_values_of, self.chunk.instances(taken)))
-        labels = self.labels[taken].tolist()
-        for a, b, owner in zip(cuts, cuts[1:], slots[cuts[:-1]].tolist()):
-            leaf = self.positions[owner].mainline
-            weights = leaf.buffer_weights
-            # as LearningLeaf.learn does: a new run of weight 1.0 unless one is open
-            if not weights or weights[-1] != 1.0:
-                leaf.buffer_runs.append(len(leaf.buffer))
-                weights.append(1.0)
-            leaf.buffer.extend(values[a:b])
-            leaf.buffer_labels.extend(labels[a:b])
+        extend_buffers([self.positions[owner].mainline.buffer for owner in owners], cuts,
+                       np.take(self.values, taken, axis=0), self.labels[taken])
 
     def flush(self) -> None:
         """Write every deferred update back to its leaf, and forget the slots."""
@@ -330,12 +315,12 @@ class NominalCounter(_Counter):
         if top > len(self.route):
             more = max(top, len(self.route) * 3 // 2) - len(self.route)
             self.route = np.concatenate([self.route, np.full(more, -1, np.int64)])
+        self.values = values = np.empty((len(cells), len(self.sizes)), np.int64)
+        for a in reversed(range(len(self.sizes))):
+            cells, values[:, a] = np.divmod(cells, self.sizes[a])
         # each row's cell in a leaf's pending table, per attribute: the row
         # of its value, first_row[a] + value, times class_count plus its label
-        rows = np.empty((len(cells), len(self.sizes)), np.int64)
-        for a in reversed(range(len(self.sizes))):
-            cells, rows[:, a] = np.divmod(cells, self.sizes[a])
-        rows += self.first_row[:-1]
+        rows = values + self.first_row[:-1]
         rows *= self.class_count
         rows += labels[:, None]
         self.rows = rows
@@ -491,6 +476,7 @@ class NumericCounter(_Counter):
         self.hi = state[:, hi:]
 
     def _prepare(self, chunk: Rows) -> None:
+        self.values = chunk.x
         self.x = chunk.x.reshape(-1)
         self.labels = chunk.labels
 
@@ -639,54 +625,12 @@ class NumericCounter(_Counter):
                     v = column[pick(column)].item()
                     table[slot, j] = v
                 getattr(self.positions[slot].mainline, name)[j] = v
-        self._welford(x, group * c + labels, gslots)
+        # each (leaf, class) Welford chain, on copies of the pass's leaves'
+        # tables: row group * c + label of a copy is the chain of that leaf
+        # and class
+        counts, means, m2s = self.counts[gslots], self.means[gslots], self.m2s[gslots]
+        welford(x, group * c + labels, counts.reshape(-1), means.reshape(-1, self.n_attributes),
+                m2s.reshape(-1, self.n_attributes))
+        self.counts[gslots], self.means[gslots], self.m2s[gslots] = counts, means, m2s
         buffered = self.buffers[slots]
         self.buffer_slot[index[buffered]] = slots[buffered]
-
-    def _welford(self, x, key, gslots) -> None:
-        """Welford's update for each (leaf, class) chain of rows of ``x``,
-        keyed ``group * class_count + label``, one chain position a step."""
-        c = self.class_count
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts, lengths = _runs(key)
-        n, chains = len(key), len(starts)
-        # chains longest first, so that the chains still running at step k
-        # are a prefix; each step's values are then one contiguous block
-        by_length = np.argsort(-lengths, kind="stable")
-        place = np.empty(chains, np.int64)
-        place[by_length] = np.arange(chains)
-        within = np.arange(n) - np.repeat(starts, lengths)
-        at = np.repeat(place, lengths)
-        # step k's block starts after the chains running at earlier steps
-        running = np.bincount(within)
-        blocks = np.cumsum(running) - running
-        values = np.empty_like(x)
-        values[blocks[within] + at] = x[order]
-        chain_key = key[starts[by_length]]
-        slot, label = gslots[chain_key // c], chain_key % c
-        # observe's count = counts[label] + weight, once per instance
-        counts = np.zeros((len(running) + 1, chains))
-        counts[0] = self.counts[slot, label]
-        counts[within + 1, at] = 1.0
-        np.cumsum(counts, axis=0, out=counts)
-        means = self.means[slot, label]
-        m2s = self.m2s[slot, label]
-        # observe: delta = v - mean; mean += weight * delta / count;
-        # m2 += weight * delta * (v - mean), with weight 1.0; the steps
-        # write into two scratch rows instead of allocating
-        deltas, terms = np.empty((2, *means.shape))
-        end = 0
-        for k, a in enumerate(running.tolist(), 1):
-            v = values[end:end + a]
-            end += a
-            mean, delta, term = means[:a], deltas[:a], terms[:a]
-            np.subtract(v, mean, out=delta)
-            np.divide(delta, counts[k, :a, None], out=term)
-            mean += term
-            np.subtract(v, mean, out=term)
-            term *= delta
-            m2s[:a] += term
-        self.means[slot, label] = means
-        self.m2s[slot, label] = m2s
-        self.counts[slot, label] = counts[lengths[by_length], np.arange(chains)]

@@ -65,11 +65,6 @@ _VOTE_MODES = (VOTE_NONE, VOTE_SINGLE, VOTE_MULTI, VOTE_MULTI_NO_SINGLE_LEAVES)
 # the alternate-replacement test's confidence (Bifet & Gavaldà, IDA 2009)
 REPLACEMENT_DELTA = 0.05
 
-# one float per Poisson count, shared by every draw of that count, so an
-# eidetic buffer holds no weight float of its own
-_POISSON_WEIGHTS: dict[int, float] = {}
-
-
 @dataclass(frozen=True)
 class HatConfig(StrategyConfig):
     voting_mode: str = VOTE_NONE
@@ -136,8 +131,7 @@ class HoeffdingAdaptiveTreeClassifier:
 
     def _poisson_weight(self) -> float:
         if not self._poisson_buf:
-            draws = self._rng.poisson(1.0, 1024).tolist()
-            self._poisson_buf = [_POISSON_WEIGHTS.setdefault(k, float(k)) for k in draws]
+            self._poisson_buf = self._rng.poisson(1.0, 1024).astype(float).tolist()
         return self._poisson_buf.pop()
 
     # -- training --------------------------------------------------------------
@@ -191,9 +185,7 @@ class HoeffdingAdaptiveTreeClassifier:
                 return
         values, label, weight = instance
         if self._draws_weights():
-            draw = self._poisson_weight()
-            # 1.0 * draw is draw bit for bit; keeping it keeps the shared float
-            weight = draw if weight == 1.0 else weight * draw
+            weight *= self._poisson_weight()
         learn_at_leaf(leaf_node, values, label, weight, cfg, self._new_position)
 
     def _draws_weights(self) -> bool:

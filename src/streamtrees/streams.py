@@ -232,8 +232,8 @@ class Rows:
     ``labels``. A generator's rows are valid by construction, so a counter
     takes them as they are. Row ``k`` reads back as the ``Instance`` the
     stream's ``next_instance`` would have handed out (for a nominal stream,
-    its shared one); only the rows that go through the tree or into an
-    eidetic buffer are built into Instances."""
+    its shared one); only the rows that go through the tree are built into
+    Instances."""
 
     def __init__(self, stream: ArrayStream, x: np.ndarray, labels: np.ndarray):
         self.stream = stream

@@ -8,20 +8,21 @@ Each behavior the base algorithm leaves open is a flag on :class:`StrategyConfig
 
 - ``eidetic``: keep a replay buffer so fresh children start from exact
   recounts instead of zeroed statistics (the default "amnesiac" children).
-  A leaf buffers in learn order in three columns and allocates no object per
-  instance: ``buffer`` is a list of the values tuples, ``buffer_labels`` a
-  ``bytearray`` of the labels (a list above 256 classes), and the weights
-  are kept as runs of equal consecutive weights, one weight per run in
-  ``buffer_weights`` and the entry index where it starts in the
-  ``array('Q')`` ``buffer_runs``. An entry costs about 9 bytes unweighted
-  and 19 under Poisson weighting; ``LearningLeaf.buffered`` reads the
-  entries back. New and replayed instances enter through
-  ``LearningLeaf.learn``, which buffers only positive weights: replay then
-  teaches each child exactly what its parent learned. (On an all-nominal or
-  all-numeric tree, the chunk step of ``chunks.py`` learns runs of
-  unit-weight instances in bulk, to the same statistics and buffer
-  entries.) Buffers are unbounded and grow with the stream; desk-scale runs
-  only.
+  A leaf's ``ReplayBuffer`` keeps its entries in learn order in typed
+  columns and allocates no object per entry: every entry's values laid end
+  to end in one array (one byte a value on a nominal schema of at most 256
+  values per attribute, a float64 on any schema with a numeric attribute),
+  a label column, and the weights as runs of equal consecutive weights. An
+  entry costs about 4 bytes on STAGGER's three nominal attributes
+  unweighted and 13.5 under Poisson weighting, and 85 on ten numeric
+  attributes. New instances enter through ``LearningLeaf.learn``, which
+  buffers only positive weights. A split replays its leaf's buffer in one
+  counted pass (``_replay``), to the statistics and child buffers that
+  learning each entry at its child would give: each child learns exactly
+  what its parent learned. (On an all-nominal or all-numeric tree, the
+  chunk step of ``chunks.py`` learns runs of unit-weight instances in bulk,
+  to the same statistics and buffer entries.) Buffers are unbounded and
+  grow with the stream; desk-scale runs only.
 - ``used_attribute_policy``: what a leaf does with a nominal attribute already
   used on its path. ``exclude`` (the default) leaves it out of the split
   evaluation; under ``resplit`` it may win again, and its split leaves one
@@ -41,7 +42,9 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import accumulate
+
+import numpy as np
 
 from .schema import Instance, Schema
 
@@ -122,12 +125,13 @@ def hoeffding_bound(value_range: float, delta: float, n: float) -> float:
 
 class NodeStatistics:
     """A leaf's attribute observers, which only ``observe`` updates (and, in
-    bulk, the chunk step's write-back, with ``observe``'s float order): nominal
-    counts and per-class Gaussians, on the schema's own ``nominal_attrs`` and
-    ``numeric_attrs``. Numeric attribute ``i`` is column ``j =
-    schema.numeric_column[i]``: class ``c`` has Welford's ``means[c][j]`` and
-    ``m2s[c][j]``, and ``lo[j]``/``hi[j]`` bound the values seen. Every numeric
-    attribute sees the same weights, so ``counts[c]`` is one count per class.
+    bulk, the chunk step's write-back and a split's replay, with
+    ``observe``'s float order): nominal counts and per-class Gaussians, on
+    the schema's own ``nominal_attrs`` and ``numeric_attrs``. Numeric
+    attribute ``i`` is column ``j = schema.numeric_column[i]``: class ``c``
+    has Welford's ``means[c][j]`` and ``m2s[c][j]``, and ``lo[j]``/``hi[j]``
+    bound the values seen. Every numeric attribute sees the same weights, so
+    ``counts[c]`` is one count per class.
     """
 
     __slots__ = ("schema", "nominal", "nominal_attrs", "numeric_attrs",
@@ -175,6 +179,76 @@ class NodeStatistics:
                 lo[j] = v
             if v > hi[j]:
                 hi[j] = v
+
+
+def _runs(keys):
+    """The start and the length of each run of equal entries of ``keys``."""
+    first = np.empty(len(keys), bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = len(keys) - starts[-1]
+    return starts, lengths
+
+
+def welford(x, key, counts, means, m2s, weights=None) -> None:
+    """``observe``'s Gaussian update of the rows ``key`` of ``counts``
+    (shape (k,)), ``means`` and ``m2s`` (shape (k, columns)), in place, by
+    the rows of ``x``: row r joins chain ``key[r]`` with weight
+    ``weights[r]`` (1.0 each when None), the rows of a chain in order. Each
+    chain takes its i-th row in one numpy step, with ``observe``'s
+    expressions, so every float is the one ``observe`` makes."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts, lengths = _runs(key)
+    n, chains = len(key), len(starts)
+    # chains longest first, so that the chains still running at step i
+    # are a prefix; each step's values are then one contiguous block
+    by_length = np.argsort(-lengths, kind="stable")
+    place = np.empty(chains, np.int64)
+    place[by_length] = np.arange(chains)
+    within = np.arange(n) - np.repeat(starts, lengths)
+    at = np.repeat(place, lengths)
+    # step i's block starts after the chains running at earlier steps
+    running = np.bincount(within)
+    blocks = np.cumsum(running) - running
+    to = blocks[within] + at
+    values = np.empty_like(x)
+    values[to] = x[order]
+    chain_key = key[starts[by_length]]
+    # observe's count = counts[label] + weight, once per row, in order
+    steps = np.zeros((len(running) + 1, chains))
+    steps[0] = counts[chain_key]
+    if weights is None:
+        steps[within + 1, at] = 1.0
+    else:
+        stepped = np.empty(n)
+        stepped[to] = steps[within + 1, at] = weights[order]
+    np.cumsum(steps, axis=0, out=steps)
+    mean = means[chain_key]
+    m2 = m2s[chain_key]
+    # observe: delta = v - mean; mean += weight * delta / count;
+    # m2 += weight * delta * (v - mean); weight * delta is delta at weight
+    # 1.0. The steps write into two scratch rows instead of allocating
+    deltas, terms = np.empty((2, *mean.shape))
+    end = 0
+    for i, a in enumerate(running.tolist(), 1):
+        v = values[end:end + a]
+        step_mean, delta, term = mean[:a], deltas[:a], terms[:a]
+        np.subtract(v, step_mean, out=delta)
+        if weights is not None:
+            delta *= stepped[end:end + a, None]
+        end += a
+        np.divide(delta, steps[i, :a, None], out=term)
+        step_mean += term
+        np.subtract(v, step_mean, out=term)
+        term *= delta
+        m2[:a] += term
+    means[chain_key] = mean
+    m2s[chain_key] = m2
+    counts[chain_key] = steps[lengths[by_length], np.arange(chains)]
 
 
 def _gain_with_split(leaf, parent_entropy, attribute):
@@ -262,10 +336,15 @@ class SplitNode:
         self.threshold = threshold
         self.children = children
 
-    def branch(self, values) -> int:
+    def branch(self, values):
+        """The child that a values tuple reaches, or for an ``(n,
+        attributes)`` array of rows, the child each row reaches."""
+        rows = values.__class__ is np.ndarray
+        value = values[:, self.attr] if rows else values[self.attr]
         if self.threshold is None:
-            return values[self.attr]
-        return 0 if values[self.attr] <= self.threshold else 1
+            return value.astype(np.intp) if rows else value
+        left = value <= self.threshold
+        return np.where(left, 0, 1) if rows else 0 if left else 1
 
 
 def walk(position: Position, values) -> list:
@@ -283,9 +362,96 @@ def walk(position: Position, values) -> list:
     return path
 
 
+def _unsigned(top: int) -> str:
+    """The smallest unsigned array typecode that holds 0 to ``top``."""
+    return "B" if top < 1 << 8 else "H" if top < 1 << 16 else "I" if top < 1 << 32 else "Q"
+
+
+class ReplayBuffer:
+    """An eidetic leaf's entries, in learn order, in typed columns:
+    ``values``, every entry's values laid end to end (the smallest unsigned
+    type that holds every value of an all-nominal schema, float64 on any
+    other), ``labels`` (the smallest unsigned type that holds every label),
+    and the weights as runs of equal consecutive weights, each run's weight
+    in ``weights`` and its first entry in ``runs``. ``len`` is the entry
+    count."""
+
+    __slots__ = ("values", "labels", "weights", "runs")
+
+    def __init__(self, schema: Schema):
+        if schema.numeric_attrs:
+            self.values = array("d")
+        else:
+            self.values = array(_unsigned(max(attr.n_values for attr in schema.attributes) - 1))
+        self.labels = array(_unsigned(schema.class_count - 1))
+        self.weights = array("d")
+        self.runs = array("Q")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def append(self, values, label: int, weight: float) -> None:
+        weights = self.weights
+        # array.append costs about three list appends: once per run only
+        if not weights or weight != weights[-1]:
+            self.runs.append(len(self.labels))
+            weights.append(weight)
+        self.values.extend(values)
+        self.labels.append(label)
+
+    def columns(self, width: int):
+        """The entries as arrays: their values ``(n, width)`` and labels,
+        views of the columns, and their weights, None when all are 1.0."""
+        n = len(self)
+        values = np.frombuffer(self.values, self.values.typecode).reshape(n, width)
+        labels = np.frombuffer(self.labels, self.labels.typecode)
+        if len(self.weights) == 1 and self.weights[0] == 1.0:
+            return values, labels, None
+        runs = np.frombuffer(self.runs, np.uint64).astype(np.intp)
+        weights = np.repeat(np.frombuffer(self.weights), np.diff(runs, append=n))
+        return values, labels, weights
+
+
+def extend_buffers(buffers: list, cuts, values, labels, weights=None) -> None:
+    """Append rows ``cuts[j]`` to ``cuts[j + 1]`` of ``values``, an ``(n,
+    attributes)`` array, ``labels`` and ``weights`` (1.0 each when None) to
+    ``buffers[j]``, as ``ReplayBuffer.append`` would one row at a time. The
+    buffers share a schema, so the rows take their columns' types once."""
+    if not len(labels):
+        return
+    values = np.ascontiguousarray(values, buffers[0].values.typecode)
+    labels = np.ascontiguousarray(labels, buffers[0].labels.typecode)
+    # array.frombytes takes byte views; a row is ``row`` bytes, a label ``size``
+    row, size = values.strides[0], labels.itemsize
+    values, labels = memoryview(values).cast("B"), memoryview(labels).cast("B")
+    if weights is not None:
+        # each row whose weight differs from the row before, and each block's first
+        starts = np.empty(len(weights), bool)
+        np.not_equal(weights[1:], weights[:-1], out=starts[1:])
+        starts[[a for a, b in zip(cuts, cuts[1:]) if a < b]] = True
+    for buffer, a, b in zip(buffers, cuts, cuts[1:]):
+        if a == b:
+            continue
+        n, runs = len(buffer.labels), buffer.weights
+        if weights is None:
+            if not runs or runs[-1] != 1.0:
+                buffer.runs.append(n)
+                runs.append(1.0)
+        else:
+            new = np.flatnonzero(starts[a:b])
+            if runs and runs[-1] == weights[a]:
+                new = new[1:]  # the first rows continue the buffer's last run
+            buffer.runs.frombytes((new + n).astype(np.uint64).tobytes())
+            runs.frombytes(weights[new + a].tobytes())
+        buffer.values.frombytes(values[a * row:b * row])
+        buffer.labels.frombytes(labels[a * size:b * size])
+
+
 class LearningLeaf(NodeStatistics):
     """Leaf accumulating statistics; the only place learning happens. It is
-    its own ``NodeStatistics``, updated through the inherited ``observe``."""
+    its own ``NodeStatistics``, updated through the inherited ``observe``.
+    An eidetic leaf's ``buffer`` is its ``ReplayBuffer``; an amnesiac
+    leaf's is None."""
 
     __slots__ = (
         "class_dist",
@@ -294,9 +460,6 @@ class LearningLeaf(NodeStatistics):
         "counter_at_last_eval",
         "used_attributes",
         "buffer",
-        "buffer_labels",
-        "buffer_weights",
-        "buffer_runs",
         "eval_count",
         "gain_sums",
     )
@@ -308,45 +471,23 @@ class LearningLeaf(NodeStatistics):
         self.node_time = 0
         self.counter_at_last_eval = 0.0
         self.used_attributes = frozenset(used_attributes)
-        # the replay columns, None when amnesiac: values tuples, labels, and
-        # the weight and first entry index of each run of equal weights
-        if eidetic:
-            self.buffer = []
-            self.buffer_labels = bytearray() if schema.class_count <= 256 else []
-            self.buffer_weights = []
-            self.buffer_runs = array("Q")
-        else:
-            self.buffer = self.buffer_labels = self.buffer_weights = self.buffer_runs = None
+        self.buffer = ReplayBuffer(schema) if eidetic else None
         self.eval_count = 0
         self.gain_sums = [0.0] * schema.n_attributes
 
     def learn(self, values, label: int, weight: float) -> None:
-        """Add one instance, new or replayed, and buffer it when eidetic.
+        """Add one new instance, and buffer it when eidetic.
 
-        The only way into a leaf. A weight <= 0 adds nothing and is not
-        buffered; ``node_time`` counts new instances, so ``learn_at_leaf`` bumps it.
+        A weight <= 0 adds nothing and is not buffered; ``node_time``
+        counts new instances, so ``learn_at_leaf`` bumps it.
         """
         if weight <= 0.0:
             return
         self.observe(values, label, weight)
         self.class_dist[label] += weight
         self.total_weight += weight
-        buffer = self.buffer
-        if buffer is not None:
-            weights = self.buffer_weights
-            # array.append costs about three list appends: once per run only
-            if not weights or weight != weights[-1]:
-                self.buffer_runs.append(len(buffer))
-                weights.append(weight)
-            buffer.append(values)
-            self.buffer_labels.append(label)
-
-    def buffered(self):
-        """The buffered ``(values, label, weight)`` entries, in learn order."""
-        runs = self.buffer_runs
-        lengths = map(operator.sub, chain(islice(runs, 1, None), (len(self.buffer),)), runs)
-        weights = chain.from_iterable(map(repeat, self.buffer_weights, lengths))
-        return zip(self.buffer, self.buffer_labels, weights)
+        if self.buffer is not None:
+            self.buffer.append(values, label, weight)
 
     def is_pure(self) -> bool:
         seen = 0
@@ -439,8 +580,8 @@ def perform_split(leaf: LearningLeaf, decision: SplitDecision, config: StrategyC
     The SplitNode comes in its installed shape: each child leaf wrapped by
     ``new_position``. Fresh children start with zeroed statistics and a class
     distribution read off the parent's counts for their branch (amnesiac
-    default); in eidetic mode the buffered instances are replayed through the
-    node instead, so child statistics are exact. Returns the new SplitNode,
+    default); in eidetic mode the leaf's buffer is replayed instead
+    (``_replay``), so child statistics are exact. Returns the new SplitNode,
     or None when the leaf was eviscerated in place.
     """
     if decision.action == NO_SPLIT:
@@ -458,13 +599,79 @@ def perform_split(leaf: LearningLeaf, decision: SplitDecision, config: StrategyC
     # LearningLeaf copies the distribution it starts from
     children = [LearningLeaf(leaf.schema, None if eidetic else dist, used, eidetic) for dist in dists]
     node = SplitNode(attr, threshold, [new_position(child) for child in children])
-    if eidetic:
-        positions = node.children
-        for values, label, weight in leaf.buffered():
-            positions[node.branch(values)].mainline.learn(values, label, weight)
+    if eidetic and len(leaf.buffer):
+        _replay(leaf.buffer, node, children)
     for child in children:
         child.counter_at_last_eval = _leaf_counter(child, config)
     return node
+
+
+def _sums(bins, weights, size: int):
+    """The weights of each of ``size`` bins, added in entry order from 0.0
+    (``np.bincount`` adds them so), as floats. Weights of 1.0 (None) are
+    counted: whole numbers add exactly in any order."""
+    if weights is None:
+        return np.bincount(bins, minlength=size).astype(float)
+    return np.bincount(bins, weights, size)
+
+
+def _replay(buffer: ReplayBuffer, node: SplitNode, children: list) -> None:
+    """Teach ``node``'s fresh ``children`` the entries of its leaf's
+    ``buffer``, to the floats and buffers that ``learn`` at each entry's
+    child, entry by entry, would give. Every entry is routed at once, and
+    every sum is ``_sums``'s, which adds each bin's weights in entry order
+    from 0.0, as ``learn`` does; the Gaussians are ``welford``'s, ``lo``
+    and ``hi`` keep the first of equal extremes, as ``observe``'s strict
+    comparisons do, and each child's buffer takes its entries from the
+    leaf's columns in learn order."""
+    schema = children[0].schema
+    c, k = schema.class_count, len(children)
+    x, labels, weights = buffer.columns(schema.n_attributes)
+    branch = node.branch(x)
+    key = branch * c + labels
+    dists = _sums(key, weights, k * c).reshape(k, c).tolist()
+    totals = _sums(branch, weights, k).tolist()
+    nominal = schema.nominal_attrs
+    # a child's nominal rows are its attributes' value rows end to end, the
+    # a-th nominal attribute's from firsts[a], each class_count cells wide
+    firsts = [0, *accumulate(schema.attributes[i].n_values for i in nominal)]
+    if nominal:
+        # one bincount for every nominal attribute
+        cells = np.take(x, nominal, axis=1).astype(np.intp)
+        cells += firsts[:-1]
+        cells += (branch * firsts[-1])[:, None]
+        cells *= c
+        cells += labels[:, None]
+        repeated = None if weights is None else np.repeat(weights, len(nominal))
+        tables = _sums(cells.ravel(), repeated, k * firsts[-1] * c).reshape(k, firsts[-1], c).tolist()
+    numeric = schema.numeric_attrs
+    if numeric:
+        m = len(numeric)
+        counts, means, m2s = np.zeros(k * c), np.zeros((k * c, m)), np.zeros((k * c, m))
+        xs = np.take(x, numeric, axis=1)
+        welford(xs, key, counts, means, m2s, weights)
+        counts = counts.reshape(k, c).tolist()
+        means = means.reshape(k, c, m).tolist()
+        m2s = m2s.reshape(k, c, m).tolist()
+        columns = np.arange(m)
+    # stable, and a radix sort on the smallest type that holds every branch
+    order = np.argsort(branch.astype(_unsigned(k - 1)), kind="stable")
+    cuts = [0, *np.cumsum(np.bincount(branch, minlength=k)).tolist()]
+    for j, child in enumerate(children):
+        child.class_dist = dists[j]
+        child.total_weight = totals[j]
+        for i, a, b in zip(nominal, firsts, firsts[1:]):
+            child.nominal[i] = tables[j][a:b]
+        if numeric and cuts[j] < cuts[j + 1]:
+            child.counts = counts[j]
+            child.means = means[j]
+            child.m2s = m2s[j]
+            # argmin and argmax find the first of equal values, 0.0 and -0.0 alike
+            rows = np.take(xs, order[cuts[j]:cuts[j + 1]], axis=0)
+            child.lo = rows[rows.argmin(axis=0), columns].tolist()
+            child.hi = rows[rows.argmax(axis=0), columns].tolist()
+    extend_buffers([child.buffer for child in children], cuts, np.take(x, order, axis=0), labels[order],
+                   None if weights is None else weights[order])
 
 
 def learn_at_leaf(position: Position, values, label: int, weight: float, config: StrategyConfig,

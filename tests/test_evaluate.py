@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 
 import pytest
 
@@ -12,8 +13,13 @@ from streamtrees.evaluate import (
     comparison_markdown,
     prequential_run,
 )
+from streamtrees.experiments import AMNESIA_STREAM
+from streamtrees.hat import HatConfig, HoeffdingAdaptiveTreeClassifier
 from streamtrees.schema import Instance
+from streamtrees.specparse import build_stream
 from streamtrees.streams import StaggerGenerator
+from streamtrees.tree import HoeffdingTreeClassifier, SplitNode, StrategyConfig, positions
+from test_tree import buffered
 
 
 # --------------------------------------------------------------------------
@@ -203,6 +209,41 @@ def test_prequential_determinism():
     r2 = prequential_run(_ConstantLearner(), StaggerGenerator(2, seed=9), 20_000, 500)
     assert r1.final_error == r2.final_error
     assert r1.error_series == r2.error_series
+
+
+def _eidetic_vfdt(schema):
+    return HoeffdingTreeClassifier(schema, StrategyConfig(eidetic=True, tau=0.15))
+
+
+def _eidetic_poisson_hat(schema):
+    return HoeffdingAdaptiveTreeClassifier(schema, HatConfig(eidetic=True, poisson_weighting=True), seed=3)
+
+
+def _buffers(learner):
+    """Every leaf's buffered entries, alternates' leaves included, depth first."""
+    root = learner._root if isinstance(learner, HoeffdingAdaptiveTreeClassifier) else learner.root
+    return [buffered(position.mainline) for position, _, _ in positions(root)
+            if position.mainline.__class__ is not SplitNode]
+
+
+@pytest.mark.parametrize("row, make, n", [
+    (AMNESIA_STREAM, _eidetic_vfdt, 40_000),
+    ("HyperplaneGenerator -k 10 -t 0.001 -i 2", _eidetic_vfdt, 20_000),
+    ("STAGGERGenerator -i 2 -f 2", _eidetic_poisson_hat, 10_000),
+], ids=["vfdt-amnesia", "vfdt-hyperplane", "hat-poisson"])
+def test_eidetic_learner_continues_after_a_pickle_round_trip(row, make, n):
+    """An eidetic learner and its stream, pickled between two runs, go on
+    as the originals do: same error, dump and buffered entries."""
+    stream = build_stream(row)
+    learner = make(stream.schema)
+    prequential_run(learner, stream, n)
+    assert sum(map(len, _buffers(learner))) > 0
+    copy, copy_stream = pickle.loads(pickle.dumps((learner, stream)))
+    first = prequential_run(learner, stream, n, n // 10)
+    second = prequential_run(copy, copy_stream, n, n // 10)
+    assert (first.final_error, first.error_series) == (second.final_error, second.error_series)
+    assert learner.dump() == copy.dump()
+    assert repr(_buffers(learner)) == repr(_buffers(copy))
 
 
 # --------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from streamtrees.tree import (
 
 from test_detectors import NeverFireDetector
 from test_streams import take
+from test_tree import buffer_bytes, buffered
 
 
 class NeverFireHat(HoeffdingAdaptiveTreeClassifier):
@@ -573,7 +574,7 @@ def test_eidetic_poisson_buffers_no_zero_weight():
     assert len(leaves) > 1
     assert sum(len(leaf.buffer) for leaf in leaves) > 40_000
     for leaf in leaves:
-        entries = list(leaf.buffered())
+        entries = buffered(leaf)
         assert len(entries) == len(leaf.buffer)
         assert 0.0 not in [weight for _, _, weight in entries]
         # an eidetic leaf's mass is exactly its buffer's (integer weights)
@@ -584,10 +585,10 @@ def test_eidetic_poisson_buffers_no_zero_weight():
 
 
 def test_eidetic_poisson_buffer_costs_at_most_24_bytes_per_entry():
-    # a values slot, a label byte and, for the ~57% of entries whose weight
-    # differs from the one before, a run's weight slot and 8-byte start cost
-    # about 18.8 bytes an entry; a weight float of its own per entry, or run
-    # starts kept as Python ints, would add 15 or more
+    # three value bytes, a label byte and, for the ~57% of entries whose
+    # weight differs from the one before, a run's 8-byte weight and 8-byte
+    # start cost about 13 bytes an entry; a weight float of its own per
+    # entry, or run starts kept as Python ints, would add 15 or more
     stream = build_stream("STAGGERGenerator -i 2 -f 2")
     config = HatConfig(eidetic=True, poisson_weighting=True)
     tracemalloc.start()
@@ -596,17 +597,12 @@ def test_eidetic_poisson_buffer_costs_at_most_24_bytes_per_entry():
         for _ in range(50_000):
             hat.train(stream.next_instance())
         leaves = _leaves(hat)
-        entries = sum(len(leaf.buffer) for leaf in leaves)
-        before = tracemalloc.get_traced_memory()[0]
-        for leaf in leaves:
-            for column in (leaf.buffer, leaf.buffer_labels, leaf.buffer_weights, leaf.buffer_runs):
-                del column[:]
-        freed = before - tracemalloc.get_traced_memory()[0]
+        count, freed = buffer_bytes(leaves)
     finally:
         tracemalloc.stop()
     assert len(leaves) > 1
-    assert entries > 40_000
-    assert 0 < freed <= 24 * entries
+    assert count > 40_000
+    assert 0 < freed <= 24 * count
 
 
 def test_hat_dump_marks_alternates():

@@ -3,6 +3,7 @@
 import math
 import operator
 from functools import cache, partial
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from streamtrees.streams import AbruptDriftGenerator, ArrayStream
 from streamtrees.tree import (
     _NUMERIC_SPLIT_POINTS,
     _SQRT2,
+    EVISCERATE,
     RESPLIT,
     SPLIT,
     HoeffdingTreeClassifier,
@@ -34,6 +36,7 @@ from streamtrees.tree import (
     argmax_label,
     entropy,
     evaluate_split,
+    extend_buffers,
     hoeffding_bound,
     perform_split,
     positions,
@@ -42,7 +45,7 @@ from streamtrees.tree import (
 from test_detectors import assert_matches_reference
 from test_golden_outputs import GOLDEN_ROWS, NESTED_ROW
 from test_streams import take
-from test_tree import observed_mass
+from test_tree import buffered, observed_mass, replay_per_entry
 
 CASES = settings(max_examples=1000, deadline=None)
 
@@ -347,7 +350,7 @@ def buffered_sequences(draw):
 def leaf_state(leaf):
     """Everything a leaf has learned, buffer included."""
     return (leaf.nominal, leaf.counts, leaf.means, leaf.m2s, leaf.lo, leaf.hi,
-            leaf.class_dist, leaf.total_weight, leaf.used_attributes, list(leaf.buffered()))
+            leaf.class_dist, leaf.total_weight, leaf.used_attributes, buffered(leaf))
 
 
 @CASES
@@ -358,7 +361,7 @@ def test_buffered_replays_positive_weights_in_learn_order(case, data):
     for values, label, weight in entries:
         leaf.learn(values, label, weight)
     positive = [entry for entry in entries if entry[2] > 0.0]
-    assert list(leaf.buffered()) == positive
+    assert buffered(leaf) == positive
     assert len(leaf.buffer) == len(positive)
 
     # split on a drawn attribute: each child equals a fresh leaf fed the
@@ -373,6 +376,123 @@ def test_buffered_replays_positive_weights_in_learn_order(case, data):
     for values, label, weight in entries:
         fresh[node.branch(values)].learn(values, label, weight)
     assert [leaf_state(child.mainline) for child in node.children] == [leaf_state(f) for f in fresh]
+
+
+# numeric values with signed zeros and repeated extremes among them, and
+# arbitrary ones, whose sums round
+REPLAY_NUMBERS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.1, 3.0]),
+                           st.floats(-1e3, 1e3, allow_nan=False))
+REPLAY_WEIGHTS = {
+    "unit": st.just(1.0),
+    # whole Poisson(1) counts, 0 among them, as the adaptive tree draws them
+    "poisson": st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0]),
+    "fractional": st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.7, 2.5]), st.floats(1e-3, 8.0)),
+}
+
+
+@st.composite
+def replay_cases(draw):
+    """A schema (nominal, numeric or mixed; up to 300 classes), the entries
+    a leaf learns before its split, in runs of equal weight (unit, Poisson
+    or fractional), and the split: an attribute, a threshold for a numeric
+    one, and an action."""
+    kind = draw(st.sampled_from(["nominal", "numeric", "mixed"]))
+    n = draw(st.integers(1 if kind != "mixed" else 2, 4))
+    kinds = [draw(st.integers(2, 4)) if kind == "nominal" else None for _ in range(n)]
+    if kind == "mixed":
+        nominal = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        kinds = [draw(st.integers(2, 4)) if i in nominal else None for i in range(n)]
+    classes = draw(st.sampled_from([2, 3, 300]))
+    schema = Schema(tuple(NumericAttribute() if k is None else NominalAttribute(k) for k in kinds), classes)
+    weight = REPLAY_WEIGHTS[draw(st.sampled_from(sorted(REPLAY_WEIGHTS)))]
+    entry = st.tuples(
+        st.tuples(*(REPLAY_NUMBERS if k is None else st.integers(0, k - 1) for k in kinds)),
+        st.integers(0, classes - 1),
+    )
+    runs = draw(st.lists(st.tuples(st.lists(entry, min_size=1, max_size=4), weight), max_size=25))
+    entries = [(values, label, w) for run, w in runs for values, label in run]
+    attr = draw(st.integers(0, n - 1))
+    threshold = None
+    if kinds[attr] is None:
+        seen = [values[attr] for values, _, _ in entries]
+        threshold = draw(st.sampled_from(seen) if seen and draw(st.booleans()) else REPLAY_NUMBERS)
+    actions = [SPLIT, RESPLIT, EVISCERATE] if threshold is None else [SPLIT, EVISCERATE]
+    return schema, entries, attr, threshold, draw(st.sampled_from(actions))
+
+
+def replay_state(leaf):
+    """The repr of every learned field of a leaf, its used attributes, and
+    its buffer, column by column and entry by entry."""
+    buffer = leaf.buffer
+    return (repr([getattr(leaf, name) for name in _LEAF_FIELDS]), sorted(leaf.used_attributes),
+            repr((buffer.values, buffer.labels, buffer.weights, buffer.runs)), repr(buffered(leaf)))
+
+
+@CASES
+@given(before=st.lists(REPLAY_WEIGHTS["poisson"].filter(bool), max_size=4),
+       blocks=st.lists(st.lists(st.sampled_from([1.0, 2.0, 0.5]), max_size=5), min_size=1, max_size=4),
+       unit=st.booleans())
+def test_extend_buffers_matches_append(before, blocks, unit):
+    """Blocks of rows appended at once give each buffer the columns that
+    appending the rows one at a time gives, runs included: a block whose
+    first weight is its buffer's last continues that run."""
+    schema = Schema.uniform_nominal(2, 3, 2)
+    if unit:
+        blocks = [[1.0] * len(block) for block in blocks]
+    rows = [[((i % 3, (i + j) % 3), i % 2, w) for i, w in enumerate(block)] for j, block in enumerate(blocks)]
+    bulk = [LearningLeaf(schema, eidetic=True).buffer for _ in blocks]
+    one = [LearningLeaf(schema, eidetic=True).buffer for _ in blocks]
+    for a, b in zip(bulk, one):
+        for i, w in enumerate(before):
+            a.append((0, i % 3), 1, w)
+            b.append((0, i % 3), 1, w)
+    flat = [row for block in rows for row in block]
+    cuts = [0, *accumulate(map(len, rows))]
+    extend_buffers(bulk, cuts, np.array([v for v, _, _ in flat]).reshape(-1, 2),
+                   np.array([label for _, label, _ in flat], np.int64),
+                   None if unit else np.array([w for _, _, w in flat]))
+    for buffer, block in zip(one, rows):
+        for values, label, weight in block:
+            buffer.append(values, label, weight)
+    columns = ("values", "labels", "weights", "runs")
+    assert [[getattr(b, c) for c in columns] for b in bulk] == [[getattr(b, c) for c in columns] for b in one]
+
+
+@CASES
+@given(case=replay_cases())
+def test_bulk_replay_matches_per_entry_twin(case):
+    """A split's bulk replay gives every child float and buffered entry
+    that learning each entry at its child, one at a time, gives; so does
+    a second split of a replayed child."""
+    schema, entries, attr, threshold, action = case
+    config = StrategyConfig(eidetic=True)
+    masses = ([0.0] * schema.class_count,) * 2  # unused by eidetic children
+    decision = SplitDecision(attr, 1.0, 0.0, 0.0, action, threshold, masses)
+    used = {attr} if action == RESPLIT else set()
+    leaves = [LearningLeaf(schema, None, used, eidetic=True) for _ in range(2)]
+    for leaf in leaves:
+        for values, label, weight in entries:
+            leaf.learn(values, label, weight)
+    bulk = perform_split(leaves[0], decision, config, Position)
+    with mock.patch("streamtrees.tree._replay", replay_per_entry):
+        twin = perform_split(leaves[1], decision, config, Position)
+    if action == EVISCERATE:
+        assert bulk is twin is None
+        assert replay_state(leaves[0]) == replay_state(leaves[1])
+        return
+    assert len(bulk.children) == len(twin.children)
+    for a, b in zip(bulk.children, twin.children):
+        assert replay_state(a.mainline) == replay_state(b.mainline)
+    # the fullest child splits again, on a nominal attribute or at its mean
+    child = max(range(len(bulk.children)), key=lambda j: len(bulk.children[j].mainline.buffer))
+    again = (attr + 1) % schema.n_attributes
+    threshold = None if schema.numeric_column[again] is None else 0.0
+    decision = SplitDecision(again, 1.0, 0.0, 0.0, SPLIT, threshold, masses)
+    bulk = perform_split(bulk.children[child].mainline, decision, config, Position)
+    with mock.patch("streamtrees.tree._replay", replay_per_entry):
+        twin = perform_split(twin.children[child].mainline, decision, config, Position)
+    for a, b in zip(bulk.children, twin.children):
+        assert replay_state(a.mainline) == replay_state(b.mainline)
 
 
 @CASES
@@ -551,7 +671,7 @@ def per_instance_run(learner, stream, n_instances, snapshot_every):
     return errors / n_instances, series
 
 
-# every field a leaf learns into; the buffer columns are read through buffered()
+# every field a leaf learns into; the buffer's columns are read through buffered()
 _LEAF_FIELDS = ("class_dist", "total_weight", "node_time", "counter_at_last_eval", "eval_count",
                 "gain_sums", "nominal", "counts", "means", "m2s", "lo", "hi")
 
@@ -562,7 +682,7 @@ def tree_state(tree):
     should be, shows."""
     leaves = [
         (repr([getattr(leaf, name) for name in _LEAF_FIELDS]), sorted(leaf.used_attributes),
-         None if leaf.buffer is None else repr(list(leaf.buffered())))
+         None if leaf.buffer is None else repr(buffered(leaf)))
         for leaf in tree.leaves()
     ]
     return tree.dump(), leaves

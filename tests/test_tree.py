@@ -325,6 +325,33 @@ def test_amnesiac_children_start_with_zero_statistics():
         assert child.class_dist == leaf.nominal[decision.best_attribute][j]
 
 
+def entries(buffer, schema):
+    """A replay buffer's ``(values, label, weight)`` entries, in learn order,
+    each values tuple as ``learn`` took it: ints for nominal attributes."""
+    width = schema.n_attributes
+    flat = buffer.values.tolist()
+    rows = [flat[i:i + width] for i in range(0, len(flat), width)]
+    for row in rows:
+        for i in schema.nominal_attrs:
+            row[i] = int(row[i])
+    runs = [*buffer.runs, len(buffer)]
+    weights = [w for w, a, b in zip(buffer.weights, runs, runs[1:]) for _ in range(b - a)]
+    return list(zip(map(tuple, rows), buffer.labels, weights))
+
+
+def buffered(leaf):
+    """An eidetic leaf's buffered entries, in learn order."""
+    return entries(leaf.buffer, leaf.schema)
+
+
+def replay_per_entry(buffer, node, children):
+    """The replay oracle: each of ``buffer``'s entries learned at its child,
+    one ``learn`` at a time, as a split replayed before bulk replay. Patched
+    over ``tree._replay``, it makes ``perform_split`` the per-entry split."""
+    for values, label, weight in entries(buffer, children[0].schema):
+        node.children[node.branch(values)].mainline.learn(values, label, weight)
+
+
 def assert_children_match_replay_recount(class_count, label_of):
     """Buffer 900 weighted instances in one eidetic leaf, split it, and check
     each child against a brute-force recount of the instances routed to it.
@@ -347,7 +374,7 @@ def assert_children_match_replay_recount(class_count, label_of):
             learn_at_leaf(position, *inst, config, Position)
             assert position.mainline is leaf
     assert leaf.node_time == 900
-    assert 0.0 not in [weight for _, _, weight in leaf.buffered()]
+    assert 0.0 not in [weight for _, _, weight in buffered(leaf)]
     decision = evaluate_split(leaf, config)
     assert decision.action == SPLIT
     node = perform_split(leaf, decision, config, Position)
@@ -371,39 +398,37 @@ def assert_children_match_replay_recount(class_count, label_of):
         assert child.total_weight == sum(mass)
         assert child.node_time == 0
         # the child's columns hold the routed instances, in learn order
-        assert list(child.buffered()) == [tuple(inst) for inst in routed]
+        assert buffered(child) == [tuple(inst) for inst in routed]
     return leaf
 
 
 def test_eidetic_children_match_replay_recount():
     leaf = assert_children_match_replay_recount(2, (1, 0, 0))
-    assert type(leaf.buffer_labels) is bytearray
+    assert leaf.buffer.labels.typecode == "B"
+    assert leaf.buffer.values.typecode == "B"
 
 
 def test_eidetic_children_match_replay_recount_past_256_classes():
-    # labels past 255 do not fit a bytearray: the label column is a list
+    # labels past 255 do not fit a byte: the label column holds two bytes a label
     leaf = assert_children_match_replay_recount(300, (299, 150, 0))
-    assert type(leaf.buffer_labels) is list
+    assert leaf.buffer.labels.typecode == "H"
 
 
-def test_eidetic_buffer_shares_a_nominal_streams_values():
-    stream = build_stream("AbruptDriftGenerator -o 1.0 -z 3 -n 3 -v 2 -b 100000 -r 1")
-    tree = HoeffdingTreeClassifier(stream.schema, StrategyConfig(eidetic=True))
-    for _ in range(5_000):
-        instance = stream.next_instance()
-        tree.train(instance)
-        leaf = walk(tree.root, instance.values)[-1].mainline
-        assert leaf.buffer[-1] is instance.values
-        assert leaf.buffer_labels[-1] == instance.class_label
-        assert leaf.buffer_weights[-1] == instance.weight
-    assert len(tree.leaves()) > 1
-    # one values tuple per drawn cell, however many entries buffer it
-    assert len({id(values) for leaf in tree.leaves() for values in leaf.buffer}) <= 27
+def buffer_bytes(leaves):
+    """The entries the leaves buffer, and the bytes that clearing their
+    columns frees, as tracemalloc counts them."""
+    count = sum(len(leaf.buffer) for leaf in leaves)
+    before = tracemalloc.get_traced_memory()[0]
+    for leaf in leaves:
+        buffer = leaf.buffer
+        for column in (buffer.values, buffer.labels, buffer.weights, buffer.runs):
+            del column[:]
+    return count, before - tracemalloc.get_traced_memory()[0]
 
 
 def test_eidetic_buffer_costs_at_most_12_bytes_per_entry():
-    # a values slot and a label byte cost about 9.3 bytes an entry; one
-    # tuple per entry and its list slot cost 72
+    # three value bytes and a label byte cost about 4 bytes an entry; a
+    # values tuple per entry and its list slot would cost 72
     stream = build_stream("STAGGERGenerator -i 2 -f 2")
     tracemalloc.start()
     try:
@@ -411,17 +436,31 @@ def test_eidetic_buffer_costs_at_most_12_bytes_per_entry():
         for _ in range(20_000):
             tree.train(stream.next_instance())
         leaves = tree.leaves()
-        entries = sum(len(leaf.buffer) for leaf in leaves)
-        before = tracemalloc.get_traced_memory()[0]
-        for leaf in leaves:
-            for column in (leaf.buffer, leaf.buffer_labels, leaf.buffer_weights, leaf.buffer_runs):
-                del column[:]
-        freed = before - tracemalloc.get_traced_memory()[0]
+        count, freed = buffer_bytes(leaves)
     finally:
         tracemalloc.stop()
     assert len(leaves) > 1
-    assert entries == 20_000
-    assert 0 < freed <= 12 * entries
+    assert count == 20_000
+    assert 0 < freed <= 12 * count
+
+
+def test_numeric_eidetic_buffer_costs_at_most_100_bytes_per_entry():
+    # ten float64 values, a label byte and the arrays' spare capacity cost
+    # about 85 bytes an entry; a tuple of ten float objects per entry would
+    # cost about 360
+    stream = build_stream("HyperplaneGenerator -k 10 -t 0.001 -i 2")
+    tracemalloc.start()
+    try:
+        tree = HoeffdingTreeClassifier(stream.schema, StrategyConfig(eidetic=True))
+        for _ in range(5_000):
+            tree.train(stream.next_instance())
+        leaves = tree.leaves()
+        count, freed = buffer_bytes(leaves)
+    finally:
+        tracemalloc.stop()
+    assert len(leaves) > 1
+    assert count == 5_000
+    assert 0 < freed <= 100 * count
 
 
 def test_resplit_routes_all_traffic_to_the_path_child():
