@@ -483,7 +483,7 @@ def test_bulk_replay_matches_per_entry_twin(case):
     assert len(bulk.children) == len(twin.children)
     for a, b in zip(bulk.children, twin.children):
         assert replay_state(a.mainline) == replay_state(b.mainline)
-    # the fullest child splits again, on a nominal attribute or at its mean
+    # the fullest child splits again, on the next attribute (at 0.0 when numeric)
     child = max(range(len(bulk.children)), key=lambda j: len(bulk.children[j].mainline.buffer))
     again = (attr + 1) % schema.n_attributes
     threshold = None if schema.numeric_column[again] is None else 0.0
@@ -671,7 +671,7 @@ def per_instance_run(learner, stream, n_instances, snapshot_every):
     return errors / n_instances, series
 
 
-# every field a leaf learns into; the buffer's columns are read through buffered()
+# every field a leaf learns into; the buffer columns are read through buffered()
 _LEAF_FIELDS = ("class_dist", "total_weight", "node_time", "counter_at_last_eval", "eval_count",
                 "gain_sums", "nominal", "counts", "means", "m2s", "lo", "hi")
 
